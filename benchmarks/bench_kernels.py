@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the jitted kernels against their pure-numpy fallbacks.
 
-Times both implementations of each hot kernel on representative workloads
-(the sizes the experiments actually use) and prints a speedup table.
+Times both implementations of the enumeration and convolution kernels on
+representative workloads (the sizes the experiments actually use) and prints
+a speedup table.  The phase-sum kernel is numpy only; ``perfbench/`` times it.
 Run after any kernel change:
 
     python benchmarks/bench_kernels.py
@@ -14,18 +15,10 @@ import time
 import numpy as np
 
 from hklab import accel
-from hklab.kernels import (
-    _conv_mod_numpy,
-    _enum_canonical_numpy,
-    _phase_poly_sums_numpy,
-)
+from hklab.kernels import _conv_mod_numpy, _enum_canonical_numpy
 
 if accel.HAVE_NUMBA:
-    from hklab.kernels import (
-        _conv_mod_2d_numba,
-        _enum_canonical_numba,
-        _phase_poly_sums_numba,
-    )
+    from hklab.kernels import _conv_mod_2d_numba, _enum_canonical_numba
 
 
 def timeit(fn, *args, repeat=3):
@@ -36,39 +29,6 @@ def timeit(fn, *args, repeat=3):
         out = fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best, out
-
-
-def bench_phase_sums(rows):
-    rng = np.random.default_rng(0)
-    coeffs = np.ascontiguousarray(rng.random((500, 3)))
-    n = 10_000
-    if accel.HAVE_NUMBA:
-        _phase_poly_sums_numba(coeffs[:2], 0, 10)  # compile
-        t_nb, a = timeit(_phase_poly_sums_numba, coeffs, 0, n)
-    else:
-        t_nb, a = math.inf, None
-    t_np, b = timeit(_phase_poly_sums_numpy, coeffs, 0, n)
-    if a is not None:
-        assert np.abs(a - b).max() < 1e-4 * n
-    rows.append(("phase sums (500 x 10^4 terms, k=3)", t_nb, t_np))
-
-    # hill climbing evaluates one point at a time: per-step overhead dominates
-    one = coeffs[:1]
-
-    def numba_many():
-        for _ in range(100):
-            _phase_poly_sums_numba(one, 0, n)
-
-    def numpy_many():
-        for _ in range(100):
-            _phase_poly_sums_numpy(one, 0, n)
-
-    if accel.HAVE_NUMBA:
-        t_nb, _ = timeit(numba_many, repeat=1)
-    else:
-        t_nb = math.inf
-    t_np, _ = timeit(numpy_many, repeat=1)
-    rows.append(("phase sums (100 single points, 10^4 terms)", t_nb, t_np))
 
 
 def bench_enumeration(rows):
@@ -117,7 +77,6 @@ def main():
           f"selected path: {'numba' if accel.USE_NUMBA else 'numpy'} "
           f"(HK_NO_NUMBA toggles)")
     rows = []
-    bench_phase_sums(rows)
     bench_enumeration(rows)
     bench_convolution(rows)
     width = max(len(r[0]) for r in rows)

@@ -84,44 +84,60 @@ W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
 # membership
 # ---------------------------------------------------------------------------
 
-def convergents(alpha, q_max, max_iter=64):
-    """Continued-fraction convergents (p, q) of alpha with q <= q_max."""
-    out = []
-    p0, q0 = 1, 0
-    p1, q1 = int(math.floor(alpha)), 1
-    out.append((p1, q1))
-    x = alpha - math.floor(alpha)
-    for _ in range(max_iter):
-        if x <= 1e-15 or q1 > q_max:
+def major_1d_witness(alphas, Q, X, k, max_iter=64):
+    """1-d major-arc witnesses ``(q, a)`` of many points at once.
+
+    For each point ``alpha`` (taken mod 1) this finds the smallest ``q <= Q``
+    with ``|q alpha - a| <= Q X^{-k}``.  The smallest such ``q`` is a best
+    rational approximation of the second kind, hence a continued-fraction
+    convergent, so the scan walks the convergents of every point in
+    increasing denominator (at most ``max_iter`` steps) and stops each point
+    at its first hit.  Returns int64 arrays ``(q, a)``; ``q == 0`` marks a
+    minor point.
+    """
+    if not (1 <= Q):
+        raise ValidationError("need Q >= 1")
+    alpha = np.asarray(alphas, dtype=np.float64).ravel()
+    alpha = alpha - np.floor(alpha)
+    thr = Q * float(X) ** (-k)
+    wq = np.zeros(alpha.shape, dtype=np.int64)
+    wa = np.zeros(alpha.shape, dtype=np.int64)
+    # rows: alpha, fractional remainder x, convergents p0/q0 and p1/q1
+    st = np.empty((6, alpha.size))
+    st[0] = alpha
+    st[2:6] = [[1.0], [0.0], [0.0], [1.0]]
+    st[4] = np.floor(alpha)
+    st[1] = alpha - st[4]
+    live = np.arange(alpha.size)
+    for it in range(max_iter + 1):
+        if it:
+            x = 1.0 / st[1]
+            a = np.floor(x)
+            st[1] = x - a
+            st[2:4], st[4:6] = st[4:6], a * st[4:6] + st[2:4]
+        inside = st[5] <= Q
+        hit = inside & (np.abs(st[5] * st[0] - st[4]) <= thr)
+        if hit.any():
+            wq[live[hit]] = st[5, hit]
+            wa[live[hit]] = st[4, hit]
+            inside &= ~hit
+        keep = inside & (st[1] > 1e-15)
+        live = live[keep]
+        if not live.size:
             break
-        x = 1.0 / x
-        a = int(math.floor(x))
-        x -= a
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > q_max:
-            break
-        out.append((p1, q1))
-    return out
+        st = st[:, keep]
+    return wq, wa
 
 
 def in_major_1d(alpha_k, Q, X, k):
     """1-d major-arc membership of the leading frequency coordinate.
 
-    Looks for ``q <= Q`` with ``|q alpha - a| <= Q X^{-k}``.  Best rational
-    approximations of the second kind are exactly the continued-fraction
-    convergents, so scanning convergents in increasing denominator is a
-    complete test and returns the smallest witness denominator.
+    One point of :func:`major_1d_witness`: returns ``(True, label)`` with the
+    smallest witness denominator, or ``(False, None)``.
     """
-    if not (1 <= Q):
-        raise ValidationError("need Q >= 1")
-    alpha = alpha_k - math.floor(alpha_k)
-    thr = Q * float(X) ** (-k)
-    for p, q in convergents(alpha, Q):
-        if q < 1 or q > Q:
-            continue
-        if abs(q * alpha - p) <= thr:
-            a = p % q if q > 1 else p
-            return True, ArcLabel(q, (p,), "major1d")
+    q, a = major_1d_witness([alpha_k], Q, X, k)
+    if q[0]:
+        return True, ArcLabel(int(q[0]), (int(a[0]),), "major1d")
     return False, None
 
 
@@ -234,18 +250,14 @@ class MinorArcs1D:
         self.dilation = dilation
 
     def contains(self, alpha_k):
-        if self.dilation == 1:
-            return not in_major_1d(alpha_k, self.Q, self.X, self.k)[0]
-        # beta in s*B iff (beta + m)/s in B for some integer m < s
-        for m in range(self.dilation):
-            cand = (alpha_k + m) / self.dilation
-            if not in_major_1d(cand, self.Q, self.X, self.k)[0]:
-                return True
-        return False
+        return bool(self.mask([alpha_k])[0])
 
     def mask(self, values):
-        return np.fromiter((self.contains(v) for v in values), dtype=bool,
-                           count=len(values))
+        values = np.asarray(values, dtype=np.float64)
+        # beta in s*B iff (beta + m)/s in B for some integer m < s
+        cand = (values[:, None] + np.arange(self.dilation)) / self.dilation
+        q, _ = major_1d_witness(cand, self.Q, self.X, self.k)
+        return (q.reshape(cand.shape) == 0).any(axis=1)
 
     def mask_points(self, points):
         return self.mask(points[:, -1])
@@ -524,15 +536,9 @@ def dilation_containment_check(s, Q, X, k, samples=10000, seed=0):
     passed = 0
     while checked < samples:
         vals = rng.random(4 * samples)
-        for v in vals:
-            if checked >= samples:
-                break
-            if minor_Q.contains(v):
-                checked += 1
-                if minor_Qs.contains((s * v) % 1.0):
-                    passed += 1
-        if not len(vals):
-            break
+        vals = vals[minor_Q.mask(vals)][: samples - checked]
+        checked += len(vals)
+        passed += int(minor_Qs.mask((s * vals) % 1.0).sum())
     return {"checked": checked, "passed": passed, "all_pass": passed == checked}
 
 

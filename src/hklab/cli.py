@@ -3,12 +3,14 @@
 Exit codes: 0 success, 2 validation failure, 3 budget exhaustion,
 4 internal error.  Every output blob embeds the config hash, the RNG seed,
 the code version, and the wall time; cached runs reproduce byte-identically
-(the cache key includes the code version, so upgrades never serve stale
-blobs).  ``HK_CACHE_DIR`` overrides the cache location.
+(the cache key includes the code version, a hash of the package sources, so
+no code change ever serves stale blobs).  ``HK_CACHE_DIR`` overrides the
+cache location.
 """
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -27,6 +29,7 @@ from .circle import (
     DissectionParams,
     classify,
     dilation_containment_check,
+    major_1d_witness,
     minor_arc_decay_experiment,
     moment_majorant_experiment,
     w4_main_term_experiment,
@@ -102,8 +105,20 @@ def config_hash(payload):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=None)
+def code_version():
+    """``__version__`` plus a SHA-256 prefix of the ``hklab`` sources.
+
+    Computed on first use rather than at import, so start-up reads no files.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return f"{__version__}+{digest.hexdigest()[:16]}"
+
+
 class ResultCache:
-    """Content-addressed blob store keyed by (operation, inputs, version)."""
+    """Content-addressed blob store keyed by (operation, inputs, code version)."""
 
     def __init__(self, root=None):
         if root is None:
@@ -112,7 +127,7 @@ class ResultCache:
         self.root = Path(root)
 
     def key(self, op, inputs):
-        canon = json.dumps({"op": op, "inputs": inputs, "version": __version__},
+        canon = json.dumps({"op": op, "inputs": inputs, "version": code_version()},
                            sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -129,7 +144,7 @@ class ResultCache:
 
 def _finalize(payload, args, t0, seed=None):
     payload["meta"] = {
-        "code_version": __version__,
+        "code_version": code_version(),
         "config_hash": config_hash(json.dumps(
             {k: v for k, v in sorted(vars(args).items())
              if k not in ("func",)}, default=str, sort_keys=True)),
@@ -182,6 +197,14 @@ def _parse_floatlist(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
+def _parse_target(args):
+    """The ``--n`` target vector, which needs one entry per degree ``--k``."""
+    n = _parse_intlist(args.n)
+    if len(n) != args.k:
+        raise ValidationError(f"--n has {len(n)} entries but --k is {args.k}")
+    return n
+
+
 def _params_from_args(args):
     variant = getattr(args, "variant", "pure") or "pure"
     if variant == "pure":
@@ -202,7 +225,7 @@ def _params_from_args(args):
 def cmd_count(args):
     t0 = time.perf_counter()
     params = _params_from_args(args)
-    n = _parse_intlist(args.n)
+    n = _parse_target(args)
     kw = {"box": args.box, "budget": args.budget}
     if args.xmin is not None:
         kw["x_min"] = args.xmin
@@ -280,7 +303,7 @@ def cmd_sums(args):
 
 def cmd_local(args):
     t0 = time.perf_counter()
-    n = _parse_intlist(args.n)
+    n = _parse_target(args)
     rep = solubility_report(n, args.s, seed=args.seed, budget=args.budget)
     print(f"power-mean necessity : {'ok' if rep.holder_ok else 'FAIL'}")
     print(f"congruence necessity : {'ok' if rep.fermat_ok else 'FAIL'}")
@@ -306,7 +329,7 @@ def cmd_local(args):
 def cmd_densities(args):
     t0 = time.perf_counter()
     params = _params_from_args(args)
-    n = _parse_intlist(args.n)
+    n = _parse_target(args)
     out = {"n": n, "s": args.s, "k": args.k}
     if args.method in ("qsum", "both"):
         est = singular_series_qsum(n, params, Q_max=args.qmax, tol=args.tol or 0.02)
@@ -352,16 +375,13 @@ def cmd_arcs(args):
         pts = rng.random((args.points, args.k))
     if args.Q is not None:
         # 1-d membership mode: test the final coordinate at an explicit cutoff
-        from .circle import in_major_1d
-
-        major = 0
-        for p in pts:
-            ok, lab = in_major_1d(p[-1], args.Q, args.X, args.k)
-            major += ok
-            if len(pts) <= 20:
-                print(f"{float(p[-1]):.6f} -> "
-                      + (f"major (q={lab.q}, a={lab.a[0]})" if ok else "minor"))
-        print(f"major: {major}/{len(pts)} at Q={args.Q}, X={args.X}, k={args.k}")
+        q, a = major_1d_witness(pts[:, -1], args.Q, args.X, args.k)
+        if len(pts) <= 20:
+            for v, qv, av in zip(pts[:, -1], q, a):
+                print(f"{float(v):.6f} -> "
+                      + (f"major (q={qv}, a={av})" if qv else "minor"))
+        print(f"major: {int(np.count_nonzero(q))}/{len(pts)} "
+              f"at Q={args.Q}, X={args.X}, k={args.k}")
         return EXIT_OK
     for p in pts:
         cls, label = classify(p, d)

@@ -1,19 +1,30 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels.  Public dispatchers sit at the bottom of the module.
 
-The two implementations of a kernel use the same algorithm and the same
-summation order; ``HK_NO_NUMBA=1`` selects the numpy path (see
-:mod:`hklab.accel`).  Public dispatchers sit at the bottom of the module.
+Phase sums are numpy only.  Canonical enumeration and modular convolution
+each have a numba and a pure-numpy implementation with the same algorithm
+and summation order; ``HK_NO_NUMBA=1`` selects the numpy path (see
+:mod:`hklab.accel`).
 
-Phase sums use a forward-difference engine: the phase polynomial
-``p(u) = c_1 u + ... + c_k u^k`` is advanced by its difference table, with
-every accumulator reduced mod 1 per step.  Rounding noise in the table
-amplifies like ``n^k * eps`` over ``n`` steps (about 1e-4 radians at
-``n = 10^4, k = 3``), tiny relative to the tolerances of the large-scale
-sampling experiments; identity checks run at small ranges where the error
-is near machine epsilon.  For large ``|u0|`` the initial table evaluation
-adds about ``|c_k| * |u0|^k * eps``.
+Phase sums use a blocked Taylor-shift engine.  The range is cut into blocks
+of ``B`` terms (``B = 32`` up to ``k = 3``, ``16`` at ``k = 4`` and
+``B^k <= 2^16`` beyond).  For a block starting at ``b`` the phase is
+``p(b + v) = sum_l d_l(b) v^l`` with ``d_l(b) = sum_j c_j C(j,l) b^(j-l)``;
+since ``v`` is an integer only ``d_l mod 1`` matters.  Each product of
+``c_j`` with the integer ``C(j,l) b^(j-l)`` is formed exactly by Dekker's
+two-product (the integer is split into exact 53-bit limbs when it is
+larger), so ``d_l mod 1`` is correct to a few ulp whatever ``b`` is, and the
+``n^k eps`` drift of a difference table run over the whole range never
+arises.  Inside a block a multiplicative difference engine advances
+``e(Delta^i p)``, vectorised over all rows and blocks: one Python step per
+in-block index and ``k`` complex exponentials per block (``Delta^k p`` is
+the same in every block).  A term's
+phase error is at most a small multiple of ``B^k eps`` (about 1e-11), so a
+sum over ``n`` terms is off by at most about ``1e-11 n``; against an exact
+rational reference the error is below 1e-9 for ``k <= 4`` and
+``n <= 10^4``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -21,67 +32,132 @@ import numpy as np
 from . import accel
 from .accel import njit
 
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # batched phase-polynomial sums:  sum_{u=u0}^{u1} e(c_1 u + ... + c_k u^k)
 # ---------------------------------------------------------------------------
 
-@njit
-def _phase_poly_sums_numba(coeffs, u0, u1):
+_LIMB_BITS = 53      # an integer below 2^53 is an exact float64
+_TILE = 1 << 14      # (rows x blocks) elements per tile; keeps temporaries in cache
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _block_length(k):
+    """Terms per block: at most 32, and ``B^k <= 2^16`` so rounding stays small."""
+    return min(32, max(2, int(2.0 ** (16.0 / k))))
+
+
+def _centred(x):
+    """``x - rint(x)`` in ``[-1/2, 1/2]``; exact for every float64."""
+    return x - np.rint(x)
+
+
+def _split(x):
+    """Veltkamp split ``x = hi + lo`` into halves of at most 26 significant bits."""
+    t = _SPLIT * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _taylor_multipliers(k, b0, nb, B):
+    """Exact limbs of the shift multipliers ``C(j,l) b^(j-l)``, ``l < j <= k``.
+
+    ``b`` runs over the block starts ``b0 + B i``, ``i < nb``.  Each multiplier
+    is written as ``sum_i m_i 2^(53 i)`` with every ``|m_i| < 2^53``, so each
+    limb is an exact float64.  Returns ``(l, j, i)`` per row of the limb
+    table, sorted by ``l``, and the table itself, shape ``(T, nb)``.
+    """
+    bmax = max(abs(b0), abs(b0 + B * (nb - 1)))
+    wide = max(math.comb(j, l) * bmax ** (j - l)
+               for j in range(1, k + 1) for l in range(j)) >= 1 << 62
+    b = np.arange(nb, dtype=np.int64) * B + b0
+    if wide:
+        b = b.astype(object)
+    index, limbs = [], []
+    for l in range(k):
+        for j in range(l + 1, k + 1):
+            M = math.comb(j, l) * b ** (j - l)
+            bits = (math.comb(j, l) * bmax ** (j - l)).bit_length()
+            mag, sign = abs(M), np.sign(M)
+            for i in range(max(1, -(-bits // _LIMB_BITS))):
+                part = (mag >> (_LIMB_BITS * i)) & ((1 << _LIMB_BITS) - 1)
+                limbs.append((sign * part).astype(np.float64))
+                index.append((l, j, i))
+    return np.array(index), np.array(limbs)
+
+
+@functools.lru_cache(maxsize=None)
+def _difference_matrix(k):
+    """``D[i, l] = (Delta^i v^l)(0)``: forward differences of the monomials."""
+    return np.array([[sum((-1) ** (i - v) * math.comb(i, v) * v ** l
+                           for v in range(i + 1)) for l in range(k + 1)]
+                     for i in range(k + 1)], dtype=np.float64)
+
+
+def _block_sums(c, index, limbs, B, last):
+    """Per-row sums over consecutive blocks of ``B`` terms.
+
+    ``c`` holds the centred coefficients, shape ``(m, k)``; ``index`` and
+    ``limbs`` come from :func:`_taylor_multipliers` for the block starts;
+    ``last`` is the number of terms in the final block.
+    """
+    m, k = c.shape
+    l_of, j_of, i_of = index.T
+    # c_j 2^(53 i) mod 1, exactly, for every limb index in use
+    scaled = [c]
+    for _ in range(int(i_of.max())):
+        scaled.append(_centred(scaled[-1] * float(1 << _LIMB_BITS)))
+    cj = np.stack(scaled)[i_of, :, j_of - 1][:, :, None]      # (T, m, 1)
+    # Dekker's two-product: p + e == c_j * limb exactly
+    M = limbs[:, None, :]                                    # (T, 1, nb)
+    c_hi, c_lo = _split(cj)
+    M_hi, M_lo = _split(M)
+    p = cj * M
+    e = ((c_hi * M_hi - p) + c_hi * M_lo + c_lo * M_hi) + c_lo * M_lo
+    r = _centred(p) + e
+    # d_l(b) = sum_j c_j C(j,l) b^(j-l) mod 1: the shifted coefficients
+    starts = np.flatnonzero(np.r_[True, l_of[1:] != l_of[:-1]])
+    d = np.empty((k + 1, m, r.shape[2]))
+    d[:k] = np.add.reduceat(r, starts, axis=0)
+    d[k] = 0.0
+    d[1:] += c.T[:, :, None]
+    d = _centred(d)
+    # e(Delta^i p) at v = 0 for every block, advanced multiplicatively
+    theta = _centred(np.einsum("il,lmb->imb", _difference_matrix(k), d))
+    z = np.exp(2j * np.pi * theta[:k])
+    zk = np.exp(2j * np.pi * theta[k][:, :1])  # Delta^k = k! c_k in every block
+    acc = z[0].copy()
+    for v in range(1, B):
+        for i in range(k - 1):
+            z[i] *= z[i + 1]
+        z[k - 1] *= zk
+        if v < last:
+            acc += z[0]
+        else:
+            acc[:, :-1] += z[0][:, :-1]
+    return acc.sum(axis=1)
+
+
+def _phase_poly_sums_blocked(coeffs, u0, u1):
     m, k = coeffs.shape
     out = np.zeros(m, dtype=np.complex128)
     n = u1 - u0 + 1
     if n <= 0:
         return out
-    d = np.empty(k + 1, dtype=np.float64)
-    for r in range(m):
-        for i in range(k + 1):
-            u = float(u0 + i)
-            acc = 0.0
-            up = u
-            for j in range(k):
-                acc += coeffs[r, j] * up
-                up *= u
-            d[i] = acc - math.floor(acc)
-        for lvl in range(1, k + 1):
-            for i in range(k, lvl - 1, -1):
-                d[i] -= d[i - 1]
-        re = 0.0
-        im = 0.0
-        for _ in range(n):
-            t = TWO_PI * d[0]
-            re += math.cos(t)
-            im += math.sin(t)
-            for j in range(k):
-                d[j] += d[j + 1]
-                d[j] -= math.floor(d[j])
-        out[r] = complex(re, im)
+    if k == 0:
+        return out + n
+    c = _centred(coeffs)
+    B = min(_block_length(k), n)
+    nb = -(-n // B)
+    span = min(nb, _TILE)
+    rows = max(1, _TILE // span)
+    for i0 in range(0, nb, span):
+        cnt = min(span, nb - i0)
+        last = n - (nb - 1) * B if i0 + cnt == nb else B
+        index, limbs = _taylor_multipliers(k, u0 + i0 * B, cnt, B)
+        for r0 in range(0, m, rows):
+            out[r0:r0 + rows] += _block_sums(c[r0:r0 + rows], index, limbs, B, last)
     return out
-
-
-def _phase_poly_sums_numpy(coeffs, u0, u1):
-    m, k = coeffs.shape
-    n = u1 - u0 + 1
-    if n <= 0:
-        return np.zeros(m, dtype=np.complex128)
-    d = np.empty((k + 1, m), dtype=np.float64)
-    for i in range(k + 1):
-        u = float(u0 + i)
-        powers = u ** np.arange(1, k + 1)
-        vals = coeffs @ powers
-        d[i] = vals - np.floor(vals)
-    for lvl in range(1, k + 1):
-        for i in range(k, lvl - 1, -1):
-            d[i] -= d[i - 1]
-    acc = np.zeros(m, dtype=np.complex128)
-    for _ in range(n):
-        acc += np.exp(2j * np.pi * d[0])
-        for j in range(k):
-            d[j] += d[j + 1]
-            d[j] -= np.floor(d[j])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +307,7 @@ def phase_poly_sums(coeffs, u0, u1):
         raise ValueError("coeffs must be 2-d (batch, degree)")
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("non-finite frequency")
-    if accel.USE_NUMBA:
-        return _phase_poly_sums_numba(coeffs, int(u0), int(u1))
-    return _phase_poly_sums_numpy(coeffs, int(u0), int(u1))
+    return _phase_poly_sums_blocked(coeffs, int(u0), int(u1))
 
 
 def canonical_powersum_run(t, lo, hi, k, coeff=1):

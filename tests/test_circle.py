@@ -18,6 +18,7 @@ from hklab.circle import (
     in_major_1d,
     in_major_1d_scan,
     lattice_representation_integral,
+    major_1d_witness,
     measure_major_1d,
     minor_arc_decay_experiment,
     restricted_moment,
@@ -175,6 +176,43 @@ def test_minor_region_masks():
     vals = np.array([0.0, 0.5, GOLDEN])
     mask = region.mask(vals)
     assert mask.tolist() == [False, False, True]
+
+
+def _scan_minor(values, Q, X, k, dilation=1):
+    """Oracle for ``MinorArcs1D.mask``: the direct denominator scan per point."""
+    return [any(not in_major_1d_scan((v + m) / dilation, Q, X, k)[0]
+                for m in range(dilation)) for v in values]
+
+
+@pytest.mark.parametrize("Q,X,k", [(1.5, 40.0, 2), (9, 300.0, 2), (25, 2000.0, 3),
+                                   (60, 2000.0, 2)])
+def test_minor_mask_matches_scan_oracle(Q, X, k):
+    rng = np.random.default_rng(int(Q * 10) + k)
+    thr = Q * X ** (-k)
+    # rational centres a/q offset by the arc width Q X^-k, just inside and outside
+    centres = [a / q for q in range(1, int(Q) + 1) for a in range(q + 1)
+               if math.gcd(a, q) == 1]
+    edges = [(c + sgn * f * thr) % 1.0 for c in centres for sgn in (-1, 1)
+             for f in (1.0, 1 - 1e-9, 1 + 1e-9)]
+    for values in (rng.random(500), np.array(edges)):
+        region = MinorArcs1D(Q, X, k)
+        assert region.mask(values).tolist() == _scan_minor(values, Q, X, k)
+        for dilation in (2, 6):
+            dil = MinorArcs1D(Q, X, k, dilation=dilation)
+            assert (dil.mask(values).tolist()
+                    == _scan_minor(values, Q, X, k, dilation))
+
+
+def test_major_witness_matches_scalar_test():
+    rng = np.random.default_rng(33)
+    values = np.concatenate([rng.random(300), [0.0, 0.5, 1 / 3, GOLDEN]])
+    q, a = major_1d_witness(values, 30, 100.0, 2)
+    for v, qv, av in zip(values, q, a):
+        ok, lab = in_major_1d_scan(v, 30, 100.0, 2)
+        assert bool(qv) == ok
+        if ok:
+            assert (qv, av) == (lab.q, lab.a[0])
+    assert MinorArcs1D(30, 100.0, 2).contains(GOLDEN)
 
 
 def test_restricted_moment_exact_even():

@@ -215,3 +215,35 @@ def test_result_cache_version_keyed(tmp_path, monkeypatch):
     import hashlib
 
     assert hashlib.sha256(other.encode()).hexdigest() != key
+
+
+def test_experiment_cache_ignores_other_source_hash(tmp_path, capsys, monkeypatch):
+    from hklab import __version__, cli
+
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "name": "minor-decay", "s": 12, "k": 3, "X": 200.0,
+        "Q_list": [3, 6, 12], "samples": 30, "seed": 5}))
+    current = cli.code_version
+    monkeypatch.setattr(cli, "code_version", lambda: __version__ + "+other")
+    stale = tmp_path / "stale.json"
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                         "--out", str(stale))
+    assert code == EXIT_OK
+    monkeypatch.setattr(cli, "code_version", current)
+    fresh = tmp_path / "fresh.json"
+    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(fresh))
+    assert code == EXIT_OK and "cache hit" not in out
+    assert json.loads(stale.read_text())["meta"]["code_version"].endswith("+other")
+    version = json.loads(fresh.read_text())["meta"]["code_version"]
+    assert version == current() and version.startswith(__version__ + "+")
+
+
+def test_n_must_match_k(capsys):
+    for cmd in (["local", "--s", "8"], ["count", "--s", "8"],
+                ["densities", "--s", "8", "--method", "euler"]):
+        code, out, err = run_cli(capsys, *cmd, "--k", "3", "--n", "10,30")
+        assert code == EXIT_VALIDATION and "--k is 3" in err
+        assert "locally-soluble" not in out

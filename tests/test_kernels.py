@@ -1,4 +1,4 @@
-"""Both kernel paths must compute the same values in the same order."""
+"""Kernels against independent references; numba twins against numpy."""
 
 import collections
 import itertools
@@ -11,18 +11,13 @@ from hklab import accel
 from hklab.kernels import (
     _conv_mod_numpy,
     _enum_canonical_numpy,
-    _phase_poly_sums_numpy,
     canonical_powersum_run,
     conv_mod,
     phase_poly_sums,
 )
 
 if accel.HAVE_NUMBA:
-    from hklab.kernels import (
-        _conv_mod_2d_numba,
-        _enum_canonical_numba,
-        _phase_poly_sums_numba,
-    )
+    from hklab.kernels import _conv_mod_2d_numba, _enum_canonical_numba
 
 
 def _direct_phase_sum(coeffs, u0, u1):
@@ -61,25 +56,57 @@ def test_phase_poly_sums_rejects_nonfinite():
         phase_poly_sums(np.array([[np.nan]]), 0, 3)
 
 
-@pytest.mark.skipif(not accel.HAVE_NUMBA, reason="numba unavailable")
-def test_phase_paths_agree_small_range():
-    rng = np.random.default_rng(2)
-    coeffs = np.ascontiguousarray(rng.random((6, 3)))
-    a = _phase_poly_sums_numba(coeffs, 0, 50)
-    b = _phase_poly_sums_numpy(coeffs, 0, 50)
-    # difference-table init rounding amplifies ~ n^k ulp(table)
-    assert np.abs(a - b).max() < 1e-7
+def _exact_phase_sum(coeffs, u0, u1):
+    """``sum_{u=u0}^{u1} e(coeffs[0] u + coeffs[1] u^2 + ...)``, phases exact.
+
+    Each float ``c_j`` is the dyadic rational ``num / 2^e``, so every term's
+    phase is reduced mod 1 in integer arithmetic; only ``e(t)`` is rounded.
+    """
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)           # every d is a power of two
+    nums = [num * (den // d) for num, d in ratios]
+    re, im = [], []
+    for u in range(u0, u1 + 1):
+        acc = 0
+        for num in reversed(nums):            # Horner: (..(c_k u + c_{k-1}) u ..) u
+            acc = (acc + num) * u
+        t = 2.0 * math.pi * ((acc % den) / den)
+        re.append(math.cos(t))
+        im.append(math.sin(t))
+    return complex(math.fsum(re), math.fsum(im))
 
 
-@pytest.mark.skipif(not accel.HAVE_NUMBA, reason="numba unavailable")
-def test_phase_paths_agree_large_range():
-    rng = np.random.default_rng(3)
-    coeffs = np.ascontiguousarray(rng.random((3, 3)))
-    n = 10_000
-    a = _phase_poly_sums_numba(coeffs, 0, n)
-    b = _phase_poly_sums_numpy(coeffs, 0, n)
-    # n^k eps phase drift, summed over n unimodular terms
-    assert np.abs(a - b).max() < 1e-5 * (n + 1)
+# 1001 and 10 001 terms end in a partial block at every block length in use
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("u0,u1", [(0, 25), (0, 1000), (0, 10_000),
+                                   (-5000, 5000)])
+def test_phase_poly_sums_matches_exact_reference(k, u0, u1):
+    rng = np.random.default_rng(100 * k + (u1 - u0) % 97)
+    coeffs = rng.random((2, k))
+    coeffs[1] -= 0.5                          # negative frequencies too
+    got = phase_poly_sums(coeffs, u0, u1)
+    for row, value in zip(coeffs, got):
+        assert abs(complex(value) - _exact_phase_sum(row, u0, u1)) <= 1e-6
+
+
+def test_phase_poly_sums_row_independent_of_batch():
+    rng = np.random.default_rng(6)
+    coeffs = rng.random((300, 3))
+    for u0, u1 in [(0, 25), (-7, 4000)]:
+        batch = phase_poly_sums(coeffs, u0, u1)
+        for r in (0, 137, 299):
+            alone = phase_poly_sums(coeffs[r:r + 1], u0, u1)[0]
+            assert abs(alone - batch[r]) <= 1e-12
+
+
+def test_phase_poly_sums_wide_multipliers():
+    # C(j,l) b^(j-l) beyond 2^53 (and 2^62) is split into exact limbs
+    rng = np.random.default_rng(7)
+    for k, u0 in [(3, 10 ** 6), (4, 3 * 10 ** 5), (5, 10 ** 4)]:
+        coeffs = rng.random((2, k))
+        got = phase_poly_sums(coeffs, u0, u0 + 300)
+        for row, value in zip(coeffs, got):
+            assert abs(complex(value) - _exact_phase_sum(row, u0, u0 + 300)) <= 1e-8
 
 
 def _reference_histogram(t, lo, hi, k):
