@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the jitted kernels against their pure-numpy fallbacks.
+"""Benchmark the jitted enumeration kernel against its pure-numpy fallback.
 
-Times both implementations of the enumeration and convolution kernels on
-representative workloads (the sizes the experiments actually use) and prints
-a speedup table.  The phase-sum kernel is numpy only; ``perfbench/`` times it.
-Run after any kernel change:
+Times both implementations of canonical enumeration on a representative
+workload (the size the experiments actually use) and prints a speedup
+table.  The phase-sum and convolution kernels are numpy only;
+``perfbench/`` times them.  Run after any kernel change:
 
     python benchmarks/bench_kernels.py
 """
@@ -15,10 +15,10 @@ import time
 import numpy as np
 
 from hklab import accel
-from hklab.kernels import _conv_mod_numpy, _enum_canonical_numpy
+from hklab.kernels import _enum_canonical_numpy
 
 if accel.HAVE_NUMBA:
-    from hklab.kernels import _conv_mod_2d_numba, _enum_canonical_numba
+    from hklab.kernels import _enum_canonical_numba
 
 
 def timeit(fn, *args, repeat=3):
@@ -55,30 +55,12 @@ def bench_enumeration(rows):
     rows.append((f"canonical enumeration ({total} tuples, k=2)", t_nb, t_np))
 
 
-def bench_convolution(rows):
-    m = 243  # 3^5, a typical counting modulus
-    rng = np.random.default_rng(1)
-    H = rng.integers(0, 50, size=(m, m)).astype(np.int64)
-    shifts = np.array([[(x) % m, (x * x) % m] for x in range(m)],
-                      dtype=np.int64)
-    if accel.HAVE_NUMBA:
-        _conv_mod_2d_numba(H[:4, :4].copy(), shifts[:2] % 4)  # compile
-        t_nb, a = timeit(_conv_mod_2d_numba, H, shifts)
-    else:
-        t_nb, a = math.inf, None
-    t_np, b = timeit(_conv_mod_numpy, H, shifts)
-    if a is not None:
-        assert np.array_equal(a, b)
-    rows.append((f"modular convolution step (m={m}, k=2)", t_nb, t_np))
-
-
 def main():
     print(f"numba available: {accel.HAVE_NUMBA}; "
           f"selected path: {'numba' if accel.USE_NUMBA else 'numpy'} "
           f"(HK_NO_NUMBA toggles)")
     rows = []
     bench_enumeration(rows)
-    bench_convolution(rows)
     width = max(len(r[0]) for r in rows)
     print(f"\n{'kernel'.ljust(width)}  {'numba':>10}  {'numpy':>10}  {'speedup':>8}")
     for name, t_nb, t_np in rows:

@@ -1,8 +1,8 @@
 """Kernel path selection: numba-jitted loops or the pure-numpy fallback.
 
-The enumeration and convolution kernels in :mod:`hklab.kernels` exist in two
-versions that compute the same thing with the same summation order (the
-phase-sum kernel is numpy only).  The jitted version is used by
+The enumeration kernel in :mod:`hklab.kernels` exists in two versions that
+compute the same thing with the same summation order (the phase-sum and
+convolution kernels are numpy only).  The jitted version is used by
 default; setting the environment variable ``HK_NO_NUMBA=1`` (or running on a
 machine without numba) selects the numpy version.  ``benchmarks/bench_kernels.py``
 times the two paths against each other.

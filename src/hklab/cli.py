@@ -65,10 +65,10 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 
 _EXPERIMENT_KEYS = {
-    "minor-decay": {"s", "k", "X", "Q_list", "samples", "seed", "budget"},
-    "moment-majorant": {"s", "k", "X", "Q_list", "h", "samples", "seed", "budget"},
+    "minor-decay": {"s", "k", "X", "Q_list", "samples", "seed"},
+    "moment-majorant": {"s", "k", "X", "Q_list", "h", "samples", "seed"},
     "w4-main": {"s", "k", "base_tuple", "scale_list", "l_exponent",
-                "series_p_max", "series_modcap", "seed", "budget"},
+                "series_p_max", "series_modcap", "seed"},
 }
 
 
@@ -414,8 +414,7 @@ def cmd_experiment(args):
             Path(out_path).write_bytes(hit)
             print(f"cache hit -> {out_path}")
             return EXIT_OK
-    o = dict(cfg.options)
-    o.pop("budget", None)
+    o = cfg.options
     try:
         if cfg.name == "minor-decay":
             result = minor_arc_decay_experiment(

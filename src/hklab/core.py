@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# int64 headroom: counts and power sums below this bound, and the sum of
+# two of them, cannot overflow.
+INT64_SAFE = 2 ** 62
+
 
 @dataclass(frozen=True)
 class SystemParams:

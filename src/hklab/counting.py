@@ -18,11 +18,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import Target
+from .core import INT64_SAFE, Target
 from .errors import BudgetExceededError, MemoryBudgetError, ValidationError
 from .kernels import canonical_powersum_run
-
-INT64_SAFE = 2 ** 62
 
 
 @dataclass

@@ -15,19 +15,18 @@ as such in the returned estimates.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Target
+from .core import INT64_SAFE, Target
 from .errors import BudgetExceededError, NonConvergedError, ToleranceError, ValidationError
 from .expsums import complete_sum
 from .kernels import conv_mod
 from .local import small_primes
 from .streams import substream
-
-INT64_SAFE = 2 ** 62
 
 
 def _target_vector(n):
@@ -182,41 +181,38 @@ def singular_series_qsum(n, params, Q_max=None, tol=0.02):
 # p-adic densities by exact counting
 # ---------------------------------------------------------------------------
 
-_HIST_CACHE = {}
+# Half histograms keyed on (m, k, coefficients of the half), least recently
+# used first; the oldest are evicted once the total nbytes passes the bound
+# (an object array counts its pointers only).
+_HIST_CACHE_BYTES = 64 << 20
+_HIST_CACHE = OrderedDict()
 
 
-def _halves_mod(m, k, coeffs):
-    """Cached half histograms of power-sum keys mod m for the variable split."""
+def _half_mod(m, k, coeffs):
+    """Cached histogram of the power-sum keys of one half of the variables.
+
+    Cell ``v`` counts ``x in [0,m)^len(coeffs)`` with
+    ``sum_i c_i x_i^j = v_j mod m`` for every ``j``.  int64 while the total
+    mass ``m^len(coeffs)`` fits, Python ints otherwise.
+    """
     key = (m, k, tuple(coeffs))
-    if key in _HIST_CACHE:
-        return _HIST_CACHE[key]
-    s = len(coeffs)
-    s1 = (s + 1) // 2
-    if m ** s >= INT64_SAFE:
-        dtype = object
-    else:
-        dtype = np.int64
-
-    def build(cs):
-        H = np.zeros((m,) * k, dtype=dtype)
-        H[(0,) * k] = 1
-        for c in cs:
-            shifts = np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
-                               for x in range(m)], dtype=np.int64)
-            if dtype is object:
-                out = np.zeros_like(H)
-                for row in shifts:
-                    out += np.roll(H, tuple(int(v) for v in row),
-                                   axis=tuple(range(k)))
-                H = out
-            else:
-                H = conv_mod(H, shifts)
+    H = _HIST_CACHE.get(key)
+    if H is not None:
+        _HIST_CACHE.move_to_end(key)
         return H
-    halves = (build(coeffs[:s1]), build(coeffs[s1:]))
-    if len(_HIST_CACHE) > 64:
-        _HIST_CACHE.clear()
-    _HIST_CACHE[key] = halves
-    return halves
+    H = np.zeros((m,) * k, dtype=np.int64 if m ** len(coeffs) < INT64_SAFE else object)
+    H[(0,) * k] = 1
+    for c in coeffs:
+        shifts = np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
+                           for x in range(m)], dtype=np.int64)
+        H = conv_mod(H, shifts)
+    H.flags.writeable = False
+    if H.nbytes <= _HIST_CACHE_BYTES:
+        _HIST_CACHE[key] = H
+        used = sum(v.nbytes for v in _HIST_CACHE.values())
+        while used > _HIST_CACHE_BYTES:
+            used -= _HIST_CACHE.popitem(last=False)[1].nbytes
+    return H
 
 
 def solution_count_mod(m, n, params, budget=3_000_000_000):
@@ -226,10 +222,12 @@ def solution_count_mod(m, n, params, budget=3_000_000_000):
     if m ** (k + 1) > budget:
         raise BudgetExceededError(
             f"residue convolution at modulus {m}, k={k} exceeds the budget")
-    H1, H2 = _halves_mod(m, k, params.coeffs)
+    s1 = (params.s + 1) // 2
+    H1 = _half_mod(m, k, params.coeffs[:s1])
+    H2 = _half_mod(m, k, params.coeffs[s1:])
     idxs = [((n[j] % m) - np.arange(m)) % m for j in range(k)]
     H2c = H2[np.ix_(*idxs)]
-    if H1.dtype == object:
+    if m ** params.s < INT64_SAFE:  # M(m) <= m^s: the int64 pairing is exact
         return int((H1 * H2c).sum())
     return int((H1.astype(object) * H2c.astype(object)).sum())
 
@@ -448,13 +446,14 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
         while done < samples:
             m = min(chunk, samples - done)
             u = rng.random((m, s))
-            ok = np.ones(m, dtype=bool)
-            p = u.copy()
-            for j in range(k):
-                if j > 0:
-                    p = p * u
-                ok &= np.abs(p.sum(axis=1) - mu[j]) <= e
-            hits += int(ok.sum())
+            # the j = 1 slab on every row, higher powers on its survivors only
+            u = u[np.abs(u.sum(axis=1) - mu[0]) <= e]
+            p = u
+            for j in range(1, k):
+                p = p * u
+                keep = np.abs(p.sum(axis=1) - mu[j]) <= e
+                u, p = u[keep], p[keep]
+            hits += len(u)
             done += m
         phat = hits / samples
         norm = (2.0 * e) ** (-k)

@@ -157,6 +157,19 @@ def test_experiment_rejects_unknown_keys(tmp_path, capsys):
     assert code == EXIT_VALIDATION and "bogus" in err
 
 
+def test_experiment_rejects_budget_key(tmp_path, capsys, monkeypatch):
+    # a budget the experiments cannot honour is refused, not silently dropped
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(json.dumps({
+        "name": "minor-decay", "s": 12, "k": 3, "X": 200.0,
+        "Q_list": [3, 6], "samples": 10, "seed": 5, "budget": 1}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_VALIDATION and "budget" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_experiment_rejects_unknown_name(tmp_path, capsys):
     cfg = tmp_path / "bad2.json"
     cfg.write_text(json.dumps({"name": "mystery"}))

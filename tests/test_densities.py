@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hklab import densities
 from hklab.core import SystemParams
 from hklab.densities import (
     DensityEstimate,
@@ -114,6 +115,65 @@ def test_solution_count_mod_k3_brute_force():
             assert solution_count_mod(m, n, p43) == brute
 
 
+def test_solution_count_mod_mixed_halves_brute_force():
+    # unequal halves (1, -1, 2) and (1, 3): two cache entries, int64 pairing
+    p = SystemParams.with_coefficients((1, -1, 2, 1, 3), 2)
+    c = np.array(p.coeffs)[:, None]
+    for m in (7, 9, 16):
+        x = np.indices((m,) * 5).reshape(5, -1)
+        keys = [(c * x ** j).sum(axis=0) % m for j in (1, 2)]
+        for n in ([1, 4], [5, 2], [0, 0]):
+            brute = int(np.count_nonzero((keys[0] == n[0] % m) & (keys[1] == n[1] % m)))
+            assert solution_count_mod(m, n, p) == brute
+
+
+def test_half_cache_is_lru_by_bytes(monkeypatch):
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    n = [96, 1934]
+    want = {m: solution_count_mod(m, n, P62) for m in (5, 7, 11)}
+    # room for the m=7 and m=11 halves but not for the m=5 one as well
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    monkeypatch.setattr(densities, "_HIST_CACHE_BYTES", 8 * (7 * 7 + 11 * 11))
+    key = lambda m: (m, 2, (1, 1, 1))
+    assert solution_count_mod(5, n, P62) == want[5]
+    assert solution_count_mod(7, n, P62) == want[7]
+    assert list(densities._HIST_CACHE) == [key(5), key(7)]
+    assert solution_count_mod(5, n, P62) == want[5]      # hit: 5 is now newest
+    assert list(densities._HIST_CACHE) == [key(7), key(5)]
+    assert solution_count_mod(11, n, P62) == want[11]    # evicts 7, the oldest
+    assert list(densities._HIST_CACHE) == [key(5), key(11)]
+    assert solution_count_mod(7, n, P62) == want[7]      # rebuilt, evicts 5
+    assert list(densities._HIST_CACHE) == [key(11), key(7)]
+    # a half larger than the whole bound is returned, never cached, and
+    # evicts nothing
+    assert solution_count_mod(17, n, P62) == solution_count_mod(17, n, P62)
+    assert list(densities._HIST_CACHE) == [key(11), key(7)]
+
+
+def test_euler_value_independent_of_cache_bound(monkeypatch):
+    n = [96, 1934]
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    want = singular_series_euler(n, P62, p_max=32, modulus_cap=32, tol=0.0)
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    monkeypatch.setattr(densities, "_HIST_CACHE_BYTES", 8 * 9 * 9)
+    got = singular_series_euler(n, P62, p_max=32, modulus_cap=32, tol=0.0)
+    assert got.value == want.value
+    assert got.detail["per_prime"] == want.detail["per_prime"]
+
+
+def test_second_euler_target_reuses_every_half(monkeypatch):
+    # 70 moduli below 256: the second target must find every half cached
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    singular_series_euler([139, 4643], P62, p_max=256, modulus_cap=256, tol=0.0)
+    assert len(densities._HIST_CACHE) == 70
+
+    def forbidden(*args):
+        raise AssertionError("conv_mod ran on a cached modulus")
+    monkeypatch.setattr(densities, "conv_mod", forbidden)
+    est = singular_series_euler([126, 3962], P62, p_max=256, modulus_cap=256, tol=0.0)
+    assert est.value > 0
+
+
 def test_padic_density_is_exact_rational():
     v = padic_density(2, 2, [3, 3], P62)
     assert isinstance(v, Fraction)
@@ -206,6 +266,37 @@ def test_mc_oracle_empty_body():
     est = mc_volume_oracle([10, 1], P62, eta=0.01, samples=50_000)
     assert est.value == 0.0 and est.error_estimate > 0
     assert not est.converged
+
+
+def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
+    """Hit count of one oracle run, testing every power on every row."""
+    from hklab.streams import substream
+
+    mu, _ = densities._mu_raw(n)
+    rng = substream(seed, stream)
+    hits = done = 0
+    while done < samples:
+        m = min(500_000, samples - done)
+        u = rng.random((m, params.s))
+        ok = np.ones(m, dtype=bool)
+        p = u.copy()
+        for j in range(params.k):
+            if j > 0:
+                p = p * u
+            ok &= np.abs(p.sum(axis=1) - mu[j]) <= eta
+        hits += int(ok.sum())
+        done += m
+    return hits
+
+
+@pytest.mark.parametrize("n,params", [([96, 1934], P62),
+                                      ([20, 90, 460], SystemParams.pure(6, 3))])
+def test_mc_oracle_early_rejection_keeps_hits(n, params):
+    est = mc_volume_oracle(n, params, eta=0.05, samples=600_000, seed=3)
+    assert est.detail["hits"] == _mc_hits_all_powers(n, params, 0.05, 600_000, 3, 0)
+    assert est.detail["half_eta"]["hits"] == _mc_hits_all_powers(
+        n, params, 0.025, 600_000, 3, 1)
+    assert est.detail["hits"] > 100
 
 
 def test_mc_oracle_reproducible():

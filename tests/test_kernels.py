@@ -1,4 +1,4 @@
-"""Kernels against independent references; numba twins against numpy."""
+"""Kernels against independent references; the numba enumeration twin against numpy."""
 
 import collections
 import itertools
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hklab import accel
+from hklab import accel, kernels
 from hklab.kernels import (
     _conv_mod_numpy,
     _enum_canonical_numpy,
@@ -17,7 +17,7 @@ from hklab.kernels import (
 )
 
 if accel.HAVE_NUMBA:
-    from hklab.kernels import _conv_mod_2d_numba, _enum_canonical_numba
+    from hklab.kernels import _enum_canonical_numba
 
 
 def _direct_phase_sum(coeffs, u0, u1):
@@ -167,12 +167,65 @@ def test_conv_mod_matches_reference():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.skipif(not accel.HAVE_NUMBA, reason="numba unavailable")
-def test_conv_paths_agree_2d_3d():
-    rng = np.random.default_rng(5)
-    H2 = rng.integers(0, 4, size=(6, 6)).astype(np.int64)
-    sh2 = rng.integers(0, 6, size=(5, 2)).astype(np.int64)
-    assert np.array_equal(_conv_mod_2d_numba(H2, sh2), _conv_mod_numpy(H2, sh2))
-    H3 = rng.integers(0, 4, size=(4, 4, 4)).astype(np.int64)
-    sh3 = rng.integers(0, 4, size=(5, 3)).astype(np.int64)
-    assert np.array_equal(conv_mod(H3, sh3), _conv_mod_numpy(H3, sh3))
+def _power_shifts(m, k, rows):
+    """Rows ``(x, x^2, ..., x^k) mod m``; ``rows`` may repeat an ``x``."""
+    return np.array([[pow(int(x), j, m) for j in range(1, k + 1)] for x in rows],
+                    dtype=np.int64).reshape(len(rows), k)
+
+
+CONV_CASES = ([(m, k) for k in (1, 2) for m in (2, 3, 4, 7, 16, 81, 121, 243, 251, 256)]
+              + [(m, 3) for m in (2, 3, 4, 7, 16)])
+
+
+@pytest.mark.parametrize("m,k", CONV_CASES)
+def test_conv_mod_fft_matches_roll_loop(m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    H = rng.integers(0, m ** 2, size=(m,) * k).astype(np.int64)
+    # power-residue shifts with repeats, plus random repeated shifts
+    rows = np.concatenate([np.arange(m), rng.integers(0, m, size=m // 2 + 3)])
+    shifts = np.concatenate([_power_shifts(m, k, rows),
+                             np.repeat(rng.integers(0, m, size=(3, k)), 2, axis=0)])
+    want = _conv_mod_numpy(H, shifts)
+    got = conv_mod(H, shifts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    # the certificate accepts these sizes, and its bound covers the raw error
+    assert np.array_equal(kernels._conv_mod_fft(H, shifts), want)
+    G = np.zeros(H.shape)
+    np.add.at(G, tuple(shifts.T), 1.0)
+    raw = np.fft.irfftn(np.fft.rfftn(H.astype(float), axes=range(k))
+                        * np.fft.rfftn(G, axes=range(k)), s=H.shape, axes=range(k))
+    bound = kernels._fft_error_bound(H.shape, np.linalg.norm(H.astype(float)),
+                                     np.linalg.norm(G))
+    assert np.abs(raw - want).max() <= bound < 0.5
+
+
+def test_conv_mod_falls_back_when_certificate_fails(monkeypatch):
+    # masses near 2^60 put the FFT error bound far above 1/2: the bound
+    # rejects before any transform runs, and the roll loop answers
+    rng = np.random.default_rng(6)
+    H = rng.integers(2 ** 59, 2 ** 60, size=(7, 7)).astype(np.int64)
+    shifts = _power_shifts(7, 2, [0, 1, 3])
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("FFT ran although the error bound failed")
+    monkeypatch.setattr(np.fft, "rfftn", no_transform)
+    assert kernels._conv_mod_fft(H, shifts) is None
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _conv_mod_numpy(*args)
+    monkeypatch.setattr(kernels, "_conv_mod_numpy", counted)
+    got = conv_mod(H, shifts)
+    assert calls == [1]
+    want = np.zeros((7, 7), dtype=object)
+    for a, b in shifts:
+        want += np.roll(H.astype(object), (a, b), axis=(0, 1))
+    assert np.array_equal(got.astype(object), want)
+
+
+def test_conv_mod_object_cells_stay_exact():
+    H = np.full((3, 3), 2 ** 70, dtype=object)
+    got = conv_mod(H, _power_shifts(3, 2, [0, 1, 2]))
+    assert got.dtype == object and all(v == 3 * 2 ** 70 for v in got.ravel())
