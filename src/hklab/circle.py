@@ -12,6 +12,7 @@ the asymptotic exponents themselves are out of numerical reach and are only
 reported as reference values.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .densities import (
     _integral_once,
 )
 from .errors import AliasingError, NonConvergedError, ValidationError
-from .expsums import weyl_sum_batch
+from .expsums import gl_panels, phase_tensor, weyl_sum_batch
 from .streams import substream
 
 EPS_SLACK = 0.05  # fixed report-time slack for exponent comparisons
@@ -71,10 +72,7 @@ class ArcLabel:
 
     @property
     def primitive(self):
-        g = self.q
-        for v in self.a:
-            g = gcd(g, v)
-        return g == 1
+        return gcd(self.q, *self.a) == 1
 
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
@@ -168,10 +166,7 @@ def in_K(alpha, Z, X):
     for q in range(1, int(math.floor(Z)) + 1):
         a = np.rint(q * alpha).astype(int)
         if all(abs(alpha[j] - a[j] / q) <= radii[j] for j in range(k)):
-            g = q
-            for v in a:
-                g = gcd(g, int(v))
-            if g == 1:
+            if gcd(q, *a) == 1:
                 return True, ArcLabel(q, tuple(int(v) for v in a), "box")
             # reduced center was already scanned; keep scanning larger q
     return False, None
@@ -263,17 +258,6 @@ class MinorArcs1D:
         return self.mask(points[:, -1])
 
 
-class FullTorus1D:
-    def contains(self, alpha_k):
-        return True
-
-    def mask(self, values):
-        return np.ones(len(values), dtype=bool)
-
-    def mask_points(self, points):
-        return np.ones(len(points), dtype=bool)
-
-
 class ClassRegion:
     """One cell of the four-class dissection, usable as a restriction region."""
 
@@ -291,22 +275,6 @@ class ClassRegion:
 # ---------------------------------------------------------------------------
 # restricted mean values
 # ---------------------------------------------------------------------------
-
-def _weyl_tensor(axis_values, X):
-    """f on a tensor product grid of per-axis frequency values (k <= 3)."""
-    xs = np.arange(int(math.floor(X)) + 1, dtype=np.float64)
-    mats = [np.exp(2j * np.pi * np.outer(xs ** j, vals))
-            for j, vals in enumerate(axis_values, start=1)]
-    k = len(axis_values)
-    if k == 1:
-        return mats[0].sum(axis=0)
-    if k == 2:
-        return mats[0].T @ mats[1]
-    if k == 3:
-        return np.einsum("gi,gj,gl->ijl", mats[0], mats[1], mats[2],
-                         optimize=True)
-    raise ValidationError("tensor evaluation supports k <= 3")
-
 
 def lattice_representation_integral(s, h, X, k, N_list=None):
     """Exact full-torus integral of ``f^s e(-alpha.h)`` by aliasing-free lattice.
@@ -330,13 +298,9 @@ def lattice_representation_integral(s, h, X, k, N_list=None):
             raise AliasingError(
                 f"aliasing: lattice {Ns} below exactness threshold {required}")
     axes = [np.arange(N) / N for N in Ns]
-    F = _weyl_tensor(axes, X)
-    val = F ** s
-    for j in range(k):
-        shape = [1] * k
-        shape[j] = Ns[j]
-        val = val * np.exp(-2j * np.pi * h[j] * axes[j]).reshape(shape)
-    return complex(val.mean())
+    F = phase_tensor(np.arange(Xf + 1.0), np.ones(Xf + 1), axes)
+    phases = [np.exp(-2j * np.pi * hj * ax) for hj, ax in zip(h, axes)]
+    return complex((F ** s * functools.reduce(np.multiply.outer, phases)).mean())
 
 
 def restricted_representation_integral(s, h, region, X, k, samples=20000,
@@ -609,29 +573,17 @@ def narrow_box_integral(s, k, n, d, panels_per_cycle=4.0):
     """
     X = d.X
     L = d.L
+    xs = np.arange(int(math.floor(X)) + 1.0)
+    panels = max(2, int(math.ceil(panels_per_cycle * s * L / 4)))
     total = 0.0 + 0.0j
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     for q in range(1, int(L) + 1):
         for a in _primitive_tuples(q, k):
-            axis_nodes = []
-            axis_weights = []
-            for j in range(1, k + 1):
-                half = L * X ** (-j)
-                panels = max(2, int(math.ceil(panels_per_cycle * s * L / 4)))
-                edges = np.linspace(a[j - 1] / q - half, a[j - 1] / q + half,
-                                    panels + 1)
-                mid = 0.5 * (edges[1:] + edges[:-1])
-                hw = 0.5 * (edges[1:] - edges[:-1])
-                axis_nodes.append((mid[:, None] + hw[:, None] * gl_nodes).ravel())
-                axis_weights.append((hw[:, None] * gl_weights).ravel())
-            F = _weyl_tensor(axis_nodes, X)
-            val = F ** s
-            for j in range(k):
-                shape = [1] * k
-                shape[j] = len(axis_nodes[j])
-                val = val * (np.exp(-2j * np.pi * n[j] * axis_nodes[j])
-                             * axis_weights[j]).reshape(shape)
-            total += val.sum()
+            axes = [gl_panels(c / q - L * X ** -j, c / q + L * X ** -j, panels)
+                    for j, c in enumerate(a, start=1)]
+            F = phase_tensor(xs, np.ones(len(xs)), [nodes for nodes, _ in axes])
+            factors = [np.exp(-2j * np.pi * nj * nodes) * weights
+                       for nj, (nodes, weights) in zip(n, axes)]
+            total += (F ** s * functools.reduce(np.multiply.outer, factors)).sum()
     return complex(total)
 
 
@@ -639,11 +591,4 @@ def _primitive_tuples(q, k):
     """Numerator vectors 1..q with gcd(q, a_1..a_k) = 1 (all of them)."""
     from itertools import product
 
-    out = []
-    for a in product(range(1, q + 1), repeat=k):
-        g = q
-        for v in a:
-            g = gcd(g, v)
-        if g == 1:
-            out.append(a)
-    return out
+    return [a for a in product(range(1, q + 1), repeat=k) if gcd(q, *a) == 1]

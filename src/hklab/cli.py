@@ -552,10 +552,6 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def cmd_run(args):
-    return cmd_experiment(args)
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -647,12 +643,6 @@ def build_parser():
     e.add_argument("--out", default=None)
     e.add_argument("--no-cache", action="store_true")
     e.set_defaults(func=cmd_experiment)
-
-    r = sub.add_parser("run", help="alias of 'experiment'")
-    r.add_argument("--config", required=True)
-    r.add_argument("--out", default=None)
-    r.add_argument("--no-cache", action="store_true")
-    r.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="identity suite")
     ver.add_argument("what", choices=["identities"])

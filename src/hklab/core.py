@@ -138,6 +138,13 @@ class Target:
         return np.array([nj / scale ** j for j, nj in enumerate(self.n, start=1)])
 
 
+def _target_vector(n):
+    """The entries of a target (a ``Target`` or any sequence) as Python ints."""
+    if isinstance(n, Target):
+        return list(n.n)
+    return [int(v) for v in n]
+
+
 class FrequencyPoint:
     """A point of the frequency torus ``[0,1)^k`` (or of beta-space)."""
 

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import INT64_SAFE, Target
+from .core import INT64_SAFE, _target_vector
 from .errors import BudgetExceededError, MemoryBudgetError, ValidationError
 from .kernels import canonical_powersum_run
 
@@ -29,12 +29,6 @@ class CountResult:
     method: str
     work: int
     elapsed: float
-
-
-def _target_vector(n):
-    if isinstance(n, Target):
-        return list(n.n)
-    return [int(v) for v in n]
 
 
 def default_box(params, n):
@@ -172,13 +166,11 @@ def _half_histogram(coeffs, lo, hi, k):
     """
     keys = np.zeros((1, k), dtype=np.int64)
     mult = np.ones(1, dtype=np.int64)
-    work = 0
     for c, t in _coeff_runs(coeffs):
         rk, rm = canonical_powersum_run(t, lo, hi, k, coeff=c)
-        work += len(rm)
         keys = (keys[:, None, :] + rk[None, :, :]).reshape(-1, k)
         mult = (mult[:, None] * rm[None, :]).reshape(-1)
-    return keys, mult, work
+    return keys, mult
 
 
 def _int64_safe(params, lo, hi):
@@ -233,18 +225,20 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     if est_rows * 24 > memory_budget_bytes:
         raise MemoryBudgetError(
             "half histogram would exceed the memory budget; "
-            "use a smaller split or the spill-file interface",
+            "use a smaller box or a larger memory_budget_bytes",
             work_done=0,
         )
+    # canonical tuples both halves would enumerate, one block per coefficient run
+    work = sum(math.comb(box - lo + t, t)
+               for half in (c_first, c_second) for _, t in _coeff_runs(half))
+    if work > budget:
+        raise BudgetExceededError("mitm enumeration budget exceeded", work_done=0)
 
     if not _int64_safe(params, lo, box):
         return _count_mitm_python(params, n, lo, box, s1, t0)
 
-    k1, m1, w1 = _half_histogram(c_first, lo, box, params.k)
-    k2, m2, w2 = _half_histogram(c_second, lo, box, params.k)
-    work = w1 + w2
-    if work > budget:
-        raise BudgetExceededError("mitm enumeration budget exceeded", work_done=work)
+    k1, m1 = _half_histogram(c_first, lo, box, params.k)
+    k2, m2 = _half_histogram(c_second, lo, box, params.k)
     need = np.asarray(n, dtype=np.int64)[None, :] - k2
     enc = _encode_keys(k1, need)
     if enc is None:
@@ -399,29 +393,3 @@ def unordered_count(params, n, box=None, budget=50_000_000):
         if key == target:
             total += 1
     return total
-
-
-# ---------------------------------------------------------------------------
-# histogram spill files (external-memory join interface)
-# ---------------------------------------------------------------------------
-
-def spill_dtype(k):
-    return np.dtype([("key", "<i8", (k,)), ("count", "<u8")])
-
-
-def write_histogram(path, keys, counts):
-    """Write (key, count) records sorted by key, little-endian fixed width."""
-    keys = np.asarray(keys, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.uint64)
-    if keys.ndim == 1:
-        keys = keys[:, None]
-    order = np.lexsort(keys.T[::-1])
-    rec = np.empty(len(keys), dtype=spill_dtype(keys.shape[1]))
-    rec["key"] = keys[order]
-    rec["count"] = counts[order]
-    rec.tofile(path)
-
-
-def read_histogram(path, k):
-    rec = np.fromfile(path, dtype=spill_dtype(k))
-    return rec["key"].copy(), rec["count"].copy()

@@ -14,6 +14,7 @@ Monte-Carlo volume oracle.  Truncation tails are empirical fits and labeled
 as such in the returned estimates.
 """
 
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -21,26 +22,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import INT64_SAFE, Target
+from .core import INT64_SAFE, Target, _target_vector
 from .errors import BudgetExceededError, NonConvergedError, ToleranceError, ValidationError
-from .expsums import complete_sum
+from .expsums import _osc_quad, complete_sum, default_panels, gl_panels, phase_tensor
 from .kernels import conv_mod
 from .local import small_primes
 from .streams import substream
-
-
-def _target_vector(n):
-    if isinstance(n, Target):
-        return list(n.n)
-    return [int(v) for v in n]
-
-
-def _mu_raw(n):
-    n = _target_vector(n)
-    scale = max(abs(v) ** (1.0 / j) for j, v in enumerate(n, start=1))
-    if scale == 0:
-        return np.zeros(len(n)), 0.0
-    return np.array([v / scale ** j for j, v in enumerate(n, start=1)]), scale
 
 
 @dataclass
@@ -122,10 +109,7 @@ def series_term_direct(q, n, params):
     total = 0j
     count = 0
     for a in product(range(1, q + 1), repeat=k):
-        g = q
-        for v in a:
-            g = math.gcd(g, v)
-        if g != 1:
+        if math.gcd(q, *a) != 1:
             continue
         count += 1
         t = (-sum(av * nv for av, nv in zip(a, n))) % q
@@ -293,65 +277,15 @@ def singular_series_euler(n, params, p_max=13, tol=1e-9, modulus_cap=1024):
 # singular integral
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _axis_nodes(B, panels):
-    edges = np.linspace(-B, B, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
-def _unit_osc_on_axes(axis_nodes, gamma_panels):
-    """``I(beta; 1)`` on the tensor grid of the given per-axis nodes.
-
-    Separable evaluation: one Gauss-Legendre rule in gamma serves the whole
-    grid through per-axis phase matrices.
-    """
-    edges = np.linspace(0.0, 1.0, gamma_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    g = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    mats = []
-    for j, nodes in enumerate(axis_nodes, start=1):
-        mats.append(np.exp(2j * np.pi * np.outer(g ** j, nodes)))
-    k = len(axis_nodes)
-    if k == 1:
-        return (w[:, None] * mats[0]).sum(axis=0)
-    if k == 2:
-        return (w[:, None] * mats[0]).T @ mats[1]
-    if k == 3:
-        return np.einsum("g,gi,gj,gl->ijl", w, mats[0], mats[1], mats[2],
-                         optimize=True)
-    raise ValidationError("tensor quadrature supports k <= 3")
-
-
 def _integral_once(mu, s, B, panel_scale):
     k = len(mu)
-    axis_nodes = []
-    axis_weights = []
-    for j in range(k):
-        panels = max(4, int(math.ceil(panel_scale * B * (1.0 + abs(mu[j])))))
-        nd, wt = _axis_nodes(B, panels)
-        axis_nodes.append(nd)
-        axis_weights.append(wt)
-    gamma_panels = int(math.ceil(4 * (k * B + 1)))
-    Igrid = _unit_osc_on_axes(axis_nodes, gamma_panels)
-    phase = np.zeros(Igrid.shape)
-    for j in range(k):
-        shape = [1] * k
-        shape[j] = len(axis_nodes[j])
-        phase = phase + (-mu[j]) * axis_nodes[j].reshape(shape)
-    integrand = Igrid ** s * np.exp(2j * np.pi * phase)
-    for j in range(k):
-        shape = [1] * k
-        shape[j] = len(axis_nodes[j])
-        integrand = integrand * axis_weights[j].reshape(shape)
-    return complex(integrand.sum())
+    axes = [gl_panels(-B, B, max(4, int(math.ceil(panel_scale * B * (1.0 + abs(m))))))
+            for m in mu]
+    gamma, gamma_weights = gl_panels(0.0, 1.0, int(math.ceil(4 * (k * B + 1))))
+    Igrid = phase_tensor(gamma, gamma_weights, [nodes for nodes, _ in axes])
+    factors = [np.exp(-2j * np.pi * m * nodes) * weights
+               for m, (nodes, weights) in zip(mu, axes)]
+    return complex((Igrid ** s * functools.reduce(np.multiply.outer, factors)).sum())
 
 
 def _l1_tail_bound(mu, s, B):
@@ -367,7 +301,7 @@ def _l1_tail_bound(mu, s, B):
     probe = [np.eye(k)[j] * B for j in range(k)] + [np.full(k, B)]
     Cfit = 0.0
     for beta in probe:
-        Iv = _unit_osc_probe(beta)
+        Iv = _osc_quad(beta, 1.0, default_panels(beta, 1.0))
         Cfit = max(Cfit, abs(Iv) ** s * (1.0 + np.sum(np.abs(beta))) ** a)
     return (Cfit * k * 2 ** k * math.gamma(a - k + 1) / math.gamma(a)
             * (1.0 + B) ** (k - a) / (a - k))
@@ -385,7 +319,7 @@ def singular_integral_quadrature(n, params, B=None, tol=5e-3, scale="raw",
     s, k = params.s, params.k
     if B is None:
         B = 48.0 if k <= 2 else 6.0
-    mu, _ = _mu_raw(n)
+    mu = Target(_target_vector(n), allow_nonpositive=True).mu_raw
     if scale == "dissection":
         mu = mu / 2.0 ** np.arange(1, k + 1)
     coarse = _integral_once(mu, s, B, panel_scale=panel_scale)
@@ -411,21 +345,6 @@ def singular_integral_quadrature(n, params, B=None, tol=5e-3, scale="raw",
     )
 
 
-def _unit_osc_probe(beta):
-    panels = int(math.ceil(4 * (np.sum(np.abs(beta)) + 1)))
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    g = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    phase = np.zeros_like(g)
-    p = g.copy()
-    for c in beta:
-        phase += c * p
-        p = p * g
-    return np.sum(w * np.exp(2j * np.pi * phase))
-
-
 def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     """Monte-Carlo estimate of the normalized solution-slab volume.
 
@@ -433,7 +352,7 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     with a binomial confidence half-width; a second run at ``eta/2`` is
     reported to expose the eta-bias.
     """
-    mu, _ = _mu_raw(n)
+    mu = Target(_target_vector(n), allow_nonpositive=True).mu_raw
     s, k = params.s, params.k
     if not params.is_pure:
         raise ValidationError("volume oracle is defined for the pure system")
@@ -488,7 +407,7 @@ def main_term(n, params, series, integral):
         raise NonConvergedError("singular series estimate not converged")
     if not integral.converged:
         raise NonConvergedError("singular integral estimate not converged")
-    _, scale = _mu_raw(n)
+    scale = Target(_target_vector(n), allow_nonpositive=True).scale_raw
     expo = params.s - params.k * (params.k + 1) / 2
     power = scale ** expo
     value = series.value * integral.value * power

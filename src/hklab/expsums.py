@@ -10,7 +10,7 @@ shift argument.
 import logging
 import math
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
@@ -51,10 +51,7 @@ class RationalPoint:
 
     @property
     def primitive(self):
-        g = self.q
-        for v in self.a:
-            g = gcd(g, v)
-        return g == 1
+        return math.gcd(self.q, *self.a) == 1
 
     @property
     def coords(self):
@@ -111,10 +108,7 @@ def complete_sum(q, a):
             t = (t + c * rp) % q
             rp = rp * r
         total += table[t]
-    g = q
-    for v in a:
-        g = gcd(g, v)
-    if g == 1 and q > 1:
+    if math.gcd(q, *a) == 1 and q > 1:
         bound = q ** (1.0 - 1.0 / k + 0.01)
         if abs(total) > SANITY_COMPLETE_SUM_C * bound:
             log.info("complete_sum sanity constant exceeded: |S(%d,%s)|=%.3f vs C*q^(1-1/k+0.01)=%.3f",
@@ -135,13 +129,48 @@ class OscillatoryIntegral:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+# Cells (complex128, 16 bytes each) that a tensor grid, or the contraction
+# intermediate behind it, may hold: 2^25 cells is 512 MiB per array.  The
+# largest default grid, the k = 3 singular integral at B = 6, needs 608
+# gamma nodes times 144^2 cells, about 1.3e7.
+TENSOR_CELLS_MAX = 1 << 25
 
-def _osc_quad(beta, X, panels):
-    edges = np.linspace(0.0, X, panels + 1)
+
+def gl_panels(lo, hi, panels):
+    """Nodes and weights of the composite 8-node Gauss-Legendre rule on ``[lo, hi]``."""
+    edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return nodes, weights
+
+
+def phase_tensor(points, weights, axis_values):
+    """``T[i_1, ..., i_k] = sum_g w_g prod_j e(g^j v_j[i_j])`` on a tensor grid.
+
+    ``axis_values[j-1]`` holds the values ``v_j`` of axis ``j``.  Quadrature
+    nodes with their weights give ``I(beta; 1)`` on the grid; the integers
+    ``0..X`` with unit weights give the Weyl sum ``f``.  Raises
+    ``BudgetExceededError`` before allocating when the grid, the contraction
+    intermediate (``len(points)`` times all axes but the last) or a phase
+    matrix would pass ``TENSOR_CELLS_MAX`` cells.
+    """
+    sizes = [len(v) for v in axis_values]
+    cells = max(math.prod(sizes), len(points) * max(math.prod(sizes[:-1]), sizes[-1]))
+    if cells > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(
+            f"tensor grid {sizes} over {len(points)} points needs {cells} cells, "
+            f"above {TENSOR_CELLS_MAX}", work_done=0)
+    mats = [np.exp(2j * np.pi * np.outer(points ** j, v))
+            for j, v in enumerate(axis_values, start=1)]
+    idx = "abcdefhijklmnopqrstuvwxyz"[:len(sizes)]  # g indexes the points
+    spec = "g," + ",".join("g" + i for i in idx) + "->" + idx
+    return np.einsum(spec, weights, *mats, optimize=True)
+
+
+def _osc_quad(beta, X, panels):
+    nodes, weights = gl_panels(0.0, X, panels)
     phase = np.zeros_like(nodes)
     p = nodes.copy()
     for c in beta:
@@ -282,10 +311,6 @@ class ShiftPolynomials:
 
     def leading(self, j):
         return self.coeffs[j - 1][j]
-
-
-def shift_polynomials(h, s, k):
-    return ShiftPolynomials(h, s, k)
 
 
 def shift_profile(x, y, k):

@@ -1,9 +1,6 @@
 """Hot numeric kernels.  Public dispatchers sit at the bottom of the module.
 
-Phase sums and modular convolution are numpy only.  Canonical enumeration
-has a numba and a pure-numpy implementation with the same algorithm and
-summation order; ``HK_NO_NUMBA=1`` selects the numpy path (see
-:mod:`hklab.accel`).
+All kernels are numpy only.
 
 Modular convolution (``conv_mod``) is an FFT cyclic convolution made exact
 by a certificate: the rounded result is kept only when an a-priori bound on
@@ -34,9 +31,6 @@ import functools
 import math
 
 import numpy as np
-
-from . import accel
-from .accel import njit
 
 
 # ---------------------------------------------------------------------------
@@ -170,40 +164,7 @@ def _phase_poly_sums_blocked(coeffs, u0, u1):
 # canonical (non-decreasing) tuple enumeration with power-sum keys
 # ---------------------------------------------------------------------------
 
-@njit
-def _enum_canonical_numba(t, lo, hi, powtab, facts, out_keys, out_mult):
-    k = powtab.shape[1]
-    x = np.full(t, lo, dtype=np.int64)
-    idx = 0
-    while True:
-        for j in range(k):
-            s = 0
-            for i in range(t):
-                s += powtab[x[i] - lo, j]
-            out_keys[idx, j] = s
-        mult = facts[t]
-        run = 1
-        for i in range(1, t):
-            if x[i] == x[i - 1]:
-                run += 1
-            else:
-                mult //= facts[run]
-                run = 1
-        mult //= facts[run]
-        out_mult[idx] = mult
-        idx += 1
-        i = t - 1
-        while i >= 0 and x[i] == hi:
-            i -= 1
-        if i < 0:
-            break
-        v = x[i] + 1
-        for j2 in range(i, t):
-            x[j2] = v
-    return idx
-
-
-def _enum_canonical_numpy(t, lo, hi, powtab, facts):
+def _enum_canonical(t, lo, hi, powtab, facts):
     rows = np.arange(lo, hi + 1, dtype=np.int64).reshape(-1, 1)
     for _ in range(t - 1):
         counts = hi - rows[:, -1] + 1
@@ -323,14 +284,7 @@ def canonical_powersum_run(t, lo, hi, k, coeff=1):
         if j < k - 1:
             acc = acc * vals
     facts = np.array([math.factorial(i) for i in range(t + 1)], dtype=np.int64)
-    if accel.USE_NUMBA:
-        total = math.comb(hi - lo + t, t)
-        keys = np.empty((total, k), dtype=np.int64)
-        mult = np.empty(total, dtype=np.int64)
-        n = _enum_canonical_numba(t, lo, hi, powtab, facts, keys, mult)
-        keys, mult = keys[:n], mult[:n]
-    else:
-        keys, mult = _enum_canonical_numpy(t, lo, hi, powtab, facts)
+    keys, mult = _enum_canonical(t, lo, hi, powtab, facts)
     if coeff != 1:
         keys = keys * np.int64(coeff)
     return keys, mult

@@ -20,15 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Target
+from .core import _target_vector
 from .errors import ValidationError
 from .streams import substream
-
-
-def _target_vector(n):
-    if isinstance(n, Target):
-        return list(n.n)
-    return [int(v) for v in n]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,3 @@ def substream(seed, index=0):
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def seed_schedule(seed, count):
-    """Deterministic list of per-restart generators (lowest index first)."""
-    return [substream(seed, i) for i in range(count)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from hklab.circle import (
     moment_majorant_experiment,
     w4_main_term_experiment,
 )
+from hklab.counting import count_naive
 from hklab.errors import AliasingError, ValidationError
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -258,6 +260,16 @@ def test_lattice_integral_equals_counts():
         c = count_mitm(p, n, box=4).count
         assert abs(v - c) < 1e-6
         assert round(v.real) == c
+
+
+def test_lattice_integral_equals_counts_k4():
+    # s = 2, X = 2: a 5 x 9 x 17 x 33 lattice, exact for every target
+    p = SystemParams.pure(2, 4)
+    targets = {tuple(power_sum_vector(x, p)) for x in itertools.product(range(3), repeat=2)}
+    for n in sorted(targets) + [(1, 3, 1, 1)]:
+        v = lattice_representation_integral(2, n, 2, 4)
+        assert abs(v - round(v.real)) < 1e-9
+        assert round(v.real) == count_naive(p, n, box=2).count
 
 
 def test_lattice_integral_out_of_range_target():

@@ -11,10 +11,8 @@ from hklab.counting import (
     default_box,
     mvt_scaling_experiment,
     powersum_histogram,
-    read_histogram,
     unordered_count,
     vinogradov_count,
-    write_histogram,
 )
 from hklab.errors import BudgetExceededError, ValidationError
 from hklab.local import holder_necessary
@@ -107,6 +105,27 @@ def test_budget_exhaustion():
     assert ei.value.work_done > 0
 
 
+def test_mitm_budget_stops_before_enumeration(monkeypatch):
+    from hklab import counting
+
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("enumeration ran although the budget was exceeded")
+
+    monkeypatch.setattr(counting, "canonical_powersum_run", enumerate_anyway)
+    with pytest.raises(BudgetExceededError) as ei:
+        count_mitm(SystemParams.pure(8, 2), [200, 6000], budget=10)
+    assert ei.value.work_done == 0
+
+
+def test_mitm_budget_binds_bigint_route():
+    p = SystemParams.pure(4, 12)  # 4 * 40^12 passes int64: exact-integer join
+    n = power_sum_vector([1, 2, 3, 4], p)
+    with pytest.raises(BudgetExceededError):
+        count_mitm(p, n, box=40, budget=1)
+    res = count_mitm(p, n, box=40, budget=2 * math.comb(42, 2))
+    assert res.method == "mitm-bigint" and res.count == 24
+
+
 def test_vinogradov_examples():
     assert vinogradov_count(1, 2, 9) == 9             # diagonal only
     assert vinogradov_count(1, 4, 17) == 17
@@ -146,18 +165,6 @@ def test_scaling_experiment():
 def test_scaling_experiment_diagonal_regime():
     table = mvt_scaling_experiment(2, 2, [8, 16, 32, 64])
     assert 1.9 <= table["slope"] <= 2.4  # diagonal-dominated
-
-
-def test_spill_roundtrip(tmp_path):
-    keys = np.array([[3, 9], [1, 1], [2, 4]], dtype=np.int64)
-    counts = np.array([5, 7, 1], dtype=np.uint64)
-    path = tmp_path / "hist.bin"
-    write_histogram(path, keys, counts)
-    k2, c2 = read_histogram(path, 2)
-    assert k2.tolist() == [[1, 1], [2, 4], [3, 9]]    # sorted by key
-    assert c2.tolist() == [7, 1, 5]
-    # fixed record layout: k * 8 bytes of key + 8 bytes of count
-    assert path.stat().st_size == 3 * (2 * 8 + 8)
 
 
 def test_mixed_sign_matches_brute_force():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hklab import densities
-from hklab.core import SystemParams
+from hklab.core import SystemParams, Target
 from hklab.densities import (
     DensityEstimate,
     complete_sum_all,
@@ -18,11 +18,9 @@ from hklab.densities import (
     singular_series_euler,
     singular_series_qsum,
     solution_count_mod,
-    _axis_nodes,
-    _unit_osc_on_axes,
 )
-from hklab.errors import NonConvergedError
-from hklab.expsums import complete_sum
+from hklab.errors import BudgetExceededError, NonConvergedError
+from hklab.expsums import complete_sum, gl_panels, phase_tensor
 
 P62 = SystemParams.pure(6, 2)
 
@@ -235,16 +233,22 @@ def test_integral_halfspace_symmetry():
     s = 6
     B = 12.0
     panels = 30
-    full_nodes = [_axis_nodes(B, panels)[0], _axis_nodes(B, panels)[0]]
-    full_w = [_axis_nodes(B, panels)[1], _axis_nodes(B, panels)[1]]
-    Ig = _unit_osc_on_axes(full_nodes, int(4 * (2 * B + 1)))
-    phase = (-mu[0]) * full_nodes[0][:, None] + (-mu[1]) * full_nodes[1][None, :]
-    integrand = Ig ** s * np.exp(2j * np.pi * phase)
-    integrand = integrand * full_w[0][:, None] * full_w[1][None, :]
+    nodes, weights = gl_panels(-B, B, panels)
+    gamma, gamma_w = gl_panels(0.0, 1.0, int(4 * (2 * B + 1)))
+    Ig = phase_tensor(gamma, gamma_w, [nodes, nodes])
+    factors = [np.exp(-2j * np.pi * m * nodes) * weights for m in mu]
+    integrand = Ig ** s * np.multiply.outer(*factors)
     total = integrand.sum()
-    half = integrand[full_nodes[0] > 0].sum()
+    half = integrand[nodes > 0].sum()
     assert abs(total.real - 2 * half.real) < 1e-6 * max(1.0, abs(total.real))
     assert abs(total.imag) < 1e-9
+
+
+def test_integral_k4_default_box_over_grid_cap():
+    # 48..96 nodes per axis at the coarse pass: the gamma contraction alone
+    # would pass the cell cap, so the quadrature stops before allocating
+    with pytest.raises(BudgetExceededError):
+        singular_integral_quadrature([40, 200, 1000, 5000], SystemParams.pure(20, 4))
 
 
 def test_integral_planted_positive_and_converged():
@@ -272,7 +276,7 @@ def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
     """Hit count of one oracle run, testing every power on every row."""
     from hklab.streams import substream
 
-    mu, _ = densities._mu_raw(n)
+    mu = Target(n, allow_nonpositive=True).mu_raw
     rng = substream(seed, stream)
     hits = done = 0
     while done < samples:

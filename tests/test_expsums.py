@@ -1,19 +1,23 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hklab.errors import AliasingError, ToleranceError, ValidationError
+from hklab.errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
 from hklab.expsums import (
     RationalPoint,
+    ShiftPolynomials,
     complete_sum,
     direct_weyl_sum,
     g_sum,
+    gl_panels,
     kernel_sum,
     major_arc_approximant,
     oscillatory_integral,
-    shift_polynomials,
+    phase_tensor,
     shift_profile,
     shifted_sum,
     verify_binomial_transform,
@@ -156,6 +160,50 @@ def test_integral_tolerance_error():
     assert ei.value.achieved is not None
 
 
+def test_gl_panels_exact_on_degree_15():
+    nodes, weights = gl_panels(-1.5, 2.5, 3)
+    assert len(nodes) == len(weights) == 24
+    exact = (2.5 ** 16 - 1.5 ** 16) / 16
+    assert abs(np.sum(weights * nodes ** 15) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_phase_tensor_weyl_grid_matches_batch(k):
+    # integer points with unit weights: every cell is a Weyl sum
+    rng = np.random.default_rng(k)
+    axes = [rng.random(3 + j) for j in range(k)]
+    X = 12  # phases of size X^k lose X^k eps each: no reduction mod 1 here
+    grid = phase_tensor(np.arange(X + 1.0), np.ones(X + 1), axes)
+    assert grid.shape == tuple(len(a) for a in axes)
+    points = np.array(list(itertools.product(*axes)))
+    ref = weyl_sum_batch(points, X).reshape(grid.shape)
+    assert np.max(np.abs(grid - ref)) < 1e-9
+
+
+def test_phase_tensor_quadrature_matches_oscillatory_integral():
+    g, w = gl_panels(0.0, 1.0, 40)
+    axes = [np.array([0.0, 1.5]), np.array([-2.0, 0.5]), np.array([0.25, 3.0])]
+    grid = phase_tensor(g, w, axes)
+    for idx in itertools.product(range(2), repeat=3):
+        beta = [axes[j][i] for j, i in enumerate(idx)]
+        ref = oscillatory_integral(beta, 1.0, tol=1e-13).value
+        assert abs(grid[idx] - ref) < 1e-12
+
+
+def test_phase_tensor_over_cap_raises_before_allocating():
+    # the axes of lattice_representation_integral(6, h, 10, 3): 61 x 601 x 6001
+    # cells, about 3.5 GB of complex128
+    axes = [np.arange(N) / N for N in (61, 601, 6001)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            phase_tensor(np.arange(11.0), np.ones(11), axes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # shifted sums and identities
 # ---------------------------------------------------------------------------
@@ -215,7 +263,7 @@ def test_resolution_identity_aliasing_guard():
 # ---------------------------------------------------------------------------
 
 def test_shift_polynomials_structure():
-    nu = shift_polynomials([5, 7, 2], 4, 3)
+    nu = ShiftPolynomials([5, 7, 2], 4, 3)
     assert [nu.leading(j) for j in (1, 2, 3)] == [4, 4, 4]
     assert [nu.evaluate(j, 0) for j in (1, 2, 3)] == [5, 7, 2]
 
@@ -226,7 +274,7 @@ def test_shift_polynomials_structure():
 def test_nu1_is_affine(h_and_more, y):
     h = h_and_more
     s = 3
-    nu = shift_polynomials(h, s, len(h))
+    nu = ShiftPolynomials(h, s, len(h))
     assert nu.evaluate(1, y) == h[0] + s * y
 
 

@@ -1,4 +1,4 @@
-"""Kernels against independent references; the numba enumeration twin against numpy."""
+"""Kernels against independent references."""
 
 import collections
 import itertools
@@ -7,17 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from hklab import accel, kernels
+from hklab import kernels
 from hklab.kernels import (
     _conv_mod_numpy,
-    _enum_canonical_numpy,
     canonical_powersum_run,
     conv_mod,
     phase_poly_sums,
 )
-
-if accel.HAVE_NUMBA:
-    from hklab.kernels import _enum_canonical_numba
 
 
 def _direct_phase_sum(coeffs, u0, u1):
@@ -136,22 +132,6 @@ def test_canonical_run_coefficient_scaling():
 def test_canonical_run_empty_tuple():
     keys, mult = canonical_powersum_run(0, 0, 5, 3)
     assert keys.shape == (1, 3) and keys.sum() == 0 and mult[0] == 1
-
-
-@pytest.mark.skipif(not accel.HAVE_NUMBA, reason="numba unavailable")
-def test_enum_paths_agree():
-    t, lo, hi, k = 3, 0, 7, 3
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    powtab = np.stack([vals ** j for j in range(1, k + 1)], axis=1)
-    facts = np.array([math.factorial(i) for i in range(t + 1)], dtype=np.int64)
-    total = math.comb(hi - lo + t, t)
-    keys = np.empty((total, k), dtype=np.int64)
-    mult = np.empty(total, dtype=np.int64)
-    n = _enum_canonical_numba(t, lo, hi, powtab, facts, keys, mult)
-    k2, m2 = _enum_canonical_numpy(t, lo, hi, powtab, facts)
-    assert n == total == len(k2)
-    assert np.array_equal(keys[:n], k2)
-    assert np.array_equal(mult[:n], m2)
 
 
 def test_conv_mod_matches_reference():
