@@ -22,7 +22,10 @@ import numpy as np
 
 from .counting import count_mitm, powersum_histogram
 from .densities import (
-    series_term,
+    _primitive_mask,
+    complete_sum_all,
+    prime_power_factors,
+    series_terms,
     singular_integral_quadrature,
     singular_series_euler,
     _integral_once,
@@ -366,21 +369,31 @@ def _minor_sup_candidates(Q_min, Q_max, k):
 
     Near a rational point ``a/q`` the sum has modulus about ``(X/q)|S(q,a)|``,
     so for every denominator in ``(Q_min, 2 Q_max]`` the numerator vector
-    maximizing ``|S(q, a)|`` over primitive residues (found exactly on the
-    DFT grid) is the natural sup witness.  One shared deterministic pool
-    keeps the per-Q sups nested: the major-arc mask removes the small
-    denominators as Q grows.
+    maximizing ``|S(q, a)|`` over primitive residues is the natural sup
+    witness.  Over the prime powers ``q_i || q``,
+    ``S(q, a) = prod_i S(q_i, (a_j (q/q_i)^(j-1))_j)``, which maps primitive
+    ``a`` one-to-one onto tuples of primitive factor vectors, so the maximum
+    is the product of the factor maxima.  Each factor's maximizer ``b_i`` is
+    found exactly on its own DFT grid, and the CRT combination
+    ``a_j = sum_i b_ij (q/q_i) mod q`` reaches the product, since
+    ``r -> (q/q_i) r`` permutes the residues mod ``q_i``.  One shared
+    deterministic pool keeps the per-Q sups nested: the major-arc mask
+    removes the small denominators as Q grows.
     """
-    from .densities import _primitive_mask, complete_sum_all
-
+    best = {}  # prime power -> primitive argmax of |S| on its grid
     cands = []
     for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1):
-        S = np.abs(complete_sum_all(q, k))
-        S[~_primitive_mask(q, k)] = -1.0
-        a = np.unravel_index(int(np.argmax(S)), S.shape)
+        a = np.zeros(k, dtype=np.int64)
+        for _, pe in prime_power_factors(q):
+            if pe not in best:
+                S = np.abs(complete_sum_all(pe, k))
+                S[~_primitive_mask(pe, k)] = -1.0
+                best[pe] = np.array(np.unravel_index(int(np.argmax(S)), S.shape))
+            a += best[pe] * (q // pe)
+        a %= q
         if a[-1] == 0:
-            a = a[:-1] + (q,)  # keep the final coordinate off the integers
-        cands.append(np.array(a, dtype=float) / q)
+            a[-1] = q  # keep the final coordinate off the integers
+        cands.append(a / q)
     return np.array(cands)
 
 
@@ -537,8 +550,8 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
         main = series.value * integral.value * X0 ** (s - w)
         Xd = 2.0 * X0
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
-        trunc_series = sum(series_term(q, n, _pure_params(s, k)).value
-                           for q in range(1, int(d.L) + 1))
+        trunc_series = sum(t.value for t in
+                           series_terms(n, _pure_params(s, k), int(d.L)))
         mu_d = np.array([nj / Xd ** j for j, nj in enumerate(n, start=1)])
         trunc_integral = float(np.real(
             _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)))
@@ -589,6 +602,6 @@ def narrow_box_integral(s, k, n, d, panels_per_cycle=4.0):
 
 def _primitive_tuples(q, k):
     """Numerator vectors 1..q with gcd(q, a_1..a_k) = 1 (all of them)."""
-    from itertools import product
-
-    return [a for a in product(range(1, q + 1), repeat=k) if gcd(q, *a) == 1]
+    # rolled so that cell j stands for the numerator j + 1
+    rolled = np.roll(_primitive_mask(q, k), -1, axis=tuple(range(k)))
+    return [tuple(int(v) for v in a) for a in np.argwhere(rolled) + 1]

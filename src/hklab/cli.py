@@ -332,14 +332,16 @@ def cmd_densities(args):
     n = _parse_target(args)
     out = {"n": n, "s": args.s, "k": args.k}
     if args.method in ("qsum", "both"):
-        est = singular_series_qsum(n, params, Q_max=args.qmax, tol=args.tol or 0.02)
+        est = singular_series_qsum(n, params, Q_max=args.qmax,
+                                   tol=0.02 if args.tol is None else args.tol)
         out["series_qsum"] = asdict(est)
         if args.csv:
             _write_csv(args.csv, ["q", "A_q"],
                        [[q, v] for q, v in est.detail["terms"]])
         out["series_qsum"]["detail"].pop("partials", None)
     if args.method in ("euler", "both"):
-        est = singular_series_euler(n, params, p_max=args.pmax)
+        est = singular_series_euler(n, params, p_max=args.pmax,
+                                    tol=1e-9 if args.tol is None else args.tol)
         out["series_euler"] = asdict(est)
     if args.integral:
         quad = singular_integral_quadrature(n, params)
@@ -616,7 +618,10 @@ def build_parser():
     d.add_argument("--method", choices=["qsum", "euler", "both"], default="both")
     d.add_argument("--qmax", type=int, default=None)
     d.add_argument("--pmax", type=int, default=13)
-    d.add_argument("--tol", type=float, default=None)
+    d.add_argument("--tol", type=float, default=None,
+                   help="qsum: bound on the fitted tail past Q_max for "
+                        "convergence (default 0.02); euler: per-prime "
+                        "stabilisation between depths (default 1e-9)")
     d.add_argument("--integral", action="store_true")
     d.add_argument("--mc", action="store_true")
     d.add_argument("--samples", type=int, default=2_000_000)

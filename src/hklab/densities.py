@@ -4,7 +4,8 @@ The series has two independent computational routes:
 
 * ``singular_series_qsum`` sums modulus terms ``A(q)`` built from complete
   exponential sums over residues (exact residue arithmetic feeding a DFT,
-  with a direct small-q evaluator as the oracle);
+  with a direct small-q evaluator as the oracle), at prime powers only:
+  composite terms are products, by multiplicativity;
 * ``singular_series_euler`` multiplies p-adic solution densities
   ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting
   (convolution powers of residue histograms).
@@ -52,6 +53,23 @@ class SeriesTerm:
 # series terms A(q)
 # ---------------------------------------------------------------------------
 
+def prime_power_factors(q):
+    """``[(p, p**e), ...]`` over the primes ``p`` dividing ``q``, ``p`` increasing."""
+    out = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            pe = 1
+            while q % p == 0:
+                q //= p
+                pe *= p
+            out.append((p, pe))
+        p += 1
+    if q > 1:
+        out.append((q, q))
+    return out
+
+
 def complete_sum_all(q, k):
     """``S(q, a)`` for every ``a`` in ``[0, q)^k`` via the residue-histogram DFT."""
     hist = np.zeros((q,) * k)
@@ -62,12 +80,15 @@ def complete_sum_all(q, k):
 
 
 def _primitive_mask(q, k):
-    g = np.full((q,) * k, q, dtype=np.int64)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = q
-        g = np.gcd(g, np.arange(q, dtype=np.int64).reshape(shape))
-    return g == 1
+    """Cells ``a`` of ``[0, q)^k`` with ``gcd(q, a) = 1``.
+
+    ``a`` fails exactly when some prime ``p | q`` divides every ``a_j``, that
+    is, when it lies on the ``[::p]`` sub-grid of every axis.
+    """
+    mask = np.ones((q,) * k, dtype=bool)
+    for p, _ in prime_power_factors(q):
+        mask[(slice(None, None, p),) * k] = False
+    return mask
 
 
 def series_term(q, n, params, budget=8_000_000):
@@ -133,12 +154,35 @@ def _fit_power_tail(xs, ys, cutoff):
     return tail, {"C": C, "b": float(b)}
 
 
+def series_terms(n, params, Q_max):
+    """``A(q)`` for ``q = 1..Q_max``, each composite from its prime-power terms.
+
+    ``A`` is multiplicative over coprime moduli (acceptance 05 checks it
+    against :func:`series_term` at composite ``q``), so only prime powers
+    build a numerator grid; a composite term is the complex product of its
+    factors' terms.
+    """
+    if Q_max < 1:
+        raise ValidationError("Q_max must be at least 1")
+    by_pe = {}
+    terms = []
+    for q in range(1, Q_max + 1):
+        value, count = 1.0 + 0j, 1
+        for _, pe in prime_power_factors(q):
+            if pe not in by_pe:
+                by_pe[pe] = series_term(pe, n, params)
+            t = by_pe[pe]
+            value *= complex(t.value, t.imag)
+            count *= t.n_primitive
+        terms.append(SeriesTerm(q, value.real, value.imag, count))
+    return terms
+
+
 def singular_series_qsum(n, params, Q_max=None, tol=0.02):
     """Truncated modulus sum for the series, with an empirical tail fit."""
     if Q_max is None:
         Q_max = 50 if params.k == 2 else 30
-    n = _target_vector(n)
-    terms = [series_term(q, n, params) for q in range(1, Q_max + 1)]
+    terms = series_terms(n, params, Q_max)
     value = 0.0
     partials = []
     for t in terms:
@@ -184,12 +228,17 @@ def _half_mod(m, k, coeffs):
     if H is not None:
         _HIST_CACHE.move_to_end(key)
         return H
-    H = np.zeros((m,) * k, dtype=np.int64 if m ** len(coeffs) < INT64_SAFE else object)
-    H[(0,) * k] = 1
-    for c in coeffs:
-        shifts = np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
-                           for x in range(m)], dtype=np.int64)
-        H = conv_mod(H, shifts)
+    shifts = [np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
+                        for x in range(m)], dtype=np.int64) for c in coeffs]
+    # the first coefficient's shift histogram seeds the half; an empty half
+    # (s = 1) is the one cell at zero
+    seed = shifts[0] if shifts else np.zeros((1, k), dtype=np.int64)
+    H = np.zeros((m,) * k, dtype=np.int64)
+    np.add.at(H, tuple(seed.T), 1)
+    if m ** len(coeffs) >= INT64_SAFE:
+        H = H.astype(object)
+    for sh in shifts[1:]:
+        H = conv_mod(H, sh)
     H.flags.writeable = False
     if H.nbytes <= _HIST_CACHE_BYTES:
         _HIST_CACHE[key] = H

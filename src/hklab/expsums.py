@@ -100,14 +100,15 @@ def complete_sum(q, a):
     a = [int(v) for v in a]
     k = len(a)
     table = np.exp(2j * np.pi * np.arange(q) / q)
-    total = 0j
-    for r in range(1, q + 1):
-        t = 0
-        rp = r
-        for c in a:
-            t = (t + c * rp) % q
-            rp = rp * r
-        total += table[t]
+    # exact int64 residues of a_1 r + ... + a_k r^k over r = 1..q: every
+    # product is of two residues, below q^2 (< 2^63 for q < 3e9)
+    r = np.arange(1, q + 1, dtype=np.int64) % q
+    rp = r
+    t = np.zeros(q, dtype=np.int64)
+    for c in a:
+        t = (t + (c % q) * rp) % q
+        rp = rp * r % q
+    total = complex(table[t].sum())
     if math.gcd(q, *a) == 1 and q > 1:
         bound = q ** (1.0 - 1.0 / k + 0.01)
         if abs(total) > SANITY_COMPLETE_SUM_C * bound:

@@ -10,6 +10,8 @@ from hklab.core import SystemParams, power_sum_vector
 from hklab.counting import count_mitm
 from hklab.circle import (
     ClassRegion,
+    _minor_sup_candidates,
+    _primitive_tuples,
     DissectionParams,
     MinorArcs1D,
     classify,
@@ -29,7 +31,9 @@ from hklab.circle import (
     w4_main_term_experiment,
 )
 from hklab.counting import count_naive
+from hklab.densities import _primitive_mask, complete_sum_all
 from hklab.errors import AliasingError, ValidationError
+from hklab.expsums import complete_sum
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -296,6 +300,36 @@ def test_minor_decay_experiment_small():
         minor_arc_decay_experiment(12, 3, 2000.0, [5, 10], samples=50)
     with pytest.raises(ValidationError):
         minor_arc_decay_experiment(6, 3, 2000.0, [5, 10, 20], samples=50)
+
+
+def _gcd_primitive(q, k):
+    g = np.full((q,) * k, q)
+    for axis in range(k):
+        shape = [1] * k
+        shape[axis] = q
+        g = np.gcd(g, np.arange(q).reshape(shape))
+    return g == 1
+
+
+def test_sup_candidates_reach_full_grid_max():
+    # the CRT-combined candidate for every q <= 60 is primitive and reaches
+    # the primitive maximum of |S(q, .)| over the whole grid
+    for k in (2, 3):
+        cands = _minor_sup_candidates(0, 30, k)
+        for q, c in zip(range(1, 61), cands):
+            a = [int(v) for v in np.rint(c * q)]
+            assert math.gcd(q, *a) == 1, (q, k, a)
+            full = np.abs(complete_sum_all(q, k))[_gcd_primitive(q, k)].max()
+            assert abs(abs(complete_sum(q, a)) - full) <= 1e-9 * full, (q, k, a)
+
+
+def test_primitive_tuples_match_gcd_loop():
+    for q in range(1, 13):
+        for k in (1, 2, 3):
+            want = [a for a in itertools.product(range(1, q + 1), repeat=k)
+                    if math.gcd(q, *a) == 1]
+            assert _primitive_tuples(q, k) == want, (q, k)
+            assert np.array_equal(_primitive_mask(q, k), _gcd_primitive(q, k))
 
 
 def test_moment_majorant_experiment_small():

@@ -3,6 +3,8 @@ import json
 import numpy as np
 
 from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
+from hklab.core import SystemParams
+from hklab.densities import singular_series_euler
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +115,27 @@ def test_densities_csv_terms(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "q,A_q"
     assert len(lines) == 7
+
+
+def test_densities_qmax_zero_is_validation_error(capsys):
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2",
+                           "--n", "96,1934", "--method", "qsum", "--qmax", "0")
+    assert code == EXIT_VALIDATION and "Q_max" in err
+
+
+def test_densities_tol_reaches_both_routes(tmp_path, capsys):
+    out_path = tmp_path / "dens.json"
+    code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2",
+                         "--n", "96,1934", "--qmax", "12", "--pmax", "13",
+                         "--tol", "0", "--out", str(out_path))
+    assert code == EXIT_OK
+    data = json.loads(out_path.read_text())
+    assert data["series_qsum"]["converged"] is False
+    direct = singular_series_euler([96, 1934], SystemParams.pure(6, 2),
+                                   p_max=13, tol=0.0)
+    assert {int(p): v["depth"] for p, v in
+            data["series_euler"]["detail"]["per_prime"].items()} == \
+        {p: v["depth"] for p, v in direct.detail["per_prime"].items()}
 
 
 def test_arcs_classify_csv(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from hklab.densities import (
     singular_series_qsum,
     solution_count_mod,
 )
-from hklab.errors import BudgetExceededError, NonConvergedError
+from hklab.errors import BudgetExceededError, NonConvergedError, ValidationError
 from hklab.expsums import complete_sum, gl_panels, phase_tensor
+from hklab.local import small_primes
 
 P62 = SystemParams.pure(6, 2)
 
@@ -55,11 +57,10 @@ def test_series_term_k1_vanishes():
 
 
 def test_complete_sum_all_matches_pointwise():
-    q, k = 7, 2
-    S = complete_sum_all(q, k)
-    for a1 in range(q):
-        for a2 in range(q):
-            assert abs(S[a1, a2] - complete_sum(q, [a1, a2])) < 1e-10
+    for q, k in ((7, 2), (16, 3), (27, 3)):
+        S = complete_sum_all(q, k)
+        for a in itertools.product(range(q), repeat=k):
+            assert abs(S[a] - complete_sum(q, a)) < 1e-10, (q, a)
 
 
 def test_series_term_imag_diagnostic_small():
@@ -79,6 +80,42 @@ def test_multiplicativity_sample():
         b = series_term(q2, n, P62).value
         ab = series_term(q1 * q2, n, P62).value
         assert abs(ab - a * b) < 1e-9, (q1, q2)
+
+
+def test_prime_power_factors():
+    for q in range(1, 500):
+        f = densities.prime_power_factors(q)
+        assert math.prod(pe for _, pe in f) == q
+        ps = [p for p, _ in f]
+        assert ps == sorted(set(ps))
+        for p, pe in f:
+            assert p > 1 and all(p % d for d in range(2, p))
+            while pe % p == 0:
+                pe //= p
+            assert pe == 1
+
+
+def test_qsum_assembles_terms_from_prime_powers(monkeypatch):
+    # A(q) for composite q is the product of prime-power terms; the grid is
+    # built only at the 70 prime powers up to 256
+    n = [139, 4643]
+    calls = []
+    grid = densities.complete_sum_all
+    monkeypatch.setattr(densities, "complete_sum_all",
+                        lambda q, k: calls.append(q) or grid(q, k))
+    est = singular_series_qsum(n, P62, Q_max=256)
+    assert len(calls) == 70
+    assert sorted(calls) == sorted(p ** e for p in small_primes(256)
+                                   for e in range(1, 9) if p ** e <= 256)
+    assert [q for q, _ in est.detail["terms"]] == list(range(1, 257))
+    for q, value in est.detail["terms"]:
+        assert abs(value - series_term(q, n, P62).value) <= 1e-15, q
+
+
+def test_qsum_rejects_qmax_below_one():
+    for Q_max in (0, -3):
+        with pytest.raises(ValidationError):
+            singular_series_qsum([96, 1934], P62, Q_max=Q_max)
 
 
 def test_qsum_k1_exact():
@@ -170,6 +207,35 @@ def test_second_euler_target_reuses_every_half(monkeypatch):
     monkeypatch.setattr(densities, "conv_mod", forbidden)
     est = singular_series_euler([126, 3962], P62, p_max=256, modulus_cap=256, tol=0.0)
     assert est.value > 0
+
+
+def test_cached_halves_match_brute_force(monkeypatch):
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    mixed = SystemParams.with_coefficients((1, -1, 2, 1, 3), 2)
+    for k in (2, 3):
+        for params in (SystemParams.pure(5, k), SystemParams(mixed.s, k, mixed.coeffs)):
+            for m in (5, 8, 9, 16):
+                solution_count_mod(m, [1] * k, params)
+    assert len(densities._HIST_CACHE) == 2 * 2 * 4 * 2
+    for (m, k, coeffs), H in densities._HIST_CACHE.items():
+        c = np.array(coeffs)[:, None]
+        x = np.indices((m,) * len(coeffs)).reshape(len(coeffs), -1)
+        keys = tuple((c * x ** j).sum(axis=0) % m for j in range(1, k + 1))
+        brute = np.zeros((m,) * k, dtype=np.int64)
+        np.add.at(brute, keys, 1)
+        assert H.dtype == np.int64 and np.array_equal(H, brute), (m, k, coeffs)
+
+
+def test_fresh_half_seeds_from_first_shift_histogram(monkeypatch):
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    calls = []
+    conv = densities.conv_mod
+    monkeypatch.setattr(densities, "conv_mod",
+                        lambda H, shifts: calls.append(1) or conv(H, shifts))
+    for coeffs in ((1,), (1, 1), (1, -1, 2), (2, 1, 1, 3)):
+        calls.clear()
+        densities._half_mod(11, 2, coeffs)
+        assert len(calls) == len(coeffs) - 1, coeffs
 
 
 def test_padic_density_is_exact_rational():
