@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .counting import count_mitm, powersum_histogram
+from .counting import count_mitm, vinogradov_count
 from .densities import (
     _primitive_mask,
     complete_sum_all,
@@ -327,8 +327,7 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
 def restricted_moment(t, region, X, k, samples=20000, seed=0, strata=32):
     """Estimate (exact where possible) of the restricted absolute moment."""
     if region == "full" and t % 2 == 0:
-        _, counts = powersum_histogram(t // 2, k, int(math.floor(X)), x_min=0)
-        return float(sum(int(c) * int(c) for c in counts)), 0.0
+        return float(vinogradov_count(t // 2, k, X, x_min=0)), 0.0
     return _region_mc(region, X, k, samples, seed, strata,
                       lambda al: np.abs(weyl_sum_batch(al, X)) ** t)
 

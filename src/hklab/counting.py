@@ -1,14 +1,27 @@
 """Exact solution counting for power-sum systems.
 
-``count_naive`` is the simple pruned depth-first oracle; ``count_mitm``
-splits the variables in half, histograms power-sum keys of the first half,
-and joins the second half against the complement key.  Both count ordered
-tuples and agree exactly wherever both run.  ``vinogradov_count`` evaluates
-the full-torus even moment of the degree-k generating sum by the same
-histogram machinery (sum of squared key frequencies).
+``count_naive`` is the simple pruned depth-first oracle.  ``count_mitm``
+splits the variables in half and joins power-sum keys of the two halves:
 
-Histograms stay in int64 arrays while value ranges provably fit; otherwise
-the enumeration falls back to exact Python integers.
+* it enumerates one half only when the second half's coefficients equal the
+  first's or are their negation (the pure system, ``mixed_sign(l, l, k)``),
+  and reuses those keys, negated in the second case;
+* it prunes each half during the enumeration to keys that can still meet
+  the target, ``[n - max(other half), n - min(other half)]``, with the
+  reachable ranges of :func:`power_range`;
+* it reduces each half to sorted unique encoded keys with summed
+  multiplicities and joins them with one ``searchsorted``;
+* it sums the products with an int64 ``np.dot`` when a certificate rules out
+  overflow, and in Python integers otherwise.
+
+Both count ordered tuples and agree exactly wherever both run.
+``vinogradov_count`` evaluates the full-torus even moment of the degree-k
+generating sum from the same reduced histogram and certified dot (sum of
+squared key frequencies).
+
+Keys stay in int64 arrays while value ranges provably fit; otherwise the
+count falls back to exact Python integers (``_count_mitm_python``, which is
+also the oracle for the array route).
 """
 
 import math
@@ -20,7 +33,7 @@ import numpy as np
 
 from .core import INT64_SAFE, _target_vector
 from .errors import BudgetExceededError, MemoryBudgetError, ValidationError
-from .kernels import canonical_powersum_run
+from .kernels import canonical_powersum_run, tuple_multiplicities
 
 
 @dataclass
@@ -62,6 +75,16 @@ def _int_root(n, j):
     return r
 
 
+def power_range(c, j, a, b):
+    """``(min, max)`` of ``c * v**j`` over the integers ``v`` in ``[a, b]``, ``a <= b``.
+
+    ``v**j`` is monotone on each side of 0, so the extremes lie at ``a``,
+    ``b`` or, when ``a <= 0 <= b``, at 0.
+    """
+    ends = [c * a ** j, c * b ** j] + ([0] if a <= 0 <= b else [])
+    return min(ends), max(ends)
+
+
 def count_naive(params, n, box=None, x_min=None, budget=50_000_000):
     """Ordered solution count by pruned depth-first enumeration."""
     n = _target_vector(n)
@@ -80,17 +103,11 @@ def count_naive(params, n, box=None, x_min=None, budget=50_000_000):
 
     # per-depth residual bounds: with variables i..s-1 unassigned, the
     # reachable residual in coordinate j lies in [lo_bound, hi_bound]
-    lo_pows = [lo ** j for j in range(1, k + 1)]
-    hi_pows = [box ** j for j in range(1, k + 1)]
     suffix_min = [[0] * k for _ in range(s + 1)]
     suffix_max = [[0] * k for _ in range(s + 1)]
     for i in range(s - 1, -1, -1):
-        c = coeffs[i]
         for j in range(k):
-            a = c * lo_pows[j]
-            b = c * hi_pows[j]
-            if a > b:
-                a, b = b, a
+            a, b = power_range(coeffs[i], j + 1, lo, box)
             suffix_min[i][j] = suffix_min[i + 1][j] + a
             suffix_max[i][j] = suffix_max[i + 1][j] + b
 
@@ -157,19 +174,50 @@ def _coeff_runs(coeffs):
     return [(c, t) for c, t in runs]
 
 
-def _half_histogram(coeffs, lo, hi, k):
-    """Keys and multiplicities for ordered tuples of one variable block.
+def _reach(coeffs, lo, hi, k):
+    """Componentwise ``(mins, maxs)`` of the key of a variable block over ``[lo, hi]``."""
+    ranges = [[power_range(c, j, lo, hi) for c in coeffs] for j in range(1, k + 1)]
+    return [sum(r[0] for r in rj) for rj in ranges], [sum(r[1] for r in rj) for rj in ranges]
+
+
+def _clip(bounds):
+    """Integer bounds clipped into int64; every key of an int64-safe system lies inside."""
+    return np.array([min(max(int(v), -INT64_SAFE), INT64_SAFE) for v in bounds],
+                    dtype=np.int64)
+
+
+def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
+    """Keys in ``[key_min, key_max]`` and multiplicities of one variable block.
 
     Variables with equal coefficients are enumerated canonically and weighted
     by the multinomial multiplicity; distinct coefficient runs combine by
-    Cartesian product.
+    Cartesian product.  Each run is pruned during its enumeration, and after
+    each product the rows that the later runs can no longer bring into the
+    bounds are dropped.  Multiplicities are Python integers when the block's
+    ``(hi - lo + 1)^len(coeffs)`` ordered tuples could overflow an int64 sum.
     """
+    runs = _coeff_runs(coeffs)
+    reach = [_reach((c,) * t, lo, hi, k) for c, t in runs]
     keys = np.zeros((1, k), dtype=np.int64)
-    mult = np.ones(1, dtype=np.int64)
-    for c, t in _coeff_runs(coeffs):
-        rk, rm = canonical_powersum_run(t, lo, hi, k, coeff=c)
+    exact64 = (hi - lo + 1) ** len(coeffs) < INT64_SAFE
+    mult = np.ones(1, dtype=np.int64 if exact64 else object)
+    for i, (c, t) in enumerate(runs):
+        # what the runs after this one can still add
+        rest_min = [sum(r[0][j] for r in reach[i + 1:]) for j in range(k)]
+        rest_max = [sum(r[1][j] for r in reach[i + 1:]) for j in range(k)]
+        part_min = [key_min[j] - rest_max[j] for j in range(k)]
+        part_max = [key_max[j] - rest_min[j] for j in range(k)]
+        rk, rm = canonical_powersum_run(
+            t, lo, hi, k, coeff=c,
+            key_min=_clip([part_min[j] - int(keys[:, j].max()) for j in range(k)]),
+            key_max=_clip([part_max[j] - int(keys[:, j].min()) for j in range(k)]))
         keys = (keys[:, None, :] + rk[None, :, :]).reshape(-1, k)
         mult = (mult[:, None] * rm[None, :]).reshape(-1)
+        if i:
+            ok = np.all((keys >= _clip(part_min)) & (keys <= _clip(part_max)), axis=1)
+            keys, mult = keys[ok], mult[ok]
+        if not len(keys):
+            break
     return keys, mult
 
 
@@ -205,6 +253,36 @@ def _encode_keys(*key_arrays):
     return out
 
 
+def _unique_sum(enc, mult):
+    """Sorted unique encoded keys (non-empty input) with summed multiplicities."""
+    order = np.argsort(enc)
+    enc, mult = enc[order], mult[order]
+    starts = np.flatnonzero(np.r_[True, enc[1:] != enc[:-1]])
+    return enc[starts], np.add.reduceat(mult, starts)
+
+
+def _certified_dot(a, b):
+    """Exact ``sum(a * b)`` of non-negative integer multiplicity arrays.
+
+    int64 ``np.dot`` runs only when ``max(a) * sum(b) < INT64_SAFE``, which
+    bounds every partial sum; otherwise the sum is taken in Python integers.
+    ``b.sum()`` is exact: int64 multiplicities here come from histograms of
+    fewer than INT64_SAFE ordered tuples.
+    """
+    if not len(a):
+        return 0
+    if (a.dtype != object and b.dtype != object
+            and int(a.max()) * int(b.sum()) < INT64_SAFE):
+        return int(np.dot(a, b))
+    return int(np.dot(a.astype(object), b.astype(object)))
+
+
+def _row_bytes(k):
+    """Peak bytes per unpruned half row: keys, their complements, encodings
+    and enumeration temporaries (110-145 bytes measured at k = 2 and 3)."""
+    return 8 * (3 * k + 10)
+
+
 def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
                memory_budget_bytes=2_000_000_000):
     """Ordered solution count via half-split histogram join."""
@@ -218,11 +296,19 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     t0 = time.perf_counter()
     if box < lo:
         return CountResult(0, "mitm", 0, time.perf_counter() - t0)
+    k = params.k
     s1 = (params.s + 1) // 2
     c_first, c_second = params.coeffs[:s1], params.coeffs[s1:]
+    # the second half reuses the first's enumeration when its coefficients
+    # are the same (sign 1) or their negation (sign -1)
+    sign = (1 if c_second == c_first
+            else -1 if c_second == tuple(-c for c in c_first) else 0)
+    halves = (c_first,) if sign else (c_first, c_second)
 
-    est_rows = math.comb(box - lo + s1, s1)
-    if est_rows * 24 > memory_budget_bytes:
+    # rows before pruning: per half, the Cartesian product of its run blocks
+    rows = sum(math.prod(math.comb(box - lo + t, t) for _, t in _coeff_runs(half))
+               for half in halves)
+    if rows * _row_bytes(k) > memory_budget_bytes:
         raise MemoryBudgetError(
             "half histogram would exceed the memory budget; "
             "use a smaller box or a larger memory_budget_bytes",
@@ -237,24 +323,46 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     if not _int64_safe(params, lo, box):
         return _count_mitm_python(params, n, lo, box, s1, t0)
 
-    k1, m1 = _half_histogram(c_first, lo, box, params.k)
-    k2, m2 = _half_histogram(c_second, lo, box, params.k)
-    need = np.asarray(n, dtype=np.int64)[None, :] - k2
-    enc = _encode_keys(k1, need)
+    min1, max1 = _reach(c_first, lo, box, k)
+    min2, max2 = _reach(c_second, lo, box, k)
+    if any(not a + c <= nj <= b + d for nj, a, b, c, d in zip(n, min1, max1, min2, max2)):
+        return CountResult(0, "mitm", work, time.perf_counter() - t0)
+    # a key K of one half can meet the other half only if n - K is reachable
+    lo1, hi1 = [nj - v for nj, v in zip(n, max2)], [nj - v for nj, v in zip(n, min2)]
+    lo2, hi2 = [nj - v for nj, v in zip(n, max1)], [nj - v for nj, v in zip(n, min1)]
+    if sign:
+        # one enumeration K is the first half and sign * K the second
+        if sign < 0:
+            lo2, hi2 = [-v for v in hi2], [-v for v in lo2]
+        k1, m1 = _half_histogram(c_first, lo, box, k, list(map(min, lo1, lo2)),
+                                 list(map(max, hi1, hi2)))
+        k2, m2 = (k1 if sign > 0 else -k1), m1
+    else:
+        k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1)
+        k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2)
+    if not (len(k1) and len(k2)):
+        return CountResult(0, "mitm", work, time.perf_counter() - t0)
+    enc = _encode_keys(k1, np.asarray(n, dtype=np.int64)[None, :] - k2)
     if enc is None:
         return _count_mitm_python(params, n, lo, box, s1, t0)
-    e1, eneed = enc
-    order = np.argsort(e1, kind="stable")
-    e1s = e1[order]
-    m1s = m1[order]
-    csum = np.concatenate(([0], np.cumsum(m1s.astype(object))))
-    left = np.searchsorted(e1s, eneed, side="left")
-    right = np.searchsorted(e1s, eneed, side="right")
-    total = 0
-    for i in range(len(eneed)):
-        if right[i] > left[i]:
-            total += int(csum[right[i]] - csum[left[i]]) * int(m2[i])
+    u1, c1 = _unique_sum(enc[0], m1)
+    u2, c2 = _unique_sum(enc[1], m2)
+    pos = np.minimum(np.searchsorted(u1, u2), len(u1) - 1)
+    hit = u1[pos] == u2
+    total = _certified_dot(c1[pos[hit]], c2[hit])
     return CountResult(total, "mitm", work, time.perf_counter() - t0)
+
+
+def _run_table(c, t, lo, hi, k):
+    """Exact ``{key: multiplicity}`` over the ordered ``t``-tuples of one
+    coefficient run, with Python-integer keys ``c * (sum x^j)_j``."""
+    tuples = list(combinations_with_replacement(range(lo, hi + 1), t))
+    mults = tuple_multiplicities(np.array(tuples, dtype=np.int64).reshape(len(tuples), t))
+    table = {}
+    for tup, mult in zip(tuples, mults):
+        key = tuple(c * sum(v ** j for v in tup) for j in range(1, k + 1))
+        table[key] = table.get(key, 0) + int(mult)
+    return table
 
 
 def _count_mitm_python(params, n, lo, box, s1, t0):
@@ -264,19 +372,7 @@ def _count_mitm_python(params, n, lo, box, s1, t0):
     def half(coeffs):
         table = {(0,) * k: 1}
         for c, t in _coeff_runs(coeffs):
-            block = {}
-            for tup in combinations_with_replacement(range(lo, box + 1), t):
-                key = tuple(c * sum(v ** j for v in tup) for j in range(1, k + 1))
-                mult = math.factorial(t)
-                run = 1
-                for i in range(1, t):
-                    if tup[i] == tup[i - 1]:
-                        run += 1
-                    else:
-                        mult //= math.factorial(run)
-                        run = 1
-                mult //= math.factorial(run)
-                block[key] = block.get(key, 0) + mult
+            block = _run_table(c, t, lo, box, k)
             new = {}
             for key1, mu1 in table.items():
                 for key2, mu2 in block.items():
@@ -304,38 +400,21 @@ def _count_mitm_python(params, n, lo, box, s1, t0):
 def powersum_histogram(t, k, hi, x_min=1):
     """Frequencies r(m) of power-sum keys over ordered t-tuples in [x_min, hi].
 
-    Returns ``(encoded_or_raw_keys, counts)`` where counts are exact ints;
+    Returns ``(encoded_or_raw_keys, counts)`` where counts are exact ints
+    (int64, or Python integers when ``(hi - x_min + 1)^t`` could overflow);
     used by the mean-value evaluators.  The raw (k-column) keys are returned
     when int64 encoding is not possible.
     """
     if hi < x_min:
         return np.zeros((0, k), dtype=np.int64), np.zeros(0, dtype=object)
-    if t * hi ** k < INT64_SAFE:
+    if t * max(abs(x_min), abs(hi)) ** k < INT64_SAFE:
         keys, mult = canonical_powersum_run(t, x_min, hi, k)
         enc = _encode_keys(keys)
         if enc is not None:
-            e = enc[0]
-            order = np.argsort(e, kind="stable")
-            es, ms = e[order], mult[order]
-            boundaries = np.flatnonzero(np.diff(es)) + 1
-            groups = np.split(ms, boundaries)
-            counts = np.array([int(g.sum()) for g in groups], dtype=object)
-            uniq = es[np.concatenate(([0], boundaries))]
-            return uniq, counts
-    table = {}
-    for tup in combinations_with_replacement(range(x_min, hi + 1), t):
-        key = tuple(sum(v ** j for v in tup) for j in range(1, k + 1))
-        mult = math.factorial(t)
-        run = 1
-        for i in range(1, t):
-            if tup[i] == tup[i - 1]:
-                run += 1
-            else:
-                mult //= math.factorial(run)
-                run = 1
-        mult //= math.factorial(run)
-        table[key] = table.get(key, 0) + mult
-    items = sorted(table.items())
+            if (hi - x_min + 1) ** t >= INT64_SAFE:
+                mult = mult.astype(object)
+            return _unique_sum(enc[0], mult)
+    items = sorted(_run_table(1, t, x_min, hi, k).items())
     return [key for key, _ in items], np.array([c for _, c in items], dtype=object)
 
 
@@ -349,7 +428,7 @@ def vinogradov_count(t, k, X, x_min=1, budget=50_000_000):
         raise BudgetExceededError("mean-value enumeration budget exceeded",
                                   work_done=0)
     _, counts = powersum_histogram(t, k, hi, x_min=x_min)
-    return int(sum(int(c) * int(c) for c in counts))
+    return _certified_dot(counts, counts)
 
 
 def mvt_scaling_experiment(t, k, X_list, x_min=1, budget=50_000_000):

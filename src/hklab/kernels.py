@@ -164,31 +164,60 @@ def _phase_poly_sums_blocked(coeffs, u0, u1):
 # canonical (non-decreasing) tuple enumeration with power-sum keys
 # ---------------------------------------------------------------------------
 
-def _enum_canonical(t, lo, hi, powtab, facts):
-    rows = np.arange(lo, hi + 1, dtype=np.int64).reshape(-1, 1)
-    for _ in range(t - 1):
-        counts = hi - rows[:, -1] + 1
-        total = int(counts.sum())
+def _enum_canonical(t, powtab, key_min, key_max):
+    """Non-decreasing ``t``-rows of value indices and their keys, pruned by bounds.
+
+    ``powtab[i]`` is the key of the single value ``i``.  With bounds, a row
+    of depth ``d`` whose last index is ``i`` is dropped when its key plus
+    ``t - d`` times the range of ``powtab`` over indices ``>= i`` cannot land
+    in ``[key_min, key_max]``, so every completed row lies inside them.
+    """
+    nv, k = powtab.shape
+    if key_min is not None:
+        # suffix extremes: the reachable key range of one more value >= row[-1]
+        suf_min = np.minimum.accumulate(powtab[::-1], axis=0)[::-1]
+        suf_max = np.maximum.accumulate(powtab[::-1], axis=0)[::-1]
+
+    def prune(rows, keys, left):
+        if key_min is None:
+            return rows, keys
+        last = rows[:, -1]
+        ok = np.ones(len(rows), dtype=bool)
+        for j in range(k):
+            ok &= keys[:, j] + left * suf_min[last, j] <= key_max[j]
+            ok &= keys[:, j] + left * suf_max[last, j] >= key_min[j]
+        return rows[ok], keys[ok]
+
+    idx = np.min_scalar_type(nv)
+    rows, keys = prune(np.arange(nv, dtype=idx).reshape(-1, 1), powtab, t - 1)
+    for d in range(1, t):
+        last = rows[:, -1].astype(np.int64)
+        counts = nv - last
         rep = np.repeat(np.arange(len(rows)), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        within = np.arange(total) - np.repeat(starts, counts)
-        new_last = rows[rep, -1] + within
-        rows = np.column_stack([rows[rep], new_last])
-    keys = powtab[rows - lo].sum(axis=1, dtype=np.int64)
-    mult = facts[t] // _run_factorial_products(rows, facts)
-    return keys, mult
+        # new last index: last[rep] plus the position within each row's block
+        new_last = np.arange(len(rep)) - np.repeat(np.cumsum(counts) - counts - last, counts)
+        rows = np.column_stack([rows[rep], new_last.astype(idx)])
+        keys = keys[rep] + powtab[new_last]
+        rows, keys = prune(rows, keys, t - d - 1)
+    return rows, keys
 
 
-def _run_factorial_products(rows, facts):
+def tuple_multiplicities(rows):
+    """Ordered rearrangements ``t! / prod(run!)`` of each non-decreasing row.
+
+    ``rows`` is ``(N, t)``; equal neighbours form a run.  The result is int64,
+    or Python integers (object) when ``t!`` does not fit int64.
+    """
     n, t = rows.shape
-    prod = np.ones(n, dtype=np.int64)
+    facts = [math.factorial(i) for i in range(t + 1)]
+    facts = np.array(facts, dtype=np.int64 if facts[-1] < 2 ** 63 else object)
+    prod = np.ones(n, dtype=facts.dtype)
     run = np.ones(n, dtype=np.int64)
     for i in range(1, t):
         same = rows[:, i] == rows[:, i - 1]
         prod = np.where(same, prod, prod * facts[run])
         run = np.where(same, run + 1, 1)
-    prod *= facts[run]
-    return prod
+    return facts[t] // (prod * facts[run])
 
 
 # ---------------------------------------------------------------------------
@@ -266,28 +295,35 @@ def phase_poly_sums(coeffs, u0, u1):
     return _phase_poly_sums_blocked(coeffs, int(u0), int(u1))
 
 
-def canonical_powersum_run(t, lo, hi, k, coeff=1):
+def canonical_powersum_run(t, lo, hi, k, coeff=1, key_min=None, key_max=None):
     """Keys and multiplicities of non-decreasing ``t``-tuples in ``[lo, hi]``.
 
     Key of a tuple is ``coeff * (sum x, sum x^2, ..., sum x^k)``;
     multiplicity is the number of ordered rearrangements.  Returns
-    ``(keys (N,k) int64, mult (N,) int64)``.  Caller is responsible for
-    ensuring int64 headroom (``t * max(|lo|,|hi|)^k * |coeff|`` well below 2^63).
+    ``(keys (N,k) int64, mult (N,))``, ``mult`` int64 (Python integers
+    once ``t! >= 2^63``).  With ``key_min`` and ``key_max`` (length ``k``)
+    only tuples whose key lies in ``[key_min, key_max]`` in every component
+    are returned, and partial tuples that cannot reach that box are dropped
+    during the enumeration.  Caller is responsible for ensuring int64
+    headroom (``t * max(|lo|,|hi|)^k * |coeff|`` and the bounds well below 2^63).
     """
-    if t == 0:
-        return np.zeros((1, k), dtype=np.int64), np.ones(1, dtype=np.int64)
     vals = np.arange(lo, hi + 1, dtype=np.int64)
     powtab = np.empty((len(vals), k), dtype=np.int64)
-    acc = vals.copy()
+    acc = vals * np.int64(coeff)
     for j in range(k):
         powtab[:, j] = acc
         if j < k - 1:
             acc = acc * vals
-    facts = np.array([math.factorial(i) for i in range(t + 1)], dtype=np.int64)
-    keys, mult = _enum_canonical(t, lo, hi, powtab, facts)
-    if coeff != 1:
-        keys = keys * np.int64(coeff)
-    return keys, mult
+    if key_min is not None:
+        key_min = np.asarray(key_min, dtype=np.int64)
+        key_max = np.asarray(key_max, dtype=np.int64)
+    if t == 0:
+        keys = np.zeros((1, k), dtype=np.int64)
+        if key_min is not None and not np.all((key_min <= 0) & (0 <= key_max)):
+            keys = keys[:0]
+        return keys, np.ones(len(keys), dtype=np.int64)
+    rows, keys = _enum_canonical(t, powtab, key_min, key_max)
+    return keys, tuple_multiplicities(rows)
 
 
 def conv_mod(H, shifts):

@@ -32,7 +32,7 @@ from hklab.circle import (
 )
 from hklab.counting import count_naive
 from hklab.densities import _primitive_mask, complete_sum_all
-from hklab.errors import AliasingError, ValidationError
+from hklab.errors import AliasingError, BudgetExceededError, ValidationError
 from hklab.expsums import complete_sum
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -231,6 +231,17 @@ def test_restricted_moment_exact_even():
 
     _, counts = powersum_histogram(w, 2, 6, x_min=0)
     assert m6 == float(sum(int(c) ** 2 for c in counts))
+
+
+def test_restricted_moment_full_is_vinogradov_count():
+    from hklab.counting import vinogradov_count
+
+    for t, X, k in [(4, 12.5, 2), (6, 9, 3), (8, 5, 2)]:
+        m, hw = restricted_moment(t, "full", X, k)
+        assert m == float(vinogradov_count(t // 2, k, X, x_min=0)) and hw == 0.0
+    with pytest.raises(BudgetExceededError) as ei:
+        restricted_moment(12, "full", 10 ** 6, 2)
+    assert ei.value.work_done == 0
 
 
 def test_restricted_moment_empty_region():

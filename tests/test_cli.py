@@ -19,6 +19,12 @@ def test_count_prints_value(capsys):
     assert code == EXIT_OK and out.strip().splitlines()[0] == "1"
 
 
+def test_count_negative_xmin_methods_agree(capsys):
+    code, out, _ = run_cli(capsys, "count", "--s", "3", "--k", "2", "--n", "1,5",
+                           "--box", "3", "--xmin", "-2", "--method", "both")
+    assert code == EXIT_OK and out.strip().splitlines()[0] == "6"
+
+
 def test_count_budget_exit(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "6", "--k", "2",
                            "--n", "60,1000", "--method", "naive",

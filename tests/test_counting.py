@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hklab import counting
 from hklab.core import SystemParams, power_sum_vector
 from hklab.counting import (
     count_mitm,
@@ -14,7 +16,7 @@ from hklab.counting import (
     unordered_count,
     vinogradov_count,
 )
-from hklab.errors import BudgetExceededError, ValidationError
+from hklab.errors import BudgetExceededError, MemoryBudgetError, ValidationError
 from hklab.local import holder_necessary
 
 
@@ -106,8 +108,6 @@ def test_budget_exhaustion():
 
 
 def test_mitm_budget_stops_before_enumeration(monkeypatch):
-    from hklab import counting
-
     def enumerate_anyway(*args, **kwargs):
         raise AssertionError("enumeration ran although the budget was exceeded")
 
@@ -212,3 +212,103 @@ def test_counts_match_between_int64_and_bigint_paths():
 
     slow = _count_mitm_python(p, n, 0, default_box(p, n), 2, time.perf_counter())
     assert fast.count == slow.count
+
+
+def _brute_count(coeffs, k, n, lo, hi):
+    import itertools
+
+    return sum(1 for t in itertools.product(range(lo, hi + 1), repeat=len(coeffs))
+               if all(sum(c * v ** j for c, v in zip(coeffs, t)) == nj
+                      for j, nj in enumerate(n, start=1)))
+
+
+@pytest.mark.parametrize("x_min", [-2, -1])
+def test_naive_matches_brute_force_with_negative_values(x_min):
+    # even powers of a range containing 0 reach down to 0, not to x_min^j
+    random.seed(79)
+    for _ in range(12):
+        s = random.randint(2, 4)
+        k = random.randint(2, 3)
+        B = random.randint(x_min + 1, 3)
+        coeffs = [random.choice([-2, -1, 1, 2]) for _ in range(s)]
+        pc = SystemParams.with_coefficients(coeffs, k)
+        x = [random.randint(x_min, B) for _ in range(s)]
+        n = power_sum_vector(x, pc)
+        assert count_naive(pc, n, box=B, x_min=x_min).count == \
+            _brute_count(coeffs, k, n, x_min, B)
+
+
+_SYSTEMS = st.one_of(
+    st.integers(1, 5).map(lambda s: (1,) * s),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+        lambda lm: (1,) * lm[0] + (-1,) * lm[1]),
+    st.lists(st.sampled_from([-2, -1, 1, 2, 3]), min_size=1, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=_SYSTEMS, k=st.integers(1, 3), x_min=st.integers(-2, 1),
+       width=st.integers(0, 4), data=st.data())
+def test_mitm_matches_naive_property(coeffs, k, x_min, width, data):
+    box = x_min + width
+    x = data.draw(st.lists(st.integers(x_min, box), min_size=len(coeffs),
+                           max_size=len(coeffs)))
+    planted = [sum(c * v ** j for c, v in zip(coeffs, x)) for j in range(1, k + 1)]
+    # planted targets, nearby ones, and ones far outside the reachable range
+    shift = data.draw(st.sampled_from([0, 1, -1, 10 ** 6, -10 ** 30]))
+    n = [v + (shift if j == 0 else 0) for j, v in enumerate(planted)]
+    p = SystemParams.with_coefficients(coeffs, k)
+    assert count_mitm(p, n, box=box, x_min=x_min).count == \
+        count_naive(p, n, box=box, x_min=x_min).count
+
+
+@pytest.mark.parametrize("X,count", [(9, 117_754_560), (16, 2_787_737_040)])
+def test_theorem_regime_counts(X, count):
+    # s = k(k+1) = 12, k = 3 on the planted tuple round(X i / 12), i = 1..12
+    p = SystemParams.pure(12, 3)
+    n = power_sum_vector([round(X * i / 12) for i in range(1, 13)], p)
+    assert count_mitm(p, n).count == count
+
+
+@pytest.mark.parametrize("params,n,box,x_min", [
+    (SystemParams.pure(8, 2), [120, 2000], None, None),
+    (SystemParams.mixed_sign(3, 3, 2), [0, 0], 10, 1),
+])
+def test_mitm_enumerates_mirrored_half_once(monkeypatch, params, n, box, x_min):
+    expected = count_mitm(params, n, box=box, x_min=x_min).count
+    calls = []
+    enumerate_run = counting.canonical_powersum_run
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_run(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "canonical_powersum_run", counted)
+    assert count_mitm(params, n, box=box, x_min=x_min).count == expected
+    assert len(calls) == 1
+
+
+def test_object_dot_path_gives_same_counts(monkeypatch):
+    # keys, encodings and histogram masses stay below 10^4, the dot products
+    # do not, so only the final sums move to Python integers
+    pm = SystemParams.mixed_sign(3, 3, 2)
+    J = vinogradov_count(3, 2, 10)
+    assert count_mitm(pm, [0, 0], box=10, x_min=1).count == J
+    monkeypatch.setattr(counting, "INT64_SAFE", 10 ** 4)
+    res = count_mitm(pm, [0, 0], box=10, x_min=1)
+    assert res.method == "mitm" and res.count == J
+    assert vinogradov_count(3, 2, 10) == J
+
+
+def test_mitm_memory_estimate_covers_run_products(monkeypatch):
+    # first half (1, 2): two runs, 100^2 rows, where the old single-run
+    # estimate counted C(101, 2) of them
+    def enumerate_anyway(*args, **kwargs):
+        raise AssertionError("enumeration ran although the memory budget was exceeded")
+
+    monkeypatch.setattr(counting, "canonical_powersum_run", enumerate_anyway)
+    p = SystemParams.with_coefficients([1, 2, 1], 2)
+    assert math.comb(101, 2) * 24 < 500_000 < 100 ** 2 * counting._row_bytes(2)
+    with pytest.raises(MemoryBudgetError) as ei:
+        count_mitm(p, [4, 6], box=100, memory_budget_bytes=500_000)
+    assert ei.value.work_done == 0

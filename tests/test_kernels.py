@@ -13,6 +13,7 @@ from hklab.kernels import (
     canonical_powersum_run,
     conv_mod,
     phase_poly_sums,
+    tuple_multiplicities,
 )
 
 
@@ -127,6 +128,29 @@ def test_canonical_run_coefficient_scaling():
     keys, mult = canonical_powersum_run(2, 0, 3, 2, coeff=-1)
     assert keys.min() <= -1
     assert int(mult.sum()) == 16
+
+
+@pytest.mark.parametrize("t,lo,hi,k,coeff", [(3, 0, 6, 2, 1), (3, -2, 3, 3, -2),
+                                             (4, -1, 4, 2, 3), (1, -3, 3, 2, 1)])
+def test_canonical_run_bounds_keep_exactly_the_keys_inside(t, lo, hi, k, coeff):
+    keys, mult = canonical_powersum_run(t, lo, hi, k, coeff=coeff)
+    rng = np.random.default_rng(t + hi)
+    for _ in range(5):
+        a, b = np.sort(rng.choice(keys.ravel(), size=(2, k)), axis=0)
+        inside = np.all((keys >= a) & (keys <= b), axis=1)
+        bk, bm = canonical_powersum_run(t, lo, hi, k, coeff=coeff, key_min=a, key_max=b)
+        assert sorted(zip(map(tuple, bk.tolist()), bm.tolist())) == \
+            sorted(zip(map(tuple, keys[inside].tolist()), mult[inside].tolist()))
+    empty, _ = canonical_powersum_run(t, lo, hi, k, coeff=coeff,
+                                      key_min=keys.max(axis=0) + 1,
+                                      key_max=keys.max(axis=0) + 1)
+    assert len(empty) == 0
+
+
+def test_tuple_multiplicities_beyond_int64_factorials():
+    rows = np.array([[0] * 22, [0] * 11 + [1] * 11, list(range(22))])
+    got = tuple_multiplicities(rows)
+    assert list(got) == [1, math.comb(22, 11), math.factorial(22)]
 
 
 def test_canonical_run_empty_tuple():
