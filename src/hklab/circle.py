@@ -70,12 +70,7 @@ class DissectionParams:
 @dataclass(frozen=True)
 class ArcLabel:
     q: int
-    a: tuple
-    kind: str      # "major1d" (|q a_k - a| <= Q X^-k) or "box" (|a_j - a_j/q| <= Z X^-j)
-
-    @property
-    def primitive(self):
-        return gcd(self.q, *self.a) == 1
+    a: tuple       # (a,) with |q alpha_k - a| <= Q X^-k
 
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
@@ -138,7 +133,7 @@ def in_major_1d(alpha_k, Q, X, k):
     """
     q, a = major_1d_witness([alpha_k], Q, X, k)
     if q[0]:
-        return True, ArcLabel(int(q[0]), (int(a[0]),), "major1d")
+        return True, ArcLabel(int(q[0]), (int(a[0]),))
     return False, None
 
 
@@ -149,67 +144,84 @@ def in_major_1d_scan(alpha_k, Q, X, k):
     for q in range(1, int(math.floor(Q)) + 1):
         a = round(q * alpha)
         if abs(q * alpha - a) <= thr and gcd(q, int(a)) == 1:
-            return True, ArcLabel(q, (int(a),), "major1d")
+            return True, ArcLabel(q, (int(a),))
     return False, None
 
 
-def in_K(alpha, Z, X):
-    """Box-family membership: some ``q <= Z`` with all ``|alpha_j - a_j/q| <= Z X^{-j}``.
+def in_K(alphas, Z, X):
+    """Box-family witnesses of the rows of an ``(N, k)`` array (taken mod 1).
 
-    Nearest-integer numerators per axis; a non-primitive hit reduces to the
-    primitive center with smaller denominator, which the ascending scan has
-    already covered, so skipping non-primitive candidates loses nothing.
+    Each row gets the smallest ``q <= Z`` whose nearest-integer numerators
+    ``a = rint(q alpha)`` give all ``|alpha_j - a_j/q| <= Z X^{-j}`` and
+    ``gcd(q, a) = 1``; a non-primitive hit reduces to a center with smaller
+    denominator, which the ascending scan has already covered.  Returns
+    int64 arrays ``q`` (N,) and ``a`` (N, k); ``q == 0`` marks a point
+    outside the box family.
     """
-    if Z < 1:
-        return False, None
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = np.asarray(alphas, dtype=np.float64)
     alpha = alpha - np.floor(alpha)
-    k = len(alpha)
-    radii = [Z * float(X) ** (-j) for j in range(1, k + 1)]
+    n, k = alpha.shape
+    radii = np.array([Z * float(X) ** (-j) for j in range(1, k + 1)])
+    wq = np.zeros(n, dtype=np.int64)
+    wa = np.zeros((n, k), dtype=np.int64)
+    live = np.arange(n)
     for q in range(1, int(math.floor(Z)) + 1):
-        a = np.rint(q * alpha).astype(int)
-        if all(abs(alpha[j] - a[j] / q) <= radii[j] for j in range(k)):
-            if gcd(q, *a) == 1:
-                return True, ArcLabel(q, tuple(int(v) for v in a), "box")
-            # reduced center was already scanned; keep scanning larger q
-    return False, None
+        if not live.size:
+            break
+        a = np.rint(q * alpha).astype(np.int64)
+        hit = ((np.abs(alpha - a / q) <= radii).all(axis=1)
+               & (np.gcd(q, np.gcd.reduce(a, axis=1)) == 1))
+        if hit.any():
+            wq[live[hit]] = q
+            wa[live[hit]] = a[hit]
+            live, alpha = live[~hit], alpha[~hit]
+    return wq, wa
 
 
-def classify(alpha, d):
-    """Assign a frequency point to one of the four dissection classes."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    maj, lab1 = in_major_1d(alpha[-1], d.Q, d.X, d.k)
-    if not maj:
-        return W1, None
-    in_wide, lab_n = in_K(alpha, d.Q2, d.X)
-    if not in_wide:
-        return W2, lab1
-    in_narrow, lab_p = in_K(alpha, d.L, d.X)
-    if not in_narrow:
-        return W3, lab_n
-    return W4, lab_p
+def classify(alphas, d):
+    """Classes and witnesses of the rows of an ``(N, k)`` array of points.
+
+    In short-circuit order: 1-d minor (W1); outside the wide boxes
+    ``K(Q^2)`` (W2, 1-d witness); outside the narrow boxes ``K(L)`` (W3,
+    wide-box witness); else W4 (narrow-box witness).  Boxes are scanned at
+    1-d major points only.  Returns ``(cls, q, a)`` with ``q == 0`` for W1
+    and ``a`` of shape ``(N, k)``; a W2 row holds its 1-d numerator last.
+    """
+    alpha = np.asarray(alphas, dtype=np.float64)
+    q, a1 = major_1d_witness(alpha[:, -1], d.Q, d.X, d.k)
+    maj = q > 0
+    qw, aw = in_K(alpha[maj], d.Q2, d.X)
+    qn, an = in_K(alpha[maj], d.L, d.X)
+    outside = [qw == 0, qn == 0]
+    cls = np.full(len(alpha), W1)
+    cls[maj] = np.select(outside, [W2, W3], W4)
+    q[maj] = np.select(outside, [q[maj], qw], qn)
+    a = np.zeros(alpha.shape, dtype=np.int64)
+    a[:, -1] = a1
+    a[maj] = np.select([o[:, None] for o in outside], [a[maj], aw], an)
+    return cls, q, a
 
 
-def classify_direct(alpha, d):
+def classify_direct(alphas, d):
     """Evaluate all four class definitions from their set formulas.
 
-    Independent of the short-circuit order in :func:`classify`; raises if the
-    four memberships fail to pick exactly one class (partition violation).
+    Independent of the short-circuit order in :func:`classify`: every
+    membership is evaluated at every row of the ``(N, k)`` array.  Returns
+    the class names; raises at the first point in not exactly one class.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    maj, _ = in_major_1d(alpha[-1], d.Q, d.X, d.k)
-    in_wide, _ = in_K(alpha, d.Q2, d.X)
-    in_narrow, _ = in_K(alpha, d.L, d.X)
-    members = {
-        W1: not maj,
-        W2: maj and not in_wide,
-        W3: maj and in_wide and not in_narrow,
-        W4: in_narrow,
-    }
-    chosen = [c for c, m in members.items() if m]
-    if len(chosen) != 1:
-        raise AssertionError(f"partition violation at {alpha}: {members}")
-    return chosen[0]
+    alpha = np.asarray(alphas, dtype=np.float64)
+    maj = major_1d_witness(alpha[:, -1], d.Q, d.X, d.k)[0] > 0
+    in_wide = in_K(alpha, d.Q2, d.X)[0] > 0
+    in_narrow = in_K(alpha, d.L, d.X)[0] > 0
+    names = np.array([W1, W2, W3, W4])
+    members = np.array([~maj, maj & ~in_wide, maj & in_wide & ~in_narrow,
+                        in_narrow])
+    bad = np.flatnonzero(members.sum(axis=0) != 1)
+    if bad.size:
+        i = bad[0]
+        raise AssertionError(f"partition violation at {alpha[i]}: "
+                             f"{dict(zip(names.tolist(), members[:, i].tolist()))}")
+    return names[members.argmax(axis=0)]
 
 
 def measure_major_1d(Q, X, k):
@@ -247,9 +259,6 @@ class MinorArcs1D:
         self.k = k
         self.dilation = dilation
 
-    def contains(self, alpha_k):
-        return bool(self.mask([alpha_k])[0])
-
     def mask(self, values):
         values = np.asarray(values, dtype=np.float64)
         # beta in s*B iff (beta + m)/s in B for some integer m < s
@@ -262,7 +271,7 @@ class MinorArcs1D:
 
 
 class ClassRegion:
-    """One cell of the four-class dissection, usable as a restriction region."""
+    """One cell of the four-class dissection; masks a batch by one :func:`classify`."""
 
     def __init__(self, d, name):
         if name not in (W1, W2, W3, W4):
@@ -271,8 +280,7 @@ class ClassRegion:
         self.name = name
 
     def mask_points(self, points):
-        return np.fromiter((classify(p, self.d)[0] == self.name
-                            for p in points), dtype=bool, count=len(points))
+        return classify(points, self.d)[0] == self.name
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +439,7 @@ def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0,
         step = np.array([0.3 * float(X) ** (-j) for j in range(1, k + 1)])
         for it in range(refine_steps):
             cand = (cur + step * rng_ref.normal(size=k)) % 1.0
-            if not region.contains(cand[-1]):
+            if not region.mask(cand[-1:])[0]:
                 continue
             v = abs(weyl_sum_batch(cand[None, :], X)[0])
             if v > cur_val:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -26,6 +27,8 @@ from . import __version__
 from .core import SystemParams
 from .counting import count_mitm, count_naive, mvt_scaling_experiment, vinogradov_count
 from .circle import (
+    W1,
+    W2,
     DissectionParams,
     classify,
     dilation_containment_check,
@@ -64,11 +67,40 @@ EXIT_INTERNAL = 4
 # config and cache
 # ---------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {
-    "minor-decay": {"s", "k", "X", "Q_list", "samples", "seed"},
-    "moment-majorant": {"s", "k", "X", "Q_list", "h", "samples", "seed"},
-    "w4-main": {"s", "k", "base_tuple", "scale_list", "l_exponent",
-                "series_p_max", "series_modcap", "seed"},
+# name -> (allowed config keys, runner(options) -> result, summary(result) -> str).
+# Runners look the experiment functions up as module globals at call time,
+# so rebinding those names (as a tracer does) reaches every run.
+_EXPERIMENTS = {
+    "minor-decay": (
+        {"s", "k", "X", "Q_list", "samples", "seed"},
+        lambda o: minor_arc_decay_experiment(
+            o["s"], o["k"], o["X"], o["Q_list"],
+            samples=o.get("samples", 400), seed=o.get("seed", 0)),
+        lambda r: (f"sup slope {r['sup_slope']:.4f} "
+                   f"(reference {r['reference_sigma']:.4f}), strictly "
+                   f"decreasing: {r['strictly_decreasing']}")),
+    "moment-majorant": (
+        {"s", "k", "X", "Q_list", "h", "samples", "seed"},
+        lambda o: {**moment_majorant_experiment(
+            o["s"], o["k"], o["X"], o["Q_list"], o["h"],
+            samples=o.get("samples", 60000), seed=o.get("seed", 0)),
+            "containment": dilation_containment_check(
+                o["s"], max(o["Q_list"]), o["X"], o["k"], seed=o.get("seed", 0))},
+        lambda r: ("bound ratios "
+                   f"{[format(row['ratio'], '.3g') for row in r['rows']]}, "
+                   f"containment {r['containment']['passed']}"
+                   f"/{r['containment']['checked']}")),
+    "w4-main": (
+        {"s", "k", "base_tuple", "scale_list", "l_exponent",
+         "series_p_max", "series_modcap", "seed"},
+        lambda o: w4_main_term_experiment(
+            o["s"], o["k"], o["base_tuple"], o["scale_list"],
+            l_exponent=o.get("l_exponent", 1.0 / 3),
+            series_p_max=o.get("series_p_max", 101),
+            series_modcap=o.get("series_modcap", 512)),
+        lambda r: ("count/main-term ratios "
+                   f"{[round(row['ratio'], 4) for row in r['rows']]} "
+                   f"at scales {[row['X0'] for row in r['rows']]}")),
 }
 
 
@@ -86,11 +118,11 @@ class ExperimentConfig:
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValidationError("config must be a JSON object with a 'name' field")
         name = raw["name"]
-        if name not in _EXPERIMENT_KEYS:
+        if name not in _EXPERIMENTS:
             raise ValidationError(
-                f"unknown experiment '{name}'; expected one of {sorted(_EXPERIMENT_KEYS)}")
+                f"unknown experiment '{name}'; expected one of {sorted(_EXPERIMENTS)}")
         options = {k: v for k, v in raw.items() if k != "name"}
-        unknown = set(options) - _EXPERIMENT_KEYS[name]
+        unknown = set(options) - _EXPERIMENTS[name][0]
         if unknown:
             raise ValidationError(
                 f"unknown config keys for '{name}': {sorted(unknown)}")
@@ -226,16 +258,13 @@ def cmd_count(args):
     t0 = time.perf_counter()
     params = _params_from_args(args)
     n = _parse_target(args)
-    kw = {"box": args.box, "budget": args.budget}
-    if args.xmin is not None:
-        kw["x_min"] = args.xmin
     results = {}
     if args.method in ("naive", "both"):
-        results["naive"] = asdict(count_naive(params, n, **kw))
+        results["naive"] = asdict(count_naive(params, n, box=args.box,
+                                              x_min=args.xmin, budget=args.budget))
     if args.method in ("mitm", "both"):
-        results["mitm"] = asdict(count_mitm(params, n, box=kw.get("box"),
-                                            x_min=kw.get("x_min"),
-                                            budget=args.budget))
+        results["mitm"] = asdict(count_mitm(params, n, box=args.box,
+                                            x_min=args.xmin, budget=args.budget))
     counts = {m: r["count"] for m, r in results.items()}
     if len(set(counts.values())) > 1:
         raise RuntimeError(f"method disagreement: {counts}")
@@ -268,7 +297,6 @@ def cmd_vinogradov(args):
 
 
 def cmd_sums(args):
-    t0 = time.perf_counter()
     if args.grid or args.csv:
         k = args.k
         if args.csv:
@@ -316,13 +344,8 @@ def cmd_local(args):
         print(f"warning: {w}")
     print(f"verdict              : {rep.verdict}")
     if args.out:
-        payload = json.loads(rep.to_json())
-        payload = _finalize(payload, args, t0, seed=args.seed)
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
-            + "\n")
-        print(f"wrote {args.out}")
+        _emit(_finalize(json.loads(rep.to_json()), args, t0, seed=args.seed),
+              args.out)
     return EXIT_OK
 
 
@@ -331,31 +354,28 @@ def cmd_densities(args):
     params = _params_from_args(args)
     n = _parse_target(args)
     out = {"n": n, "s": args.s, "k": args.k}
+    series = None  # the Euler product when both routes ran
     if args.method in ("qsum", "both"):
-        est = singular_series_qsum(n, params, Q_max=args.qmax,
-                                   tol=0.02 if args.tol is None else args.tol)
-        out["series_qsum"] = asdict(est)
+        series = singular_series_qsum(n, params, Q_max=args.qmax,
+                                      tol=0.02 if args.tol is None else args.tol)
+        out["series_qsum"] = asdict(series)
         if args.csv:
             _write_csv(args.csv, ["q", "A_q"],
-                       [[q, v] for q, v in est.detail["terms"]])
+                       [[q, v] for q, v in series.detail["terms"]])
         out["series_qsum"]["detail"].pop("partials", None)
     if args.method in ("euler", "both"):
-        est = singular_series_euler(n, params, p_max=args.pmax,
-                                    tol=1e-9 if args.tol is None else args.tol)
-        out["series_euler"] = asdict(est)
+        series = singular_series_euler(n, params, p_max=args.pmax,
+                                       tol=1e-9 if args.tol is None else args.tol)
+        out["series_euler"] = asdict(series)
     if args.integral:
         quad = singular_integral_quadrature(n, params)
         out["integral"] = asdict(quad)
         if args.mc:
             out["integral_mc"] = asdict(mc_volume_oracle(
                 n, params, samples=args.samples, seed=args.seed))
-        series = (out.get("series_euler") or out.get("series_qsum"))
-        if series:
-            from .densities import DensityEstimate
-
-            sd = DensityEstimate(**{k2: v for k2, v in series.items()})
+        if series is not None:
             try:
-                out["main_term"] = main_term(n, params, sd, quad)
+                out["main_term"] = main_term(n, params, series, quad)
             except Exception as exc:  # noqa: BLE001 - reported, not fatal
                 out["main_term_error"] = str(exc)
     payload = _finalize(out, args, t0, seed=args.seed)
@@ -364,9 +384,7 @@ def cmd_densities(args):
 
 
 def cmd_arcs(args):
-    t0 = time.perf_counter()
     d = DissectionParams.from_scale(args.X, args.k, l_exponent=args.l_exponent)
-    rows = []
     if args.csv:
         data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
         pts = data[:, : args.k]
@@ -385,20 +403,22 @@ def cmd_arcs(args):
         print(f"major: {int(np.count_nonzero(q))}/{len(pts)} "
               f"at Q={args.Q}, X={args.X}, k={args.k}")
         return EXIT_OK
-    for p in pts:
-        cls, label = classify(p, d)
-        rows.append([*map(float, p), cls,
-                     label.q if label else "", label.a if label else ""])
-        if len(pts) <= 20:
-            print(f"{np.round(p, 6).tolist()} -> {cls}"
-                  + (f" (q={label.q}, a={label.a})" if label else ""))
+    cls, q, a = classify(pts, d)
+    # labels print as tuples: (a_k,) for the 1-d witness of W2 (and any k = 1
+    # witness), (a_1, ..., a_k) for a box centre
+    text = a.astype(str)
+    labels = np.select(
+        [cls == W1, (cls == W2) | (args.k == 1)], ["", "(" + text[:, -1] + ",)"],
+        "(" + functools.reduce(lambda x, y: x + ", " + y, text.T) + ")")
+    if len(pts) <= 20:
+        for p, c, qv, lab in zip(np.round(pts, 6).tolist(), cls, q, labels):
+            print(f"{p} -> {c}" + (f" (q={qv}, a={lab})" if qv else ""))
     if args.out:
         _write_csv(args.out,
                    [f"alpha_{j + 1}" for j in range(args.k)] + ["class", "q", "a"],
-                   rows)
-    counts = {}
-    for r in rows:
-        counts[r[args.k]] = counts.get(r[args.k], 0) + 1
+                   zip(*pts.T.tolist(), cls.tolist(),
+                       np.where(q > 0, q.astype(str), "").tolist(), labels.tolist()))
+    counts = dict(Counter(cls.tolist()))
     print(f"classes: {counts}  (L={d.L:.4g}, Q={d.Q:.4g}, X={d.X:.4g})")
     return EXIT_OK
 
@@ -416,26 +436,9 @@ def cmd_experiment(args):
             Path(out_path).write_bytes(hit)
             print(f"cache hit -> {out_path}")
             return EXIT_OK
-    o = cfg.options
+    _, run, summary = _EXPERIMENTS[cfg.name]
     try:
-        if cfg.name == "minor-decay":
-            result = minor_arc_decay_experiment(
-                o["s"], o["k"], o["X"], o["Q_list"],
-                samples=o.get("samples", 400), seed=o.get("seed", 0))
-        elif cfg.name == "moment-majorant":
-            result = moment_majorant_experiment(
-                o["s"], o["k"], o["X"], o["Q_list"], o["h"],
-                samples=o.get("samples", 60000), seed=o.get("seed", 0))
-            result["containment"] = dilation_containment_check(
-                o["s"], max(o["Q_list"]), o["X"], o["k"], seed=o.get("seed", 0))
-        elif cfg.name == "w4-main":
-            result = w4_main_term_experiment(
-                o["s"], o["k"], o["base_tuple"], o["scale_list"],
-                l_exponent=o.get("l_exponent", 1.0 / 3),
-                series_p_max=o.get("series_p_max", 101),
-                series_modcap=o.get("series_modcap", 512))
-        else:  # pragma: no cover - names validated at load
-            raise ValidationError(f"unhandled experiment '{cfg.name}'")
+        result = run(cfg.options)
     except BudgetExceededError as exc:
         partial = {"experiment": cfg.name, "partial": True,
                    "work_done": exc.work_done, "error": str(exc)}
@@ -457,24 +460,11 @@ def cmd_experiment(args):
         _write_csv(csv_path, header,
                    [[row.get(h, "") for h in header] for row in result["rows"]])
     print(f"wrote {out_path}")
-    if cfg.name == "minor-decay":
-        print(f"summary: sup slope {result['sup_slope']:.4f} "
-              f"(reference {result['reference_sigma']:.4f}), strictly "
-              f"decreasing: {result['strictly_decreasing']}")
-    elif cfg.name == "moment-majorant":
-        ratios = [row["ratio"] for row in result["rows"]]
-        print(f"summary: bound ratios {[f'{r:.3g}' for r in ratios]}, "
-              f"containment {result['containment']['passed']}"
-              f"/{result['containment']['checked']}")
-    elif cfg.name == "w4-main":
-        ratios = [round(row["ratio"], 4) for row in result["rows"]]
-        print(f"summary: count/main-term ratios {ratios} at scales "
-              f"{[row['X0'] for row in result['rows']]}")
+    print(f"summary: {summary(result)}")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    t0 = time.perf_counter()
     if args.what != "identities":
         raise ValidationError("only 'identities' verification is available")
     rng = substream(args.seed, 0)
@@ -514,7 +504,6 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    t0 = time.perf_counter()
     root = Path(args.dir)
     blobs = sorted(root.glob("*.json"))
     if not blobs:

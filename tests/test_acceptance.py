@@ -19,8 +19,8 @@ from hklab.circle import (
     classify_direct,
     dilation_containment_check,
     in_K,
-    in_major_1d,
     lattice_representation_integral,
+    major_1d_witness,
     minor_arc_decay_experiment,
     sigma,
     moment_majorant_experiment,
@@ -219,22 +219,19 @@ def test_criterion_09_dissection_partition():
     d = DissectionParams.from_scale(1e4, 3)
     rng = substream(9, 0)
     pts = rng.random((100_000, 3))
-    for p in pts:
-        assert classify(p, d)[0] == classify_direct(p, d)
+    assert classify(pts, d)[0].tolist() == classify_direct(pts, d).tolist()
     # narrow boxes sit inside the 1-d boxed set: sample the boxes directly
-    contained = 0
-    for q in range(1, int(d.L) + 1):
-        for _ in range(300):
-            a = rng.integers(0, q + 1, size=3)
-            alpha = (a / q + rng.uniform(-1, 1, size=3)
-                     * [d.L * d.X ** (-j) for j in (1, 2, 3)]) % 1.0
-            if in_K(alpha, d.L, d.X)[0]:
-                assert in_major_1d(alpha[-1], d.Q, d.X, d.k)[0]
-                contained += 1
+    radii = [d.L * d.X ** (-j) for j in (1, 2, 3)]
+    boxed = np.array([(rng.integers(0, q + 1, size=3) / q
+                       + rng.uniform(-1, 1, size=3) * radii) % 1.0
+                      for q in range(1, int(d.L) + 1) for _ in range(300)])
+    hits = in_K(boxed, d.L, d.X)[0] > 0
+    assert (major_1d_witness(boxed[hits, -1], d.Q, d.X, d.k)[0] > 0).all()
+    contained = int(hits.sum())
     assert contained > 0
     # completeness of the rational cover at the full cutoff (quadratic case)
-    dirichlet_ok = all(in_major_1d(float(v), 1e4, 1e4, 2)[0]
-                       for v in rng.random(10_000))
+    dirichlet_ok = bool((major_1d_witness(rng.random(10_000), 1e4, 1e4, 2)[0]
+                         > 0).all())
     _report(9, dirichlet_ok,
             f"classify = direct set definitions on 100000 points; "
             f"{contained} sampled narrow-box points all boxed in 1-d; "

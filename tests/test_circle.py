@@ -86,28 +86,61 @@ def test_dirichlet_completeness_quadratic():
 
 
 def test_in_K_examples():
-    ok, lab = in_K([0.0, 0.0], 2.2, 1e4)
-    assert ok and lab.q == 1
-    assert in_K([0.5, 0.5], 2.2, 1e4)[0]
-    assert not in_K([0.3137, 0.7252], 2.2, 1e4)[0]
+    q, a = in_K([[0.0, 0.0], [0.5, 0.5], [0.3137, 0.7252]], 2.2, 1e4)
+    assert q.tolist() == [1, 2, 0]
+    assert a[:2].tolist() == [[0, 0], [1, 1]]
 
 
 def test_in_K_boundary_probe():
     # push one coordinate just past its box radius: center (1, 0) fails
     X, Z = 100.0, 1.5
-    alpha = [1.01 * Z / X, 0.0]
-    assert not in_K(alpha, Z, X)[0]
-    alpha = [0.99 * Z / X, 0.0]
-    assert in_K(alpha, Z, X)[0]
+    q, _ = in_K([[1.01 * Z / X, 0.0], [0.99 * Z / X, 0.0]], Z, X)
+    assert q.tolist() == [0, 1]
 
 
 def test_in_K_labels_are_primitive():
     random.seed(33)
-    for _ in range(200):
-        alpha = [random.random() * 0.01, random.random() * 0.001]
-        ok, lab = in_K(alpha, 6, 50.0)
-        if ok:
-            assert lab.primitive
+    alphas = [[random.random() * 0.01, random.random() * 0.001]
+              for _ in range(200)]
+    q, a = in_K(alphas, 6, 50.0)
+    for qv, av in zip(q, a):
+        if qv:
+            assert math.gcd(int(qv), *map(int, av)) == 1
+
+
+def _scan_boxes(alphas, Z, X):
+    """Oracle for ``in_K``: smallest ``q <= Z`` over all primitive numerator
+    vectors ``a`` in ``[0, q]^k``, not just the nearest ones."""
+    alphas = alphas - np.floor(alphas)
+    k = alphas.shape[1]
+    radii = np.array([Z * X ** (-j) for j in range(1, k + 1)])
+    wq = np.zeros(len(alphas), dtype=np.int64)
+    for q in range(1, int(math.floor(Z)) + 1):
+        a = np.array([v for v in itertools.product(range(q + 1), repeat=k)
+                      if math.gcd(q, *v) == 1])
+        fits = (np.abs(alphas[:, None, :] - a / q) <= radii).all(axis=2).any(axis=1)
+        wq[(wq == 0) & fits] = q
+    return wq
+
+
+@pytest.mark.parametrize("Z,X,k", [(6, 200.0, 2), (12, 20.0, 2), (11.5, 60.0, 3),
+                                   (4, 10.0, 3)])
+def test_in_K_matches_scan_oracle(Z, X, k):
+    rng = np.random.default_rng(int(Z * 10) + k)
+    radii = np.array([Z * X ** (-j) for j in range(1, k + 1)])
+    # box edges: centres a/q pushed out by radius x (1 +- 1e-9) on every axis
+    centres = np.array([rng.integers(0, q + 1, size=k) / q
+                        for q in range(1, int(Z) + 1) for _ in range(12)])
+    edges = (centres + rng.choice([-1, 1], size=centres.shape)
+             * rng.choice([1 - 1e-9, 1 + 1e-9], size=centres.shape) * radii) % 1.0
+    alphas = np.vstack([rng.random((400, k)), edges])
+    q, a = in_K(alphas, Z, X)
+    assert q.tolist() == _scan_boxes(alphas, Z, X).tolist()
+    hit = q > 0
+    assert 0 < hit[400:].sum() < len(edges)
+    qh, ah = q[hit], a[hit]
+    assert (np.abs(alphas[hit] - ah / qh[:, None]) <= radii).all()
+    assert (np.gcd(qh, np.gcd.reduce(ah, axis=1)) == 1).all()
 
 
 def test_dissection_params_no_drift():
@@ -118,34 +151,50 @@ def test_dissection_params_no_drift():
 
 def test_classify_examples():
     d = DissectionParams.from_scale(1e4, 3)
-    assert classify([0.0, 0.0, 0.0], d)[0] == "W4"
-    assert classify([0.3, 0.2, GOLDEN], d)[0] == "W1"
+    cls, q, a = classify([[0.0, 0.0, 0.0], [0.3, 0.2, GOLDEN]], d)
+    assert cls.tolist() == ["W4", "W1"]
+    assert q.tolist() == [1, 0] and a.tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_classify_matches_direct_definitions():
     d = DissectionParams.from_scale(1e4, 3)
     rng = np.random.default_rng(34)
     pts = rng.random((4000, 3))
-    for p in pts:
-        assert classify(p, d)[0] == classify_direct(p, d)
+    assert classify(pts, d)[0].tolist() == classify_direct(pts, d).tolist()
+
+
+def test_classify_partition_reaches_all_four_classes():
+    # built near integer centres: the default k = 3 profile has L = 1.14,
+    # Q = 1.47, so the narrow, wide and 1-d radii are L X^-j, Q^2 X^-j, Q X^-3
+    d = DissectionParams.from_scale(1e4, 3)
+    rng = np.random.default_rng(37)
+    n = 200
+    narrow = np.array([d.L * d.X ** (-j) for j in (1, 2, 3)])
+    w2 = np.column_stack([rng.random((n, 2)), np.zeros(n)])
+    w3 = np.column_stack([rng.uniform(1.2, 2.1, n) * d.X ** -1, np.zeros((n, 2))])
+    w4 = rng.uniform(-0.9, 0.9, (n, 3)) * narrow % 1.0
+    built = [[0.3, 0.3, 0.0], [1.5e-4, 0.0, 0.0], [0.0, 0.0, 0.0],
+             [0.3, 0.3, 1 - 1e-13]]
+    pts = np.vstack([built, w2, w3, w4, rng.random((n, 3))])
+    cls, q, a = classify(pts, d)
+    assert cls.tolist() == classify_direct(pts, d).tolist()
+    assert cls[:4].tolist() == ["W2", "W3", "W4", "W2"]
+    assert q[:4].tolist() == [1, 1, 1, 1]
+    assert a[:4].tolist() == [[0, 0, 0]] * 3 + [[0, 0, 1]]   # W2: 1-d numerator last
+    for name, part in zip(("W2", "W3", "W4", "W1"), np.split(cls[4:], 4)):
+        assert (part == name).all()
 
 
 def test_classify_rational_points_wide_profile():
     # denser dissection: every class reachable, partition still holds
     d = DissectionParams.from_scale(300.0, 2, l_exponent=1 / 3)
     rng = np.random.default_rng(35)
-    seen = set()
-    for p in rng.random((3000, 2)):
-        c = classify(p, d)[0]
-        assert c == classify_direct(p, d)
-        seen.add(c)
-    for q in range(1, 4):
-        for a1 in range(q):
-            for a2 in range(q):
-                c = classify([a1 / q + 1e-9, a2 / q + 1e-9], d)[0]
-                assert c == classify_direct([a1 / q + 1e-9, a2 / q + 1e-9], d)
-                seen.add(c)
-    assert "W4" in seen and "W1" in seen
+    rational = [[a1 / q + 1e-9, a2 / q + 1e-9]
+                for q in range(1, 4) for a1 in range(q) for a2 in range(q)]
+    pts = np.vstack([rng.random((3000, 2)), rational])
+    cls = classify(pts, d)[0]
+    assert cls.tolist() == classify_direct(pts, d).tolist()
+    assert "W4" in cls and "W1" in cls
 
 
 def test_narrow_boxes_inside_1d_major():
@@ -153,17 +202,13 @@ def test_narrow_boxes_inside_1d_major():
     for l_exp, X, k in [(None, 1e4, 3), (1 / 3, 500.0, 2)]:
         d = DissectionParams.from_scale(X, k, l_exponent=l_exp)
         rng = np.random.default_rng(36)
-        hits = 0
-        for q in range(1, int(d.L) + 1):
-            for _ in range(40):
-                a = rng.integers(0, q + 1, size=k)
-                alpha = a / q + rng.uniform(-1, 1, size=k) * [
-                    d.L * X ** (-j) for j in range(1, k + 1)]
-                alpha = alpha % 1.0
-                if in_K(alpha, d.L, X)[0]:
-                    hits += 1
-                    assert in_major_1d(alpha[-1], d.Q, X, k)[0]
-        assert hits > 0
+        radii = [d.L * X ** (-j) for j in range(1, k + 1)]
+        alphas = np.array([(rng.integers(0, q + 1, size=k) / q
+                            + rng.uniform(-1, 1, size=k) * radii) % 1.0
+                           for q in range(1, int(d.L) + 1) for _ in range(40)])
+        hits = in_K(alphas, d.L, X)[0] > 0
+        assert hits.any()
+        assert (major_1d_witness(alphas[hits, -1], d.Q, X, k)[0] > 0).all()
 
 
 def test_measure_major_respects_union_bound():
@@ -218,7 +263,7 @@ def test_major_witness_matches_scalar_test():
         assert bool(qv) == ok
         if ok:
             assert (qv, av) == (lab.q, lab.a[0])
-    assert MinorArcs1D(30, 100.0, 2).contains(GOLDEN)
+    assert MinorArcs1D(30, 100.0, 2).mask([GOLDEN])[0]
 
 
 def test_restricted_moment_exact_even():

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import numpy as np
 
+from hklab.circle import DissectionParams, classify_direct
 from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
 from hklab.core import SystemParams
 from hklab.densities import singular_series_euler
@@ -146,7 +148,7 @@ def test_densities_tol_reaches_both_routes(tmp_path, capsys):
 
 def test_arcs_classify_csv(tmp_path, capsys):
     in_path = tmp_path / "alphas.csv"
-    rows = np.array([[0.0, 0.0, 0.0], [0.31, 0.7, 0.6180339887]])
+    rows = np.array([[0.0, 0.0, 0.0], [0.31, 0.7, 0.6180339887], [0.3, 0.3, 0.0]])
     np.savetxt(in_path, rows, delimiter=",")
     out_path = tmp_path / "classes.csv"
     code, out, _ = run_cli(capsys, "arcs", "--k", "3", "--X", "10000",
@@ -155,6 +157,23 @@ def test_arcs_classify_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[1].split(",")[3] == "W4"
     assert lines[2].split(",")[3] == "W1"
+    assert lines[3] == '0.3,0.3,0.0,W2,1,"(0,)"'          # 1-d witness label
+
+
+def test_arcs_wide_profile_pinned(tmp_path, capsys):
+    out_path = tmp_path / "arcs.csv"
+    code, out, _ = run_cli(capsys, "arcs", "--k", "2", "--X", "300",
+                           "--l-exponent", "0.3333333", "--points", "4000",
+                           "--seed", "3", "--out", str(out_path))
+    assert code == EXIT_OK
+    assert "classes: {'W1': 3877, 'W3': 122, 'W4': 1}" in out
+    with open(out_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    pts = np.array([[float(r[0]), float(r[1])] for r in rows])
+    d = DissectionParams.from_scale(300.0, 2, l_exponent=0.3333333)
+    assert [r[2] for r in rows] == classify_direct(pts, d).tolist()
+    lines = out_path.read_text().splitlines()
+    assert '0.11219699434112951,0.416699703145176,W3,5,"(1, 2)"' in lines
 
 
 def test_experiment_cache_byte_identical(tmp_path, capsys, monkeypatch):
