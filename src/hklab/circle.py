@@ -12,7 +12,6 @@ the asymptotic exponents themselves are out of numerical reach and are only
 reported as reference values.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from .core import SystemParams
 from .counting import count_mitm, vinogradov_count
 from .densities import (
     _primitive_mask,
@@ -31,10 +31,13 @@ from .densities import (
     _integral_once,
 )
 from .errors import AliasingError, NonConvergedError, ValidationError
-from .expsums import gl_panels, phase_tensor, weyl_sum_batch
+from .expsums import gl_panels, tensor_integral, weyl_sum_batch
 from .streams import substream
 
 EPS_SLACK = 0.05  # fixed report-time slack for exponent comparisons
+CF_STEPS = 64        # continued-fraction steps of the 1-d witness scan
+STRATA = 32          # final-coordinate strata of the restricted Monte Carlo
+REFINE_STEPS = 40    # hill-climbing steps per Q level of the minor-arc sup
 
 
 def sigma(k):
@@ -80,14 +83,14 @@ W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
 # membership
 # ---------------------------------------------------------------------------
 
-def major_1d_witness(alphas, Q, X, k, max_iter=64):
+def major_1d_witness(alphas, Q, X, k):
     """1-d major-arc witnesses ``(q, a)`` of many points at once.
 
     For each point ``alpha`` (taken mod 1) this finds the smallest ``q <= Q``
     with ``|q alpha - a| <= Q X^{-k}``.  The smallest such ``q`` is a best
     rational approximation of the second kind, hence a continued-fraction
     convergent, so the scan walks the convergents of every point in
-    increasing denominator (at most ``max_iter`` steps) and stops each point
+    increasing denominator (at most ``CF_STEPS`` steps) and stops each point
     at its first hit.  Returns int64 arrays ``(q, a)``; ``q == 0`` marks a
     minor point.
     """
@@ -105,7 +108,7 @@ def major_1d_witness(alphas, Q, X, k, max_iter=64):
     st[4] = np.floor(alpha)
     st[1] = alpha - st[4]
     live = np.arange(alpha.size)
-    for it in range(max_iter + 1):
+    for it in range(CF_STEPS + 1):
         if it:
             x = 1.0 / st[1]
             a = np.floor(x)
@@ -301,21 +304,16 @@ def lattice_representation_integral(s, h, X, k, N_list=None):
     if any(hj < 0 or hj > s * Xf ** j for j, hj in enumerate(h, start=1)):
         return 0.0 + 0.0j
     required = [s * Xf ** j + 1 for j in range(1, k + 1)]
-    if N_list is None:
-        Ns = required
-    else:
-        Ns = [int(N) for N in N_list]
-        if any(N < r for N, r in zip(Ns, required)):
-            raise AliasingError(
-                f"aliasing: lattice {Ns} below exactness threshold {required}")
-    axes = [np.arange(N) / N for N in Ns]
-    F = phase_tensor(np.arange(Xf + 1.0), np.ones(Xf + 1), axes)
-    phases = [np.exp(-2j * np.pi * hj * ax) for hj, ax in zip(h, axes)]
-    return complex((F ** s * functools.reduce(np.multiply.outer, phases)).mean())
+    Ns = required if N_list is None else [int(N) for N in N_list]
+    if any(N < r for N, r in zip(Ns, required)):
+        raise AliasingError(
+            f"aliasing: lattice {Ns} below exactness threshold {required}")
+    axes = [(np.arange(N) / N, 1.0 / N) for N in Ns]
+    return tensor_integral(np.arange(Xf + 1.0), np.ones(Xf + 1), axes, s, h)
 
 
 def restricted_representation_integral(s, h, region, X, k, samples=20000,
-                                       seed=0, strata=32):
+                                       seed=0):
     """Estimate of the region-restricted representation integral.
 
     ``region="full"`` uses the exact lattice (see
@@ -325,42 +323,39 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
     """
     if region == "full":
         return lattice_representation_integral(s, h, X, k), 0.0
-    mean, hw = _region_mc(
-        region, X, k, samples, seed, strata,
+    return _region_mc(
+        region, X, k, samples, seed,
         lambda al: weyl_sum_batch(al, X) ** s
         * np.exp(-2j * np.pi * (al @ np.asarray(h, dtype=float))))
-    return mean, hw
 
 
-def restricted_moment(t, region, X, k, samples=20000, seed=0, strata=32):
+def restricted_moment(t, region, X, k, samples=20000, seed=0):
     """Estimate (exact where possible) of the restricted absolute moment."""
     if region == "full" and t % 2 == 0:
         return float(vinogradov_count(t // 2, k, X, x_min=0)), 0.0
-    return _region_mc(region, X, k, samples, seed, strata,
+    return _region_mc(region, X, k, samples, seed,
                       lambda al: np.abs(weyl_sum_batch(al, X)) ** t)
 
 
-def _region_mc(region, X, k, samples, seed, strata, func):
+def _region_mc(region, X, k, samples, seed, func):
     """Stratified torus MC of ``E[func(alpha) 1_region(alpha)]``.
 
     Strata split the final coordinate; per-stratum counter-based streams make
     the result independent of chunking/worker count.
     """
-    per = max(1, samples // strata)
-    total = 0.0 + 0.0j
-    totsq = 0.0
-    count = 0
-    for st in range(strata):
+    per = max(1, samples // STRATA)
+    count = per * STRATA
+    total, totsq = 0.0 + 0.0j, 0.0
+    for st in range(STRATA):
         rng = substream(seed, st)
         al = rng.random((per, k))
-        al[:, -1] = (st + al[:, -1]) / strata
+        al[:, -1] = (st + al[:, -1]) / STRATA
         mask = region.mask_points(al)
         vals = np.zeros(per, dtype=np.complex128)
         if mask.any():
             vals[mask] = func(al[mask])
         total += vals.sum()
         totsq += float(np.abs(vals) ** 2 @ np.ones(per))
-        count += per
     mean = total / count
     var = max(totsq / count - abs(mean) ** 2, 0.0)
     hw = 1.96 * math.sqrt(var / count)
@@ -404,8 +399,7 @@ def _minor_sup_candidates(Q_min, Q_max, k):
     return np.array(cands)
 
 
-def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0,
-                               refine_steps=40, h=None):
+def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0, h=None):
     """Sampled sup of |f| over the 1-d minor set, across a growing Q list.
 
     A single sample pool (uniform points plus informed rational candidates)
@@ -437,7 +431,7 @@ def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0,
         cur, cur_val = pool[idx].copy(), float(fpool[idx])
         rng_ref = substream(seed, 1000 + qi)
         step = np.array([0.3 * float(X) ** (-j) for j in range(1, k + 1)])
-        for it in range(refine_steps):
+        for it in range(REFINE_STEPS):
             cand = (cur + step * rng_ref.normal(size=k)) % 1.0
             if not region.mask(cand[-1:])[0]:
                 continue
@@ -527,7 +521,7 @@ def dilation_containment_check(s, Q, X, k, samples=10000, seed=0):
 
 
 def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
-                            series_p_max=101, series_modcap=512, seed=0):
+                            series_p_max=101, series_modcap=512):
     """End-to-end comparison: exact counts vs the density main term.
 
     For each scale the planted tuple is dilated and rounded, the exact count
@@ -539,15 +533,15 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
     default here widens it; pass ``l_exponent=None`` for the strict profile.
     """
     base = np.asarray(base_tuple, dtype=float)
+    params = SystemParams.pure(s, k)
     rows = []
     for scale in scale_list:
         x = np.maximum(1, np.round(scale * base).astype(int))
         n = [int(np.sum(x ** j)) for j in range(1, k + 1)]
-        A = count_mitm(_pure_params(s, k), n).count
-        series = singular_series_euler(n, _pure_params(s, k),
-                                       p_max=series_p_max,
+        A = count_mitm(params, n).count
+        series = singular_series_euler(n, params, p_max=series_p_max,
                                        modulus_cap=series_modcap)
-        integral = singular_integral_quadrature(n, _pure_params(s, k))
+        integral = singular_integral_quadrature(n, params)
         if not series.converged:
             raise NonConvergedError(f"series estimate not converged at n={n}")
         if not integral.converged:
@@ -557,8 +551,7 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
         main = series.value * integral.value * X0 ** (s - w)
         Xd = 2.0 * X0
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
-        trunc_series = sum(t.value for t in
-                           series_terms(n, _pure_params(s, k), int(d.L)))
+        trunc_series = sum(t.value for t in series_terms(n, params, int(d.L)))
         mu_d = np.array([nj / Xd ** j for j, nj in enumerate(n, start=1)])
         trunc_integral = float(np.real(
             _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)))
@@ -578,33 +571,24 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
     return {"s": s, "k": k, "rows": rows, "l_exponent": l_exponent}
 
 
-def _pure_params(s, k):
-    from .core import SystemParams
-
-    return SystemParams.pure(s, k)
-
-
-def narrow_box_integral(s, k, n, d, panels_per_cycle=4.0):
+def narrow_box_integral(s, k, n, d):
     """Direct quadrature of ``f^s e(-alpha.n)`` over the narrow-box union.
 
     Boxes sit at primitive rational centers with denominator up to L and
     per-axis half-width ``L X^{-j}``; the integrand inside a box oscillates
-    about ``2 s L`` cycles per axis, fixing the panel counts.
+    about ``2 s L`` cycles per axis, and ``s L`` panels of 8 nodes give four
+    nodes per cycle.
     """
-    X = d.X
-    L = d.L
+    X, L = d.X, d.L
     xs = np.arange(int(math.floor(X)) + 1.0)
-    panels = max(2, int(math.ceil(panels_per_cycle * s * L / 4)))
+    panels = max(2, int(math.ceil(s * L)))
     total = 0.0 + 0.0j
     for q in range(1, int(L) + 1):
         for a in _primitive_tuples(q, k):
             axes = [gl_panels(c / q - L * X ** -j, c / q + L * X ** -j, panels)
                     for j, c in enumerate(a, start=1)]
-            F = phase_tensor(xs, np.ones(len(xs)), [nodes for nodes, _ in axes])
-            factors = [np.exp(-2j * np.pi * nj * nodes) * weights
-                       for nj, (nodes, weights) in zip(n, axes)]
-            total += (F ** s * functools.reduce(np.multiply.outer, factors)).sum()
-    return complex(total)
+            total += tensor_integral(xs, np.ones(len(xs)), axes, s, n)
+    return total
 
 
 def _primitive_tuples(q, k):

@@ -92,7 +92,7 @@ _EXPERIMENTS = {
                    f"/{r['containment']['checked']}")),
     "w4-main": (
         {"s", "k", "base_tuple", "scale_list", "l_exponent",
-         "series_p_max", "series_modcap", "seed"},
+         "series_p_max", "series_modcap"},
         lambda o: w4_main_term_experiment(
             o["s"], o["k"], o["base_tuple"], o["scale_list"],
             l_exponent=o.get("l_exponent", 1.0 / 3),

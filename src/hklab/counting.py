@@ -314,13 +314,15 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
             "use a smaller box or a larger memory_budget_bytes",
             work_done=0,
         )
-    # canonical tuples both halves would enumerate, one block per coefficient run
+    # canonical tuples of the halves enumerated (both on the bigint route)
+    safe = _int64_safe(params, lo, box)
     work = sum(math.comb(box - lo + t, t)
-               for half in (c_first, c_second) for _, t in _coeff_runs(half))
+               for half in (halves if safe else (c_first, c_second))
+               for _, t in _coeff_runs(half))
     if work > budget:
         raise BudgetExceededError("mitm enumeration budget exceeded", work_done=0)
 
-    if not _int64_safe(params, lo, box):
+    if not safe:
         return _count_mitm_python(params, n, lo, box, s1, t0)
 
     min1, max1 = _reach(c_first, lo, box, k)

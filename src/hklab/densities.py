@@ -15,7 +15,6 @@ Monte-Carlo volume oracle.  Truncation tails are empirical fits and labeled
 as such in the returned estimates.
 """
 
-import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import INT64_SAFE, Target, _target_vector
-from .errors import BudgetExceededError, NonConvergedError, ToleranceError, ValidationError
-from .expsums import _osc_quad, complete_sum, default_panels, gl_panels, phase_tensor
+from .errors import BudgetExceededError, NonConvergedError, ValidationError
+from .expsums import complete_sum, gl_panels, oscillatory_integral, tensor_integral
 from .kernels import conv_mod
 from .local import small_primes
 from .streams import substream
@@ -48,6 +47,10 @@ class SeriesTerm:
     imag: float           # diagnostic, should vanish
     n_primitive: int
 
+
+SERIES_GRID_CELLS_MAX = 8_000_000  # numerator cells q^k of one series term
+RESIDUE_CELLS_MAX = 3_000_000_000  # residue cells m^(k+1) of one count mod m
+QUADRATURE_TOL = 5e-3  # error estimate below which the quadrature converges
 
 # ---------------------------------------------------------------------------
 # series terms A(q)
@@ -91,7 +94,7 @@ def _primitive_mask(q, k):
     return mask
 
 
-def series_term(q, n, params, budget=8_000_000):
+def series_term(q, n, params):
     """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)`` (bulk path)."""
     q = int(q)
     if q < 1:
@@ -100,7 +103,7 @@ def series_term(q, n, params, budget=8_000_000):
     k = params.k
     if len(n) != k:
         raise ValidationError("target length must equal k")
-    if q ** k > budget:
+    if q ** k > SERIES_GRID_CELLS_MAX:
         raise BudgetExceededError(
             f"series term at q={q}, k={k} exceeds the numerator-grid budget")
     if q == 1:
@@ -248,11 +251,11 @@ def _half_mod(m, k, coeffs):
     return H
 
 
-def solution_count_mod(m, n, params, budget=3_000_000_000):
+def solution_count_mod(m, n, params):
     """Exact ``M(m) = #{x in [0,m)^s : sum_i c_i x_i^j = n_j mod m, all j}``."""
     n = _target_vector(n)
     k = params.k
-    if m ** (k + 1) > budget:
+    if m ** (k + 1) > RESIDUE_CELLS_MAX:
         raise BudgetExceededError(
             f"residue convolution at modulus {m}, k={k} exceeds the budget")
     s1 = (params.s + 1) // 2
@@ -331,10 +334,7 @@ def _integral_once(mu, s, B, panel_scale):
     axes = [gl_panels(-B, B, max(4, int(math.ceil(panel_scale * B * (1.0 + abs(m))))))
             for m in mu]
     gamma, gamma_weights = gl_panels(0.0, 1.0, int(math.ceil(4 * (k * B + 1))))
-    Igrid = phase_tensor(gamma, gamma_weights, [nodes for nodes, _ in axes])
-    factors = [np.exp(-2j * np.pi * m * nodes) * weights
-               for m, (nodes, weights) in zip(mu, axes)]
-    return complex((Igrid ** s * functools.reduce(np.multiply.outer, factors)).sum())
+    return tensor_integral(gamma, gamma_weights, axes, s, mu)
 
 
 def _l1_tail_bound(mu, s, B):
@@ -350,38 +350,32 @@ def _l1_tail_bound(mu, s, B):
     probe = [np.eye(k)[j] * B for j in range(k)] + [np.full(k, B)]
     Cfit = 0.0
     for beta in probe:
-        Iv = _osc_quad(beta, 1.0, default_panels(beta, 1.0))
+        Iv = oscillatory_integral(beta, 1.0).value
         Cfit = max(Cfit, abs(Iv) ** s * (1.0 + np.sum(np.abs(beta))) ** a)
     return (Cfit * k * 2 ** k * math.gamma(a - k + 1) / math.gamma(a)
             * (1.0 + B) ** (k - a) / (a - k))
 
 
-def singular_integral_quadrature(n, params, B=None, tol=5e-3, scale="raw",
-                                 panel_scale=1.0, strict=False):
+def singular_integral_quadrature(n, params, B=None):
     """Box-truncated tensor quadrature for the archimedean density.
 
     Error estimate = panel-doubling difference + box-doubling difference
     (both empirical); the provable union-bound tail goes to ``detail``.
-    With ``strict`` an unreached tolerance raises instead of returning a
-    non-converged estimate.
+    Converged when the estimate is below ``QUADRATURE_TOL`` or 5% of the
+    value.
     """
     s, k = params.s, params.k
     if B is None:
         B = 48.0 if k <= 2 else 6.0
     mu = Target(_target_vector(n), allow_nonpositive=True).mu_raw
-    if scale == "dissection":
-        mu = mu / 2.0 ** np.arange(1, k + 1)
-    coarse = _integral_once(mu, s, B, panel_scale=panel_scale)
-    fine = _integral_once(mu, s, B, panel_scale=1.5 * panel_scale)
-    half_box = _integral_once(mu, s, B / 2, panel_scale=1.5 * panel_scale)
+    coarse = _integral_once(mu, s, B, panel_scale=1.0)
+    fine = _integral_once(mu, s, B, panel_scale=1.5)
+    half_box = _integral_once(mu, s, B / 2, panel_scale=1.5)
     quad_err = abs(fine - coarse)
     box_err = abs(fine - half_box)
     value = fine
     err = quad_err + box_err
-    converged = err < max(tol, 0.05 * abs(value.real))
-    if strict and not converged:
-        raise ToleranceError("quadrature tolerance unreachable at this box",
-                             value=float(value.real), achieved=float(err))
+    converged = err < max(QUADRATURE_TOL, 0.05 * abs(value.real))
     return DensityEstimate(
         value=float(value.real),
         method=f"BoxQuadrature{{B={B}}}",
@@ -390,7 +384,7 @@ def singular_integral_quadrature(n, params, B=None, tol=5e-3, scale="raw",
         imag_diagnostic=abs(value.imag),
         detail={"quad_err": float(quad_err), "box_err": float(box_err),
                 "l1_tail_bound": float(_l1_tail_bound(mu, s, B)),
-                "B": B, "scale": scale},
+                "B": B, "scale": "raw"},
     )
 
 

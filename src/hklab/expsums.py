@@ -16,13 +16,14 @@ import numpy as np
 
 from .core import FrequencyPoint, reduce_mod1, unit_phase
 from .errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
-from .kernels import phase_poly_sums
+from .kernels import mul_mod1, phase_poly_sums
 
 log = logging.getLogger(__name__)
 
 # empirical constants for soft sanity bounds; violations are logged, never raised
 SANITY_COMPLETE_SUM_C = 3.0
 SANITY_INTEGRAL_C = 4.0
+PHASE_TERMS_MAX = 200_000_000  # terms (points times range) of one Weyl-sum batch
 
 
 def _coords(alpha):
@@ -62,18 +63,18 @@ class RationalPoint:
 # exponential sums
 # ---------------------------------------------------------------------------
 
-def weyl_sum(alpha, X, budget=200_000_000):
+def weyl_sum(alpha, X):
     """``sum_{0 <= x <= X} e(alpha_1 x + ... + alpha_k x^k)``."""
-    return weyl_sum_batch(_coords(alpha)[None, :], X, budget=budget)[0]
+    return weyl_sum_batch(_coords(alpha)[None, :], X)[0]
 
 
-def weyl_sum_batch(alphas, X, budget=200_000_000):
+def weyl_sum_batch(alphas, X):
     """Batched ``weyl_sum`` over rows of ``alphas``; deterministic order."""
     alphas = np.atleast_2d(np.asarray(alphas, dtype=np.float64))
     if X < 0:
         raise ValidationError("range must be non-negative")
     n = int(math.floor(X)) + 1
-    if n * len(alphas) > budget:
+    if n * len(alphas) > PHASE_TERMS_MAX:
         raise BudgetExceededError("phase-sum budget exceeded", work_done=0)
     return phase_poly_sums(alphas, 0, n - 1)
 
@@ -152,10 +153,11 @@ def phase_tensor(points, weights, axis_values):
 
     ``axis_values[j-1]`` holds the values ``v_j`` of axis ``j``.  Quadrature
     nodes with their weights give ``I(beta; 1)`` on the grid; the integers
-    ``0..X`` with unit weights give the Weyl sum ``f``.  Raises
-    ``BudgetExceededError`` before allocating when the grid, the contraction
-    intermediate (``len(points)`` times all axes but the last) or a phase
-    matrix would pass ``TENSOR_CELLS_MAX`` cells.
+    ``0..X`` with unit weights give the Weyl sum ``f``, their phases
+    ``x^j v`` reduced mod 1 exactly by ``kernels.mul_mod1`` (while
+    ``X^k < 2^53``).  Raises ``BudgetExceededError`` before allocating when
+    the grid, the intermediate of the points against all axes but the last,
+    or a phase matrix would pass ``TENSOR_CELLS_MAX`` cells.
     """
     sizes = [len(v) for v in axis_values]
     cells = max(math.prod(sizes), len(points) * max(math.prod(sizes[:-1]), sizes[-1]))
@@ -163,55 +165,69 @@ def phase_tensor(points, weights, axis_values):
         raise BudgetExceededError(
             f"tensor grid {sizes} over {len(points)} points needs {cells} cells, "
             f"above {TENSOR_CELLS_MAX}", work_done=0)
-    mats = [np.exp(2j * np.pi * np.outer(points ** j, v))
-            for j, v in enumerate(axis_values, start=1)]
-    idx = "abcdefhijklmnopqrstuvwxyz"[:len(sizes)]  # g indexes the points
-    spec = "g," + ",".join("g" + i for i in idx) + "->" + idx
-    return np.einsum(spec, weights, *mats, optimize=True)
+    exact = (np.array_equal(points, np.rint(points))
+             and float(np.max(np.abs(points))) ** len(sizes) < 2.0 ** 53)
+
+    def phases(j, v):
+        if exact:
+            power = (points.astype(np.int64) ** j).astype(np.float64)
+            theta = mul_mod1(v[None, :], power[:, None])
+        else:
+            theta = np.outer(points ** j, v)
+        mat = theta * (2j * np.pi)
+        return np.exp(mat, out=mat)
+
+    # weights ride on the last axis: at k = 2 the first matrix is the intermediate
+    head = np.ones((len(points), 1))
+    for j, v in enumerate(axis_values[:-1], start=1):
+        mat = phases(j, v)
+        head = mat if j == 1 else (head[:, :, None] * mat[:, None, :]).reshape(len(points), -1)
+    last = phases(len(sizes), axis_values[-1])
+    last *= np.asarray(weights)[:, None]
+    return (head.T @ last).reshape(sizes)
+
+
+def tensor_integral(points, weights, axes, s, targets):
+    """``sum_cells T^s prod_j w_j e(-t_j v_j)`` with ``T = phase_tensor(points, weights, v)``.
+
+    ``axes[j-1] = (v_j, w_j)`` are axis values and weights.  ``T^s`` is taken
+    in place and contracted one axis at a time by matrix-vector products, so
+    ``T`` is the only array of grid size.
+    """
+    T = phase_tensor(points, weights, [v for v, _ in axes])
+    np.power(T, s, out=T)
+    for (v, w), t in zip(reversed(axes), reversed(targets)):
+        T = T @ (np.exp(-2j * np.pi * t * v) * w)
+    return complex(T)
 
 
 def _osc_quad(beta, X, panels):
-    nodes, weights = gl_panels(0.0, X, panels)
-    phase = np.zeros_like(nodes)
-    p = nodes.copy()
-    for c in beta:
-        phase += c * p
-        p = p * nodes
-    return np.sum(weights * np.exp(2j * np.pi * phase))
+    return phase_tensor(*gl_panels(0.0, X, panels), beta[:, None]).item()
 
 
-def default_panels(beta, X):
-    """Phase-variation-proportional panel count for the oscillatory integral."""
-    beta = np.asarray(beta, dtype=np.float64)
-    var = sum(abs(c) * float(X) ** j for j, c in enumerate(beta, start=1))
-    return int(math.ceil(4.0 * (var + 1.0)))
-
-
-def oscillatory_integral(beta, X, tol=None, panels=None, max_panels=1 << 15):
+def oscillatory_integral(beta, X, tol=None, max_panels=1 << 15):
     """``I(beta; X) = integral_0^X e(beta_1 g + ... + beta_k g^k) dg``.
 
     Composite 8-node Gauss-Legendre with the panel count proportional to the
-    total phase variation; the error estimate comes from panel doubling.
+    total phase variation, evaluated by :func:`phase_tensor` on one-value
+    axes; the error estimate comes from panel doubling.
     """
     beta = _coords(beta)
     if X < 0:
         raise ValidationError("range must be non-negative")
     if X == 0:
         return OscillatoryIntegral(0j, 0.0, 0)
-    p = panels if panels is not None else default_panels(beta, X)
-    coarse = _osc_quad(beta, X, p)
-    fine = _osc_quad(beta, X, 2 * p)
-    err = abs(fine - coarse)
-    while tol is not None and err > tol:
+    variation = sum(abs(c) * float(X) ** j for j, c in enumerate(beta, start=1))
+    p = int(math.ceil(4.0 * (variation + 1.0)))
+    coarse, fine = _osc_quad(beta, X, p), _osc_quad(beta, X, 2 * p)
+    while tol is not None and abs(fine - coarse) > tol:
         if 4 * p > max_panels:
             raise ToleranceError("quadrature tolerance unreachable within panel budget",
-                                 value=fine, achieved=err)
+                                 value=fine, achieved=abs(fine - coarse))
         p *= 2
-        coarse = fine
-        fine = _osc_quad(beta, X, 2 * p)
-        err = abs(fine - coarse)
-    denom = 1.0 + sum(abs(c) * float(X) ** j for j, c in enumerate(beta, start=1))
-    bound = X * denom ** (-1.0 / len(beta))
+        coarse, fine = fine, _osc_quad(beta, X, 2 * p)
+    err = abs(fine - coarse)
+    bound = X * (1.0 + variation) ** (-1.0 / len(beta))
     if abs(fine) > SANITY_INTEGRAL_C * bound:
         log.info("oscillatory integral decay constant exceeded: |I|=%.4g vs C*bound=%.4g",
                  abs(fine), SANITY_INTEGRAL_C * bound)

@@ -13,9 +13,9 @@ of ``B`` terms (``B = 32`` up to ``k = 3``, ``16`` at ``k = 4`` and
 ``B^k <= 2^16`` beyond).  For a block starting at ``b`` the phase is
 ``p(b + v) = sum_l d_l(b) v^l`` with ``d_l(b) = sum_j c_j C(j,l) b^(j-l)``;
 since ``v`` is an integer only ``d_l mod 1`` matters.  Each product of
-``c_j`` with the integer ``C(j,l) b^(j-l)`` is formed exactly by Dekker's
-two-product (the integer is split into exact 53-bit limbs when it is
-larger), so ``d_l mod 1`` is correct to a few ulp whatever ``b`` is, and the
+``c_j`` with the integer ``C(j,l) b^(j-l)`` is reduced mod 1 by ``mul_mod1``
+(Dekker's two-product; the integer is split into exact 53-bit limbs when it
+is larger), so ``d_l mod 1`` is correct to a few ulp whatever ``b`` is; the
 ``n^k eps`` drift of a difference table run over the whole range never
 arises.  Inside a block a multiplicative difference engine advances
 ``e(Delta^i p)``, vectorised over all rows and blocks: one Python step per
@@ -52,11 +52,20 @@ def _centred(x):
     return x - np.rint(x)
 
 
-def _split(x):
-    """Veltkamp split ``x = hi + lo`` into halves of at most 26 significant bits."""
-    t = _SPLIT * x
-    hi = t - (t - x)
-    return hi, x - hi
+def mul_mod1(a, b):
+    """``a * b`` minus a whole number, in ``[-1, 1]``, for integers ``|b| < 2^53``.
+
+    Dekker's two-product (Numer. Math. 18, 1971) of the centred ``a`` and
+    ``b`` is ``p + e`` exactly, so removing ``rint(p)`` leaves a few ulp of 1
+    however large ``b`` is.
+    """
+    a = _centred(a)
+    t, u = _SPLIT * a, _SPLIT * b  # Veltkamp: halves of at most 26 bits
+    a_hi, b_hi = t - (t - a), u - (u - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    p = a * b
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return _centred(p) + e
 
 
 def _taylor_multipliers(k, b0, nb, B):
@@ -108,13 +117,7 @@ def _block_sums(c, index, limbs, B, last):
     for _ in range(int(i_of.max())):
         scaled.append(_centred(scaled[-1] * float(1 << _LIMB_BITS)))
     cj = np.stack(scaled)[i_of, :, j_of - 1][:, :, None]      # (T, m, 1)
-    # Dekker's two-product: p + e == c_j * limb exactly
-    M = limbs[:, None, :]                                    # (T, 1, nb)
-    c_hi, c_lo = _split(cj)
-    M_hi, M_lo = _split(M)
-    p = cj * M
-    e = ((c_hi * M_hi - p) + c_hi * M_lo + c_lo * M_hi) + c_lo * M_lo
-    r = _centred(p) + e
+    r = mul_mod1(cj, limbs[:, None, :])                      # (T, m, nb)
     # d_l(b) = sum_j c_j C(j,l) b^(j-l) mod 1: the shifted coefficients
     starts = np.flatnonzero(np.r_[True, l_of[1:] != l_of[:-1]])
     d = np.empty((k + 1, m, r.shape[2]))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,30 @@ def test_lattice_integral_equals_counts_k4():
         v = lattice_representation_integral(2, n, 2, 4)
         assert abs(v - round(v.real)) < 1e-9
         assert round(v.real) == count_naive(p, n, box=2).count
+
+
+def test_lattice_integral_equals_counts_k3():
+    # s = 3, X = 6: a 19 x 109 x 649 lattice with exact Weyl-grid phases
+    p = SystemParams.pure(3, 3)
+    n = power_sum_vector([1, 4, 6], p)
+    v = lattice_representation_integral(3, n, 6, 3)
+    assert abs(v.imag) < 1e-9
+    assert round(v.real) == count_mitm(p, n, box=6).count
+    assert abs(v - round(v.real)) < 1e-9
+
+
+def test_lattice_integral_k3_holds_one_grid():
+    # the power is taken in place and the axes contracted one at a time, so
+    # the peak stays near the one complex grid (three grid arrays before)
+    n = power_sum_vector([1, 4, 6], SystemParams.pure(3, 3))
+    grid_bytes = 19 * 109 * 649 * 16
+    tracemalloc.start()
+    try:
+        lattice_representation_integral(3, n, 6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * grid_bytes
 
 
 def test_lattice_integral_out_of_range_target():

@@ -218,6 +218,19 @@ def test_experiment_rejects_budget_key(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_w4_main_rejects_seed_key(tmp_path, capsys):
+    # nothing in w4-main is random, so a seed would change only the cache key
+    cfg = tmp_path / "w4.json"
+    cfg.write_text(json.dumps({
+        "name": "w4-main", "s": 6, "k": 2, "base_tuple": [0.35, 0.52, 0.21],
+        "scale_list": [4], "seed": 3}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_VALIDATION
+    assert "unknown config keys for 'w4-main': ['seed']" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_experiment_rejects_unknown_name(tmp_path, capsys):
     cfg = tmp_path / "bad2.json"
     cfg.write_text(json.dumps({"name": "mystery"}))

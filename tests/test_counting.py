@@ -288,6 +288,20 @@ def test_mitm_enumerates_mirrored_half_once(monkeypatch, params, n, box, x_min):
     assert len(calls) == 1
 
 
+def test_mitm_work_counts_the_enumerated_half_once():
+    # one canonical enumeration serves both mirrored halves
+    p = SystemParams.pure(8, 2)
+    n = [120, 2000]
+    box = default_box(p, n)
+    assert count_mitm(p, n).work == math.comb(box - 0 + 4, 4)
+    pm = SystemParams.mixed_sign(3, 3, 2)
+    assert count_mitm(pm, [0, 0], box=10, x_min=1).work == math.comb(10 - 1 + 3, 3)
+    # the budget check counts the same half once
+    assert count_mitm(p, n, budget=math.comb(box + 4, 4)).count > 0
+    with pytest.raises(BudgetExceededError):
+        count_mitm(p, n, budget=math.comb(box + 4, 4) - 1)
+
+
 def test_object_dot_path_gives_same_counts(monkeypatch):
     # keys, encodings and histogram masses stay below 10^4, the dot products
     # do not, so only the final sums move to Python integers
