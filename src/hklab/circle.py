@@ -298,18 +298,28 @@ def lattice_representation_integral(s, h, X, k, N_list=None):
     with ``N_j = s floor(X)^j + 1`` is exact.  A user-supplied ``N_list``
     below that resolution raises (aliasing would corrupt the average).
     Targets outside the reachable frequency range integrate to zero exactly.
+
+    The integrand at ``-alpha`` is the conjugate of the one at ``alpha``, and
+    negation mod 1 maps every lattice axis onto itself, so the first axis is
+    folded to ``j = 0..floor(N_1/2)`` and the real part kept: ``j = 0`` and,
+    for even ``N_1``, ``j = N_1/2`` are their own mirrors and keep weight
+    ``1/N_1``; every other ``j`` stands for ``j`` and ``N_1 - j`` with
+    weight ``2/N_1``.  The value is therefore real.
     """
     h = [int(v) for v in h]
     Xf = int(math.floor(X))
     if any(hj < 0 or hj > s * Xf ** j for j, hj in enumerate(h, start=1)):
-        return 0.0 + 0.0j
+        return 0.0
     required = [s * Xf ** j + 1 for j in range(1, k + 1)]
     Ns = required if N_list is None else [int(N) for N in N_list]
     if any(N < r for N, r in zip(Ns, required)):
         raise AliasingError(
             f"aliasing: lattice {Ns} below exactness threshold {required}")
-    axes = [(np.arange(N) / N, 1.0 / N) for N in Ns]
-    return tensor_integral(np.arange(Xf + 1.0), np.ones(Xf + 1), axes, s, h)
+    N1 = Ns[0]
+    j = np.arange(N1 // 2 + 1)
+    folded = (j / N1, np.where((j == 0) | (2 * j == N1), 1.0, 2.0) / N1)
+    axes = [folded] + [(np.arange(N) / N, 1.0 / N) for N in Ns[1:]]
+    return tensor_integral(np.arange(Xf + 1.0), np.ones(Xf + 1), axes, s, h).real
 
 
 def restricted_representation_integral(s, h, region, X, k, samples=20000,
@@ -553,8 +563,7 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
         trunc_series = sum(t.value for t in series_terms(n, params, int(d.L)))
         mu_d = np.array([nj / Xd ** j for j, nj in enumerate(n, start=1)])
-        trunc_integral = float(np.real(
-            _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)))
+        trunc_integral = _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)
         t_narrow = narrow_box_integral(s, k, n, d)
         rows.append({
             "scale": scale, "n": n, "A": A, "X0": X0,

@@ -5,10 +5,11 @@ splits the variables in half and joins power-sum keys of the two halves:
 
 * it enumerates one half only when the second half's coefficients equal the
   first's or are their negation (the pure system, ``mixed_sign(l, l, k)``),
-  and reuses those keys, negated in the second case;
+  and reuses those keys, negated in the second case (on both routes);
 * it prunes each half during the enumeration to keys that can still meet
   the target, ``[n - max(other half), n - min(other half)]``, with the
-  reachable ranges of :func:`power_range`;
+  reachable ranges of :func:`power_range`; a reused half is pruned to the
+  hull of both roles' bounds and then filtered to each role's own;
 * it reduces each half to sorted unique encoded keys with summed
   multiplicities and joins them with one ``searchsorted``;
 * it sums the products with an int64 ``np.dot`` when a certificate rules out
@@ -186,6 +187,18 @@ def _clip(bounds):
                     dtype=np.int64)
 
 
+def _within(keys, key_min, key_max):
+    """Rows of ``keys`` inside the box ``[key_min, key_max]``."""
+    return np.all((keys >= _clip(key_min)) & (keys <= _clip(key_max)), axis=1)
+
+
+def _mirror_sign(c_first, c_second):
+    """1 when the second half's coefficients are the first's, -1 when they
+    are their negation, else 0."""
+    return (1 if c_second == c_first
+            else -1 if c_second == tuple(-c for c in c_first) else 0)
+
+
 def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
     """Keys in ``[key_min, key_max]`` and multiplicities of one variable block.
 
@@ -214,7 +227,7 @@ def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
         keys = (keys[:, None, :] + rk[None, :, :]).reshape(-1, k)
         mult = (mult[:, None] * rm[None, :]).reshape(-1)
         if i:
-            ok = np.all((keys >= _clip(part_min)) & (keys <= _clip(part_max)), axis=1)
+            ok = _within(keys, part_min, part_max)
             keys, mult = keys[ok], mult[ok]
         if not len(keys):
             break
@@ -301,8 +314,7 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     c_first, c_second = params.coeffs[:s1], params.coeffs[s1:]
     # the second half reuses the first's enumeration when its coefficients
     # are the same (sign 1) or their negation (sign -1)
-    sign = (1 if c_second == c_first
-            else -1 if c_second == tuple(-c for c in c_first) else 0)
+    sign = _mirror_sign(c_first, c_second)
     halves = (c_first,) if sign else (c_first, c_second)
 
     # rows before pruning: per half, the Cartesian product of its run blocks
@@ -314,15 +326,12 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
             "use a smaller box or a larger memory_budget_bytes",
             work_done=0,
         )
-    # canonical tuples of the halves enumerated (both on the bigint route)
-    safe = _int64_safe(params, lo, box)
-    work = sum(math.comb(box - lo + t, t)
-               for half in (halves if safe else (c_first, c_second))
-               for _, t in _coeff_runs(half))
+    # canonical tuples of the halves enumerated, on either route
+    work = sum(math.comb(box - lo + t, t) for half in halves for _, t in _coeff_runs(half))
     if work > budget:
         raise BudgetExceededError("mitm enumeration budget exceeded", work_done=0)
 
-    if not safe:
+    if not _int64_safe(params, lo, box):
         return _count_mitm_python(params, n, lo, box, s1, t0)
 
     min1, max1 = _reach(c_first, lo, box, k)
@@ -333,12 +342,17 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     lo1, hi1 = [nj - v for nj, v in zip(n, max2)], [nj - v for nj, v in zip(n, min2)]
     lo2, hi2 = [nj - v for nj, v in zip(n, max1)], [nj - v for nj, v in zip(n, min1)]
     if sign:
-        # one enumeration K is the first half and sign * K the second
+        # one enumeration K is the first half and sign * K the second; it is
+        # pruned to the hull of both roles' bounds (equal for sign 1), then
+        # each role keeps its own rows
         if sign < 0:
             lo2, hi2 = [-v for v in hi2], [-v for v in lo2]
-        k1, m1 = _half_histogram(c_first, lo, box, k, list(map(min, lo1, lo2)),
-                                 list(map(max, hi1, hi2)))
-        k2, m2 = (k1 if sign > 0 else -k1), m1
+        hull = list(map(min, lo1, lo2)), list(map(max, hi1, hi2))
+        keys, mult = _half_histogram(c_first, lo, box, k, *hull)
+        k1, m1 = _keep(keys, mult, (lo1, hi1), hull)
+        k2, m2 = _keep(keys, mult, (lo2, hi2), hull)
+        if sign < 0:
+            k2 = -k2
     else:
         k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1)
         k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2)
@@ -353,6 +367,15 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     hit = u1[pos] == u2
     total = _certified_dot(c1[pos[hit]], c2[hit])
     return CountResult(total, "mitm", work, time.perf_counter() - t0)
+
+
+def _keep(keys, mult, bounds, hull):
+    """Rows of an enumeration pruned to the box ``hull`` that lie in the box
+    ``bounds`` inside it; uncopied when the two boxes are equal."""
+    if bounds == hull:
+        return keys, mult
+    ok = _within(keys, *bounds)
+    return keys[ok], mult[ok]
 
 
 def _run_table(c, t, lo, hi, k):
@@ -383,9 +406,16 @@ def _count_mitm_python(params, n, lo, box, s1, t0):
             table = new
         return table
 
-    h1 = half(params.coeffs[:s1])
-    h2 = half(params.coeffs[s1:])
-    work = len(h1) + len(h2)
+    c_first, c_second = params.coeffs[:s1], params.coeffs[s1:]
+    sign = _mirror_sign(c_first, c_second)
+    h1 = half(c_first)
+    if sign:
+        # a mirrored second half is the first, its keys negated for sign -1
+        h2 = h1 if sign > 0 else {tuple(-v for v in key): mu for key, mu in h1.items()}
+        work = len(h1)
+    else:
+        h2 = half(c_second)
+        work = len(h1) + len(h2)
     total = 0
     for key2, mu2 in h2.items():
         need = tuple(a - b for a, b in zip(n, key2))

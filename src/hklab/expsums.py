@@ -133,8 +133,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # Cells (complex128, 16 bytes each) that a tensor grid, or the contraction
 # intermediate behind it, may hold: 2^25 cells is 512 MiB per array.  The
-# largest default grid, the k = 3 singular integral at B = 6, needs 608
-# gamma nodes times 144^2 cells, about 1.3e7.
+# largest default grid, the fine pass of the k = 3 singular integral at
+# B = 6, folds its 144 beta_1 nodes to 72 and so needs 608 gamma nodes times
+# 72 x 80 cells on the planted s = 12 target, about 3.5e6.
 TENSOR_CELLS_MAX = 1 << 25
 
 

@@ -126,6 +126,52 @@ def test_mitm_budget_binds_bigint_route():
     assert res.method == "mitm-bigint" and res.count == 24
 
 
+def test_mitm_bigint_route_enumerates_mirrored_half_once(monkeypatch):
+    # the second half of pure(4, 12) is the first: one C(42, 2) enumeration
+    p = SystemParams.pure(4, 12)
+    n = power_sum_vector([1, 2, 3, 4], p)
+    calls = []
+    run_table = counting._run_table
+
+    def counted(*args):
+        calls.append(args)
+        return run_table(*args)
+
+    monkeypatch.setattr(counting, "_run_table", counted)
+    res = count_mitm(p, n, box=40, budget=math.comb(42, 2))
+    assert res.method == "mitm-bigint" and res.count == 24
+    assert len(calls) == 1
+
+
+def test_mitm_bigint_route_negates_mirrored_half(monkeypatch):
+    # sign-split halves on the exact-integer route match the int64 route
+    pm = SystemParams.mixed_sign(3, 3, 2)
+    targets = [[0, 0], [9, 77], [-7, -41], [3, 5]]
+    fast = [count_mitm(pm, n, box=12).count for n in targets]
+    assert count_mitm(pm, [0, 0], box=12).method == "mitm"
+    monkeypatch.setattr(counting, "INT64_SAFE", 500)  # 6 * 12^2 = 864 passes it
+    slow = [count_mitm(pm, n, box=12) for n in targets]
+    assert all(r.method == "mitm-bigint" for r in slow)
+    assert [r.count for r in slow] == fast
+    assert fast[0] == vinogradov_count(3, 2, 12)
+
+
+def test_mitm_prunes_negated_half_per_role(monkeypatch):
+    # the pin is count_naive's, which takes 3.0e8 steps here (default budget 5e7)
+    pm = SystemParams.mixed_sign(3, 3, 2)
+    rows = []
+    unique_sum = counting._unique_sum
+
+    def recorded(enc, mult):
+        rows.append(len(enc))
+        return unique_sum(enc, mult)
+
+    monkeypatch.setattr(counting, "_unique_sum", recorded)
+    assert count_mitm(pm, [10, 300], box=30).count == 84_507
+    # each role drops the rows that only the other role's bounds admit
+    assert len(rows) == 2 and max(rows) < math.comb(32, 3)
+
+
 def test_vinogradov_examples():
     assert vinogradov_count(1, 2, 9) == 9             # diagonal only
     assert vinogradov_count(1, 4, 17) == 17

@@ -311,8 +311,9 @@ def test_integral_halfspace_symmetry():
 
 
 def test_integral_k4_default_box_over_grid_cap():
-    # 48..96 nodes per axis at the coarse pass: the gamma contraction alone
-    # would pass the cell cap, so the quadrature stops before allocating
+    # 48 folded beta_1 nodes and 56 on each other axis at the coarse pass:
+    # the gamma contraction, 800 x 48 x 56 x 56 cells, alone would pass the
+    # cell cap, so the quadrature stops before allocating
     with pytest.raises(BudgetExceededError):
         singular_integral_quadrature([40, 200, 1000, 5000], SystemParams.pure(20, 4))
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hklab.circle import lattice_representation_integral
+from hklab.densities import _integral_once
 from hklab.errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
 from hklab.expsums import (
     RationalPoint,
@@ -20,6 +22,7 @@ from hklab.expsums import (
     phase_tensor,
     shift_profile,
     shifted_sum,
+    tensor_integral,
     verify_binomial_transform,
     verify_resolution_identity,
     verify_shift_reindex,
@@ -214,6 +217,48 @@ def test_phase_tensor_over_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# Both integrands are conjugate under negation, so the integrals fold one
+# axis onto its non-negative half and keep the real part.  The unfolded
+# full-axis evaluations below are the references.
+
+def _planted_mu(u, k):
+    return np.array([float(np.sum(np.asarray(u) ** j)) for j in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("mu,s,B", [
+    (_planted_mu([0.3, 0.8], 1), 2, 20.0),
+    (_planted_mu([0.1, 0.3, 0.45, 0.6, 0.8, 0.9], 2), 6, 12.0),
+    (_planted_mu([round(9 * i / 12) / 9 for i in range(1, 13)], 3), 12, 2.0),
+])
+def test_integral_fold_matches_full_beta_grid(mu, s, B):
+    # the full grid of densities._integral_once at panel_scale 1
+    k = len(mu)
+    axes = [gl_panels(-B, B, max(4, math.ceil(B * (1.0 + abs(m))))) for m in mu]
+    gamma, gamma_w = gl_panels(0.0, 1.0, math.ceil(4 * (k * B + 1)))
+    full = tensor_integral(gamma, gamma_w, axes, s, mu)
+    folded = _integral_once(mu, s, B, panel_scale=1.0)
+    assert abs(full.imag) < 1e-9
+    assert abs(folded - full.real) <= 1e-12 * abs(full.real)
+
+
+@pytest.mark.parametrize("s,X,k,x", [
+    (3, 4, 2, [1, 4, 2]),     # N_1 = 13
+    (3, 3, 2, [0, 2, 3]),     # N_1 = 10: j = 5 is its own mirror
+    (3, 6, 3, [1, 4, 6]),     # N_1 = 19
+    (3, 3, 3, [1, 2, 3]),     # N_1 = 10
+    (2, 2, 4, [1, 2]),        # N_1 = 5
+    (3, 1, 4, [0, 1, 1]),     # N_1 = 4
+])
+def test_lattice_fold_matches_full_lattice(s, X, k, x):
+    h = [sum(v ** j for v in x) for j in range(1, k + 1)]
+    axes = [(np.arange(N) / N, 1.0 / N) for N in (s * X ** j + 1 for j in range(1, k + 1))]
+    full = tensor_integral(np.arange(X + 1.0), np.ones(X + 1), axes, s, h)
+    folded = lattice_representation_integral(s, h, X, k)
+    assert abs(full.imag) < 1e-9
+    assert abs(folded - full.real) <= 1e-12 * abs(full.real)
+    assert folded.imag == 0
 
 
 # ---------------------------------------------------------------------------
