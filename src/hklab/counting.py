@@ -8,8 +8,7 @@ splits the variables in half and joins power-sum keys of the two halves:
   and reuses those keys, negated in the second case (on both routes);
 * it prunes each half during the enumeration to keys that can still meet
   the target, ``[n - max(other half), n - min(other half)]``, with the
-  reachable ranges of :func:`power_range`; a reused half is pruned to the
-  hull of both roles' bounds and then filtered to each role's own;
+  reachable ranges of :func:`power_range`;
 * it reduces each half to sorted unique encoded keys with summed
   multiplicities and joins them with one ``searchsorted``;
 * it sums the products with an int64 ``np.dot`` when a certificate rules out
@@ -187,11 +186,6 @@ def _clip(bounds):
                     dtype=np.int64)
 
 
-def _within(keys, key_min, key_max):
-    """Rows of ``keys`` inside the box ``[key_min, key_max]``."""
-    return np.all((keys >= _clip(key_min)) & (keys <= _clip(key_max)), axis=1)
-
-
 def _mirror_sign(c_first, c_second):
     """1 when the second half's coefficients are the first's, -1 when they
     are their negation, else 0."""
@@ -227,7 +221,7 @@ def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
         keys = (keys[:, None, :] + rk[None, :, :]).reshape(-1, k)
         mult = (mult[:, None] * rm[None, :]).reshape(-1)
         if i:
-            ok = _within(keys, part_min, part_max)
+            ok = np.all((keys >= _clip(part_min)) & (keys <= _clip(part_max)), axis=1)
             keys, mult = keys[ok], mult[ok]
         if not len(keys):
             break
@@ -342,17 +336,12 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     lo1, hi1 = [nj - v for nj, v in zip(n, max2)], [nj - v for nj, v in zip(n, min2)]
     lo2, hi2 = [nj - v for nj, v in zip(n, max1)], [nj - v for nj, v in zip(n, min1)]
     if sign:
-        # one enumeration K is the first half and sign * K the second; it is
-        # pruned to the hull of both roles' bounds (equal for sign 1), then
-        # each role keeps its own rows
+        # one enumeration K is the first half and sign * K the second
         if sign < 0:
             lo2, hi2 = [-v for v in hi2], [-v for v in lo2]
-        hull = list(map(min, lo1, lo2)), list(map(max, hi1, hi2))
-        keys, mult = _half_histogram(c_first, lo, box, k, *hull)
-        k1, m1 = _keep(keys, mult, (lo1, hi1), hull)
-        k2, m2 = _keep(keys, mult, (lo2, hi2), hull)
-        if sign < 0:
-            k2 = -k2
+        k1, m1 = _half_histogram(c_first, lo, box, k, list(map(min, lo1, lo2)),
+                                 list(map(max, hi1, hi2)))
+        k2, m2 = (k1 if sign > 0 else -k1), m1
     else:
         k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1)
         k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2)
@@ -367,15 +356,6 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     hit = u1[pos] == u2
     total = _certified_dot(c1[pos[hit]], c2[hit])
     return CountResult(total, "mitm", work, time.perf_counter() - t0)
-
-
-def _keep(keys, mult, bounds, hull):
-    """Rows of an enumeration pruned to the box ``hull`` that lie in the box
-    ``bounds`` inside it; uncopied when the two boxes are equal."""
-    if bounds == hull:
-        return keys, mult
-    ok = _within(keys, *bounds)
-    return keys[ok], mult[ok]
 
 
 def _run_table(c, t, lo, hi, k):

@@ -345,9 +345,10 @@ def test_lattice_integral_equals_counts_k3():
 
 def test_lattice_integral_k3_holds_one_grid():
     # the power is taken in place and the axes contracted one at a time, so
-    # the peak stays near the one complex grid (three grid arrays before)
+    # the peak stays near the one complex grid (three grid arrays before);
+    # the folded first axis holds N_1 // 2 + 1 = 10 of the 19 rows
     n = power_sum_vector([1, 4, 6], SystemParams.pure(3, 3))
-    grid_bytes = 19 * 109 * 649 * 16
+    grid_bytes = 10 * 109 * 649 * 16
     tracemalloc.start()
     try:
         lattice_representation_integral(3, n, 6, 3)

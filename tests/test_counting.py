@@ -156,20 +156,10 @@ def test_mitm_bigint_route_negates_mirrored_half(monkeypatch):
     assert fast[0] == vinogradov_count(3, 2, 12)
 
 
-def test_mitm_prunes_negated_half_per_role(monkeypatch):
+def test_mitm_negated_half_nonzero_target():
     # the pin is count_naive's, which takes 3.0e8 steps here (default budget 5e7)
     pm = SystemParams.mixed_sign(3, 3, 2)
-    rows = []
-    unique_sum = counting._unique_sum
-
-    def recorded(enc, mult):
-        rows.append(len(enc))
-        return unique_sum(enc, mult)
-
-    monkeypatch.setattr(counting, "_unique_sum", recorded)
     assert count_mitm(pm, [10, 300], box=30).count == 84_507
-    # each role drops the rows that only the other role's bounds admit
-    assert len(rows) == 2 and max(rows) < math.comb(32, 3)
 
 
 def test_vinogradov_examples():
