@@ -8,11 +8,9 @@ and Hardy-Littlewood arc dissection experiments.
 __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
-    ComplexAcc,
-    FrequencyPoint,
     SystemParams,
-    Target,
     power_sum_vector,
     reduce_mod1,
+    target_scale,
     unit_phase,
 )

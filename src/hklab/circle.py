@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import SystemParams
+from .core import SystemParams, target_scale
 from .counting import count_mitm, vinogradov_count
 from .densities import (
     _primitive_mask,
@@ -541,6 +541,10 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
     ``f^s e(-alpha.n)`` over the narrow-box union.  The asymptotic-profile cutoff
     exponent ``1/(8k^2)`` leaves a single narrow box at desk scale, so the
     default here widens it; pass ``l_exponent=None`` for the strict profile.
+
+    Two scales coexist: ``X0 = max_j n_j^(1/j)`` is the scale the count and
+    the main term report against, and ``Xd = 2 X0`` is the scale all arc
+    machinery (and so ``mu_d = n_j / Xd^j``) uses.
     """
     base = np.asarray(base_tuple, dtype=float)
     params = SystemParams.pure(s, k)
@@ -556,13 +560,13 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
             raise NonConvergedError(f"series estimate not converged at n={n}")
         if not integral.converged:
             raise NonConvergedError(f"integral estimate not converged at n={n}")
-        X0 = max(abs(v) ** (1.0 / j) for j, v in enumerate(n, start=1))
+        X0, mu = target_scale(n)
         w = k * (k + 1) / 2
         main = series.value * integral.value * X0 ** (s - w)
         Xd = 2.0 * X0
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
         trunc_series = sum(t.value for t in series_terms(n, params, int(d.L)))
-        mu_d = np.array([nj / Xd ** j for j, nj in enumerate(n, start=1)])
+        mu_d = mu / 2.0 ** np.arange(1, k + 1)
         trunc_integral = _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)
         t_narrow = narrow_box_integral(s, k, n, d)
         rows.append({

@@ -1,14 +1,11 @@
-"""Domain types and exact arithmetic helpers shared by every module.
+"""The system type and exact arithmetic helpers shared by every module.
 
 All lattice arithmetic (power sums, residue counts) is exact Python-integer
-arithmetic; floating point is confined to phases and integrals.  Two system
-scales coexist on :class:`Target`: ``scale_raw = max_j n_j^(1/j)`` is the
-scale the counting/main-term formulas report against, and
-``scale_dissection = 2 * scale_raw`` is the scale all arc machinery uses.
+arithmetic; floating point is confined to phases and integrals.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,126 +81,22 @@ class SystemParams:
         return 0 if self.is_pure else 1
 
 
-def _scale_raw(n):
-    best = 0.0
-    for j, nj in enumerate(n, start=1):
-        r = abs(nj) ** (1.0 / j)
-        if r > best:
-            best = r
-    return best
-
-
-@dataclass(frozen=True)
-class Target:
-    """Target vector ``n`` with its derived scales and normalized form.
-
-    ``mu`` always refers to ``mu_raw``; the doubled-scale version used by the
-    arc dissection is ``mu_dissection``.
-    """
-
-    n: tuple
-    allow_nonpositive: bool = False
-    scale_raw: float = field(init=False)
-    scale_dissection: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if len(self.n) == 0:
-            raise ValidationError("empty target")
-        if not self.allow_nonpositive and any(v < 0 for v in self.n):
-            raise ValidationError("pure-system targets must be non-negative")
-        raw = _scale_raw(self.n)
-        object.__setattr__(self, "scale_raw", raw)
-        object.__setattr__(self, "scale_dissection", 2.0 * raw)
-
-    @property
-    def k(self):
-        return len(self.n)
-
-    @property
-    def mu(self):
-        return self.mu_raw
-
-    @property
-    def mu_raw(self):
-        return self._mu(self.scale_raw)
-
-    @property
-    def mu_dissection(self):
-        return self._mu(self.scale_dissection)
-
-    def _mu(self, scale):
-        if scale == 0.0:
-            return np.zeros(self.k)
-        return np.array([nj / scale ** j for j, nj in enumerate(self.n, start=1)])
-
-
 def _target_vector(n):
-    """The entries of a target (a ``Target`` or any sequence) as Python ints."""
-    if isinstance(n, Target):
-        return list(n.n)
+    """The entries of a target sequence as Python ints."""
     return [int(v) for v in n]
 
 
-class FrequencyPoint:
-    """A point of the frequency torus ``[0,1)^k`` (or of beta-space)."""
+def target_scale(n):
+    """``X = max_j |n_j|^(1/j)`` and the normalised target ``mu_j = n_j / X^j``.
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = np.atleast_1d(np.asarray(coords, dtype=np.float64))
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("non-finite frequency")
-        self.coords = arr
-
-    def reduced(self):
-        """Coordinate-wise reduction into ``[0,1)`` (idempotent)."""
-        return FrequencyPoint(np.array([reduce_mod1(c) for c in self.coords]))
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __repr__(self):
-        return f"FrequencyPoint({self.coords.tolist()})"
-
-
-class ComplexAcc:
-    """Deterministic complex accumulator for unimodular terms.
-
-    Terms are added in call order and merges combine partials in the order
-    given, so repeated runs are bit-identical.  ``abs(value) <= count`` holds
-    whenever every added term is unimodular.
+    ``X`` is the scale the counting and main-term formulas report against;
+    ``mu`` is all zeros at ``X = 0``.
     """
-
-    __slots__ = ("re", "im", "count")
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self.count = 0
-
-    def add(self, z):
-        self.re += z.real
-        self.im += z.imag
-        self.count += 1
-
-    def add_phase(self, t):
-        self.re += math.cos(TWO_PI * t)
-        self.im += math.sin(TWO_PI * t)
-        self.count += 1
-
-    def merge(self, other):
-        self.re += other.re
-        self.im += other.im
-        self.count += other.count
-        return self
-
-    @property
-    def value(self):
-        return complex(self.re, self.im)
+    n = _target_vector(n)
+    X = max(abs(v) ** (1.0 / j) for j, v in enumerate(n, start=1))
+    if X == 0.0:
+        return X, np.zeros(len(n))
+    return X, np.array([v / X ** j for j, v in enumerate(n, start=1)])
 
 
 TWO_PI = 2.0 * math.pi

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import INT64_SAFE, Target, _target_vector
+from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
 from .expsums import complete_sum, gl_panels, oscillatory_integral, tensor_integral
 from .kernels import conv_mod
@@ -51,6 +51,7 @@ class SeriesTerm:
 SERIES_GRID_CELLS_MAX = 8_000_000  # numerator cells q^k of one series term
 RESIDUE_CELLS_MAX = 3_000_000_000  # residue cells m^(k+1) of one count mod m
 QUADRATURE_TOL = 5e-3  # error estimate below which the quadrature converges
+FIT_FLOOR = 1e-12  # |A(q)| at or below this is rounding noise, not fitted
 
 # ---------------------------------------------------------------------------
 # series terms A(q)
@@ -182,7 +183,12 @@ def series_terms(n, params, Q_max):
 
 
 def singular_series_qsum(n, params, Q_max=None, tol=0.02):
-    """Truncated modulus sum for the series, with an empirical tail fit."""
+    """Truncated modulus sum for the series, with an empirical tail fit.
+
+    The tail is a power law fitted to ``|A(q)|`` for ``q > max(4, Q_max // 4)``,
+    leaving out the terms with ``|A(q)| <= FIT_FLOOR``: those vanish in exact
+    arithmetic, and their values are rounding noise.
+    """
     if Q_max is None:
         Q_max = 50 if params.k == 2 else 30
     terms = series_terms(n, params, Q_max)
@@ -191,8 +197,9 @@ def singular_series_qsum(n, params, Q_max=None, tol=0.02):
     for t in terms:
         value += t.value
         partials.append(value)
-    qs = [t.q for t in terms if t.q > max(4, Q_max // 4)]
-    amps = [abs(t.value) for t in terms if t.q > max(4, Q_max // 4)]
+    fitted = [t for t in terms if t.q > max(4, Q_max // 4) and abs(t.value) > FIT_FLOOR]
+    qs = [t.q for t in fitted]
+    amps = [abs(t.value) for t in fitted]
     tail, fit = _fit_power_tail(qs, amps, Q_max)
     threshold_ok = params.s > params.k * (params.k + 1) / 2 + 2
     imag = max(abs(t.imag) for t in terms)
@@ -378,7 +385,7 @@ def singular_integral_quadrature(n, params, B=None):
     s, k = params.s, params.k
     if B is None:
         B = 48.0 if k <= 2 else 6.0
-    mu = Target(_target_vector(n), allow_nonpositive=True).mu_raw
+    _, mu = target_scale(n)
     coarse = _integral_once(mu, s, B, panel_scale=1.0)
     fine = _integral_once(mu, s, B, panel_scale=1.5)
     half_box = _integral_once(mu, s, B / 2, panel_scale=1.5)
@@ -404,7 +411,7 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     with a binomial confidence half-width; a second run at ``eta/2`` is
     reported to expose the eta-bias.
     """
-    mu = Target(_target_vector(n), allow_nonpositive=True).mu_raw
+    _, mu = target_scale(n)
     s, k = params.s, params.k
     if not params.is_pure:
         raise ValidationError("volume oracle is defined for the pure system")
@@ -459,7 +466,7 @@ def main_term(n, params, series, integral):
         raise NonConvergedError("singular series estimate not converged")
     if not integral.converged:
         raise NonConvergedError("singular integral estimate not converged")
-    scale = Target(_target_vector(n), allow_nonpositive=True).scale_raw
+    scale, _ = target_scale(n)
     expo = params.s - params.k * (params.k + 1) / 2
     power = scale ** expo
     value = series.value * integral.value * power

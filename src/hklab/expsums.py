@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .core import FrequencyPoint, reduce_mod1, unit_phase
+from .core import reduce_mod1, unit_phase
 from .errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
 from .kernels import mul_mod1, phase_poly_sums
 
@@ -27,36 +27,10 @@ PHASE_TERMS_MAX = 200_000_000  # terms (points times range) of one Weyl-sum batc
 
 
 def _coords(alpha):
-    if isinstance(alpha, FrequencyPoint):
-        arr = alpha.coords
-    else:
-        arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite frequency")
     return arr
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """Rational frequency center ``a / q`` with integer numerator vector."""
-
-    q: int
-    a: tuple
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError("modulus must be positive")
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
-        if any(v < 0 or v > self.q for v in self.a):
-            raise ValidationError("numerators must lie in [0, q]")
-
-    @property
-    def primitive(self):
-        return math.gcd(self.q, *self.a) == 1
-
-    @property
-    def coords(self):
-        return np.array([v / self.q for v in self.a])
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +67,6 @@ def direct_weyl_sum(alpha, X):
 
 def complete_sum(q, a):
     """``S(q, a) = sum_{r=1}^{q} e_q(a_1 r + ... + a_k r^k)`` (exact residues)."""
-    if isinstance(q, RationalPoint):
-        q, a = q.q, q.a
     q = int(q)
     if q < 1:
         raise ValidationError("modulus must be positive")
@@ -258,23 +230,26 @@ def kernel_sum(gamma, X):
 def verify_shift_reindex(alpha, X, y):
     """Absolute discrepancy of the reindexing identity under an integer shift.
 
-    The reindexed sum is evaluated term by term through an independent code
-    path, so a zero discrepancy is meaningful.
+    ``weyl_sum(alpha, X)`` is compared with ``sum_{y <= x <= X+y} e(psi(x - y))``,
+    evaluated term by term in ``x`` through the binomial expansion
+    ``psi(x - y) = sum_l d_l x^l``, ``d_l = sum_j alpha_j C(j, l) (-y)^(j-l)``:
+    an independent code path, so a zero discrepancy is meaningful.
     """
     a = _coords(alpha)
     X = int(X)
     y = int(y)
     if not (0 <= y <= X):
         raise ValidationError("shift must satisfy 0 <= y <= X")
-    lhs = weyl_sum(a, X)
+    k = len(a)
+    d = [sum(a[j - 1] * comb(j, l) * (-y) ** (j - l) for j in range(max(l, 1), k + 1))
+         for l in range(k + 1)]
     acc = 0j
     for x in range(y, X + y + 1):
-        u = x - y
         t = 0.0
-        for j, c in enumerate(a, start=1):
-            t += reduce_mod1(c * float(u) ** j)
+        for l, c in enumerate(d):
+            t += reduce_mod1(c * float(x) ** l)
         acc += unit_phase(t)
-    return abs(lhs - acc)
+    return abs(weyl_sum(a, X) - acc)
 
 
 def verify_resolution_identity(alpha, X, y, N, allow_alias=False):

@@ -20,9 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _target_vector
+from .core import _target_vector, target_scale
 from .errors import ValidationError
 from .streams import substream
+
+FRONTIER_CAP = 4096    # p-adic candidates kept per depth, smallest minor valuation first
+REAL_RESTARTS = 32     # seeded Newton restarts of the real search
+NEWTON_STEPS = 60      # Newton iterations per restart
+DISTINCT_RTOL = 1e-6   # relative gap that separates two real coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +156,6 @@ class PadicResult:
     reason: str = ""
 
 
-def default_depth_max(p, k):
-    """Deep enough to certify the small primes where singularity concentrates."""
-    return 2 * (1 + int(math.log(k, p))) + 3
-
-
-def _det_int(M):
-    k = len(M)
-    if k == 1:
-        return M[0][0]
-    if k == 2:
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    total = 0
-    for perm in itertools.permutations(range(k)):
-        sign = 1
-        seen = list(perm)
-        # parity via inversion count (k is small)
-        inv = sum(1 for i in range(k) for j in range(i + 1, k) if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        prod = 1
-        for i in range(k):
-            prod *= M[i][perm[i]]
-        total += sign * prod
-    return total
-
-
 def _valuation(v, p, cap):
     if v == 0:
         return cap
@@ -187,13 +167,19 @@ def _valuation(v, p, cap):
 
 
 def minor_valuation(x, k, p, cap):
-    """Minimal p-adic valuation over all k-by-k Jacobian minors (capped)."""
-    M = jacobian_matrix(x, k)
-    s = len(x)
+    """Minimal p-adic valuation over all k-by-k Jacobian minors (capped).
+
+    The minor on columns ``i_1 < ... < i_k`` is the scaled Vandermonde
+    ``k! * prod_{a<b} (x_{i_b} - x_{i_a})``, so its valuation is ``v_p(k!)``
+    plus the valuations of the pairwise differences (``cap`` for a zero one).
+    """
+    x = [int(v) for v in x]
+    base = _valuation(math.factorial(k), p, cap)
+    pair = {(i, l): _valuation(x[l] - x[i], p, cap)
+            for i, l in itertools.combinations(range(len(x)), 2)}
     best = cap
-    for cols in itertools.combinations(range(s), k):
-        sub = [[M[j][i] for i in cols] for j in range(k)]
-        best = min(best, _valuation(_det_int(sub), p, cap))
+    for cols in itertools.combinations(range(len(x)), k):
+        best = min(best, base + sum(pair[il] for il in itertools.combinations(cols, 2)))
         if best == 0:
             break
     return best
@@ -245,7 +231,7 @@ def _solve_affine_mod_p(J, r, p):
     return part, basis
 
 
-def padic_witness(n, s, p, depth_max=None, budget=2_000_000, frontier_cap=4096):
+def padic_witness(n, s, p, budget=2_000_000):
     """Search for a primitive residue solution certified to lift p-adically.
 
     Iterative deepening over depth gamma: level-1 solutions come from direct
@@ -255,11 +241,12 @@ def padic_witness(n, s, p, depth_max=None, budget=2_000_000, frontier_cap=4096):
     is kept at the candidates with the smallest minor valuation (the ones a
     certificate can come from); ``not_found`` is only reported when the tree
     emptied without any such pruning, so it remains a proof of emptiness.
+    The search stops at depth ``2 (1 + floor(log_p k)) + 3``, deep enough to
+    certify the small primes where singularity concentrates.
     """
     n = _target_vector(n)
     k = len(n)
-    if depth_max is None:
-        depth_max = default_depth_max(p, k)
+    depth_max = 2 * (1 + int(math.log(k, p))) + 3
     work = 0
 
     # depth 1: enumerate solutions mod p
@@ -303,9 +290,9 @@ def padic_witness(n, s, p, depth_max=None, budget=2_000_000, frontier_cap=4096):
             taus.append(tau)
         if gamma == depth_max:
             break
-        if len(frontier) > frontier_cap:
+        if len(frontier) > FRONTIER_CAP:
             order = sorted(range(len(frontier)), key=lambda i: (taus[i], i))
-            frontier = [frontier[i] for i in order[:frontier_cap]]
+            frontier = [frontier[i] for i in order[:FRONTIER_CAP]]
             pruned = True
         new_frontier = []
         for x in frontier:
@@ -353,22 +340,10 @@ def _refine(x, n, s, k, p, mod):
     return kids
 
 
-def lift_witness(result, n, s, extra_depth=1):
-    """Extend a found witness by ``extra_depth`` levels; returns refinements."""
+def lift_witness(result, n, s):
+    """Refinements of a found witness one level deeper."""
     n = _target_vector(n)
-    k = len(n)
-    p = result.p
-    mod = p ** result.depth
-    current = [result.witness]
-    for _ in range(extra_depth):
-        nxt = []
-        for x in current:
-            nxt.extend(_refine(x, n, s, k, p, mod))
-        if not nxt:
-            return []
-        current = nxt
-        mod *= p
-    return current
+    return _refine(result.witness, n, s, len(n), result.p, result.p ** result.depth)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +361,7 @@ class RealResult:
     reason: str = ""
 
 
-def real_witness(n, s, restarts=32, seed=0, newton_steps=60):
+def real_witness(n, s, seed=0):
     """Newton search for a positive solution with full-rank Jacobian.
 
     The square subsystem fixes ``s - k`` coordinates at perturbed equal-split
@@ -401,14 +376,13 @@ def real_witness(n, s, restarts=32, seed=0, newton_steps=60):
     ok, _ = holder_necessary(n, s)
     if not ok:
         return RealResult("not_found", reason="power-mean necessity fails")
-    scale = max(abs(v) ** (1.0 / j) for j, v in enumerate(n, start=1))
+    scale, mu = target_scale(n)
     if scale == 0:
         return RealResult("not_found", reason="zero target has no positive solution")
-    mu = np.array([v / scale ** j for j, v in enumerate(n, start=1)])
     tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
     base = max(mu[0] / s, 1e-3)
     best_singular = None
-    for restart in range(restarts):
+    for restart in range(REAL_RESTARTS):
         rng = substream(seed, restart)
         z = np.full(s, base)
         if restart > 0:  # restart 0 probes the exact equal-split point
@@ -416,7 +390,7 @@ def real_witness(n, s, restarts=32, seed=0, newton_steps=60):
         fixed = z[: s - k].copy()
         free = z[s - k:].copy()
         converged = False
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             full = np.concatenate([fixed, free])
             F = np.array([np.sum(full ** j) - mu[j - 1] for j in range(1, k + 1)])
             if np.max(np.abs(F)) <= tol:
@@ -456,10 +430,10 @@ def real_witness(n, s, restarts=32, seed=0, newton_steps=60):
     return RealResult("not_found", reason="all restarts failed to converge")
 
 
-def _distinct_count(v, rtol=1e-6):
+def _distinct_count(v):
     vs = np.sort(np.asarray(v, dtype=float))
     scale = max(1.0, float(np.max(np.abs(vs))))
-    return 1 + int(np.sum(np.diff(vs) > rtol * scale))
+    return 1 + int(np.sum(np.diff(vs) > DISTINCT_RTOL * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +465,7 @@ class SolubilityReport:
         return json.dumps(out, sort_keys=True, default=str, **kwargs)
 
 
-def solubility_report(n, s, primes=None, seed=0, depth_max=None, budget=2_000_000):
+def solubility_report(n, s, primes=None, seed=0, budget=2_000_000):
     """Run every local test and consolidate the verdict.
 
     Verdict is ``insoluble`` when a hard necessary condition fails (power
@@ -514,7 +488,7 @@ def solubility_report(n, s, primes=None, seed=0, depth_max=None, budget=2_000_00
     insoluble = not (holder_ok and fermat_ok)
     all_found = True
     for p in primes:
-        r = padic_witness(n, s, p, depth_max=depth_max, budget=budget)
+        r = padic_witness(n, s, p, budget=budget)
         padic[p] = r
         if r.status == "not_found":
             insoluble = True

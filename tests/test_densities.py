@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hklab import densities
-from hklab.core import SystemParams, Target
+from hklab.core import SystemParams, target_scale
 from hklab.densities import (
     DensityEstimate,
     complete_sum_all,
@@ -110,6 +110,17 @@ def test_qsum_assembles_terms_from_prime_powers(monkeypatch):
     assert [q for q, _ in est.detail["terms"]] == list(range(1, 257))
     for q, value in est.detail["terms"]:
         assert abs(value - series_term(q, n, P62).value) <= 1e-15, q
+
+
+def test_qsum_tail_fit_leaves_out_rounding_noise():
+    # 90 of the 192 terms with q > 64 vanish in exact arithmetic and sit at
+    # rounding level; fitted with them the exponent read -3.31 and the tail
+    # 1.4e-11, without them the terms decay like q^-2
+    est = singular_series_qsum([139, 4643], P62, Q_max=256)
+    tail = [abs(v) for q, v in est.detail["terms"] if q > 64]
+    assert sum(a <= 1e-12 for a in tail) == 90
+    assert abs(est.detail["tail_fit"]["b"] + 2.0) < 0.01
+    assert 7e-3 < est.error_estimate < 8.5e-3
 
 
 def test_qsum_rejects_qmax_below_one():
@@ -343,7 +354,7 @@ def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
     """Hit count of one oracle run, testing every power on every row."""
     from hklab.streams import substream
 
-    mu = Target(n, allow_nonpositive=True).mu_raw
+    _, mu = target_scale(n)
     rng = substream(seed, stream)
     hits = done = 0
     while done < samples:

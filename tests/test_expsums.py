@@ -10,7 +10,6 @@ from hklab.circle import lattice_representation_integral
 from hklab.densities import _integral_once
 from hklab.errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
 from hklab.expsums import (
-    RationalPoint,
     ShiftPolynomials,
     complete_sum,
     direct_weyl_sum,
@@ -109,16 +108,6 @@ def test_complete_sum_trivial_bound():
         q = int(rng.integers(1, 30))
         a = [int(v) for v in rng.integers(0, q + 1, size=3)]
         assert abs(complete_sum(q, a)) <= q + 1e-9
-
-
-def test_rational_point():
-    rp = RationalPoint(6, (2, 3))
-    assert rp.primitive
-    assert not RationalPoint(6, (2, 4)).primitive
-    with pytest.raises(ValidationError):
-        RationalPoint(0, (1,))
-    with pytest.raises(ValidationError):
-        RationalPoint(3, (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +272,18 @@ def test_kernel_sum_geometric():
 
 def test_shift_reindex_zero_shift_exact():
     assert verify_shift_reindex([0.291, 0.77], 10, 0) < 1e-12
+
+
+def test_shift_reindex_undoes_a_positive_shift():
+    # the shifted range read at psi(x) instead of psi(x - y) is far off, so
+    # only the expanded polynomial passes
+    alpha = np.array([0.291, 0.77, 0.113])
+    X = 20
+    for y in (1, 6, 20):
+        assert verify_shift_reindex(alpha, X, y) <= 1e-9 * (X + 1)
+        unshifted = sum(np.exp(2j * np.pi * sum(c * x ** j for j, c in enumerate(alpha, 1)))
+                        for x in range(y, X + y + 1))
+        assert abs(unshifted - weyl_sum(alpha, X)) > 1e-3
 
 
 def test_shift_reindex_more_instances():

@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 from hklab.core import SystemParams
 from hklab.local import (
     fermat_congruences,
     holder_necessary,
+    jacobian_matrix,
     jacobian_rank,
     lift_witness,
     minor_valuation,
@@ -129,6 +131,46 @@ def test_minor_valuation_planted():
     assert minor_valuation([3, 3, 3], 2, 2, cap=5) == 5
     # distinct residues mod 7: some minor is a unit
     assert minor_valuation([1, 2, 4], 2, 7, cap=5) == 0
+
+
+def _det(M):
+    """Exact determinant by Fraction elimination."""
+    A = [[Fraction(v) for v in row] for row in M]
+    det = Fraction(1)
+    for c in range(len(A)):
+        piv = next((r for r in range(c, len(A)) if A[r][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            f = A[r][c] / A[c][c]
+            A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+    return int(det)
+
+
+def test_minor_valuation_matches_determinants():
+    # the minimum over every k-by-k minor of the Jacobian, each minor's
+    # valuation read off its determinant
+    rng = random.Random(17)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        s = rng.randint(k, 6)
+        p = rng.choice([2, 3, 5, 7])
+        cap = rng.randint(1, 8)
+        x = [rng.randint(0, 40) for _ in range(s)]
+        M = jacobian_matrix(x, k)
+        want = cap
+        for cols in itertools.combinations(range(s), k):
+            d = _det([[row[i] for i in cols] for row in M])
+            v = 0
+            while d != 0 and d % p == 0 and v < cap:
+                d //= p
+                v += 1
+            want = min(want, cap if d == 0 else v)
+        assert minor_valuation(x, k, p, cap) == want, (x, k, p, cap)
 
 
 def test_real_witness_plant_and_recover():
