@@ -567,7 +567,7 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
         trunc_series = sum(t.value for t in series_terms(n, params, int(d.L)))
         mu_d = mu / 2.0 ** np.arange(1, k + 1)
-        trunc_integral = _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)
+        trunc_integral, _ = _integral_once(mu_d, s, max(d.L, 1.0), panel_scale=4.0)
         t_narrow = narrow_box_integral(s, k, n, d)
         rows.append({
             "scale": scale, "n": n, "A": A, "X0": X0,

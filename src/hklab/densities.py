@@ -190,7 +190,7 @@ def singular_series_qsum(n, params, Q_max=None, tol=0.02):
     arithmetic, and their values are rounding noise.
     """
     if Q_max is None:
-        Q_max = 50 if params.k == 2 else 30
+        Q_max = 100 if params.k == 2 else 30
     terms = series_terms(n, params, Q_max)
     value = 0.0
     partials = []
@@ -336,16 +336,47 @@ def singular_series_euler(n, params, p_max=13, tol=1e-9, modulus_cap=1024):
 # singular integral
 # ---------------------------------------------------------------------------
 
-def _integral_once(mu, s, B, panel_scale):
+GAMMA_PANELS_MIN = 8  # floor of the gamma rule for small boxes
+
+
+def gamma_rule(k, B):
+    """Gauss-Legendre nodes and weights on ``[0, 1]`` for ``I(beta; 1)``, ``|beta_j| <= B``.
+
+    The phase ``sum_j beta_j g^j`` turns at ``sum_j j beta_j g^(j-1)``, at
+    most ``B k(k+1)/2`` cycles per unit of ``g``, so one 8-node panel per
+    cycle of that bound: the 8-node error on a panel of phase width
+    ``2 pi`` is about 1e-10 of the panel's weight (Davis and Rabinowitz,
+    *Methods of Numerical Integration*, 2nd ed., 1984, section 2.7), and
+    most of the box turns far slower.
+    """
+    return gl_panels(0.0, 1.0, max(GAMMA_PANELS_MIN, math.ceil(B * k * (k + 1) / 2)))
+
+
+def _integral_once(mu, s, B, panel_scale, half_box=False):
+    """Box quadrature of ``J(mu)`` over ``|beta_j| <= B``; also returns the grid's node counts.
+
+    With ``half_box`` the value is the pair (box, half box): every beta
+    panel count is rounded up to a multiple of 4, so ``0`` and ``+-B/2``
+    are panel edges, and the half box ``|beta_j| <= B/2`` is the same
+    ``T^s`` contracted with the weights zeroed outside it.  The node counts
+    are the gamma nodes and then each beta axis after the fold.
+    """
     k = len(mu)
-    axes = [gl_panels(-B, B, max(4, int(math.ceil(panel_scale * B * (1.0 + abs(m))))))
-            for m in mu]
+    step = 4 if half_box else 1
+    axes = []
+    for m in mu:
+        panels = max(4, math.ceil(panel_scale * B * (1.0 + abs(m))))
+        v, w = gl_panels(-B, B, -(-panels // step) * step)
+        if half_box:
+            w = np.stack([w, np.where(np.abs(v) <= B / 2, w, 0.0)])
+        axes.append((v, w))
     # I(-beta) = conj I(beta) and every axis is symmetric with no node at 0,
     # so the beta_1 < 0 cells are the conjugates of the beta_1 > 0 cells
     v1, w1 = axes[0]
-    axes[0] = (v1[v1 > 0], 2.0 * w1[v1 > 0])
-    gamma, gamma_weights = gl_panels(0.0, 1.0, int(math.ceil(4 * (k * B + 1))))
-    return tensor_integral(gamma, gamma_weights, axes, s, mu).real
+    axes[0] = (v1[v1 > 0], 2.0 * w1[..., v1 > 0])
+    gamma, gamma_weights = gamma_rule(k, B)
+    value = tensor_integral(gamma, gamma_weights, axes, s, mu).real
+    return value, [len(gamma)] + [len(v) for v, _ in axes]
 
 
 def _l1_tail_bound(mu, s, B):
@@ -377,18 +408,23 @@ def singular_integral_quadrature(n, params, B=None):
     ``imag_diagnostic`` is 0; the tests check the symmetry against the
     full grid.
 
-    Error estimate = panel-doubling difference + box-doubling difference
-    (both empirical); the provable union-bound tail goes to ``detail``.
-    Converged when the estimate is below ``QUADRATURE_TOL`` or 5% of the
-    value.
+    Two grids per call share one gamma rule (:func:`gamma_rule`): a coarse
+    grid of ``B (1 + |mu_j|)`` beta panels per axis and a fine grid of 1.5
+    times as many, rounded up to a multiple of 4.  The value is the fine
+    grid's; the half-box estimate is a slice of the fine grid.
+
+    Error estimate = panel-refinement difference (coarse against fine) +
+    box-halving difference (fine against its half box), both empirical; the
+    provable union-bound tail goes to ``detail``, and so do the node counts
+    of both grids.  Converged when the estimate is below ``QUADRATURE_TOL``
+    or 5% of the value.
     """
     s, k = params.s, params.k
     if B is None:
         B = 48.0 if k <= 2 else 6.0
     _, mu = target_scale(n)
-    coarse = _integral_once(mu, s, B, panel_scale=1.0)
-    fine = _integral_once(mu, s, B, panel_scale=1.5)
-    half_box = _integral_once(mu, s, B / 2, panel_scale=1.5)
+    coarse, coarse_nodes = _integral_once(mu, s, B, panel_scale=1.0)
+    (fine, half_box), fine_nodes = _integral_once(mu, s, B, panel_scale=1.5, half_box=True)
     quad_err = abs(fine - coarse)
     box_err = abs(fine - half_box)
     err = quad_err + box_err
@@ -400,7 +436,10 @@ def singular_integral_quadrature(n, params, B=None):
         converged=bool(converged),
         detail={"quad_err": float(quad_err), "box_err": float(box_err),
                 "l1_tail_bound": float(_l1_tail_bound(mu, s, B)),
-                "B": B, "scale": "raw"},
+                "B": B, "scale": "raw",
+                "grid": {"gamma_nodes": coarse_nodes[0],
+                         "coarse_beta_nodes": coarse_nodes[1:],
+                         "fine_beta_nodes": fine_nodes[1:]}},
     )
 
 

@@ -102,18 +102,28 @@ class OscillatoryIntegral:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# leggauss is symmetric only to rounding; make the mirror exact
+_GL_NODES = 0.5 * (_GL_NODES - _GL_NODES[::-1])
+_GL_WEIGHTS = 0.5 * (_GL_WEIGHTS + _GL_WEIGHTS[::-1])
 
 # Cells (complex128, 16 bytes each) that a tensor grid, or the contraction
 # intermediate behind it, may hold: 2^25 cells is 512 MiB per array.  The
 # largest default grid, the fine pass of the k = 3 singular integral at
-# B = 6, folds its 144 beta_1 nodes to 72 and so needs 608 gamma nodes times
-# 72 x 80 cells on the planted s = 12 target, about 3.5e6.
+# B = 6, folds its 144 beta_1 nodes to 72 and so needs 288 gamma nodes times
+# 72 x 80 cells on the planted s = 12 target, about 1.7e6.
 TENSOR_CELLS_MAX = 1 << 25
 
 
 def gl_panels(lo, hi, panels):
-    """Nodes and weights of the composite 8-node Gauss-Legendre rule on ``[lo, hi]``."""
+    """Nodes and weights of the composite 8-node Gauss-Legendre rule on ``[lo, hi]``.
+
+    On a symmetric interval (``lo == -hi``) the nodes are exactly mirrored,
+    ``nodes == -nodes[::-1]``, and so are the weights, which lets
+    :func:`phase_tensor` exponentiate half of such an axis.
+    """
     edges = np.linspace(lo, hi, panels + 1)
+    if lo == -hi:
+        edges = 0.5 * (edges - edges[::-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -142,13 +152,20 @@ def phase_tensor(points, weights, axis_values):
              and float(np.max(np.abs(points))) ** len(sizes) < 2.0 ** 53)
 
     def phases(j, v):
+        # an exactly mirrored axis has e(g^j (-v)) = conj e(g^j v): exponentiate
+        # its non-negative half and conjugate that into the mirror
+        m = len(v) // 2 if np.array_equal(v, -v[::-1]) else 0
         if exact:
             power = (points.astype(np.int64) ** j).astype(np.float64)
-            theta = mul_mod1(v[None, :], power[:, None])
+            theta = mul_mod1(v[None, m:], power[:, None])
         else:
-            theta = np.outer(points ** j, v)
-        mat = theta * (2j * np.pi)
-        return np.exp(mat, out=mat)
+            theta = np.outer(points ** j, v[m:])
+        mat = np.empty((len(points), len(v)), dtype=complex)
+        half = mat[:, m:]
+        np.multiply(theta, 2j * np.pi, out=half)
+        np.exp(half, out=half)
+        np.conjugate(mat[:, len(v) - m:][:, ::-1], out=mat[:, :m])
+        return mat
 
     # weights ride on the last axis: at k = 2 the first matrix is the intermediate
     head = np.ones((len(points), 1))
@@ -163,15 +180,24 @@ def phase_tensor(points, weights, axis_values):
 def tensor_integral(points, weights, axes, s, targets):
     """``sum_cells T^s prod_j w_j e(-t_j v_j)`` with ``T = phase_tensor(points, weights, v)``.
 
-    ``axes[j-1] = (v_j, w_j)`` are axis values and weights.  ``T^s`` is taken
-    in place and contracted one axis at a time by matrix-vector products, so
-    ``T`` is the only array of grid size.
+    ``axes[j-1] = (v_j, w_j)`` are axis values and weights.  ``w_j`` may also
+    be a stack of ``r`` weight rows, shape ``(r, len(v_j))``, broadcast
+    against the other axes' weights: the result is then the array of the
+    ``r`` sums, all contracted from one ``T^s`` (a sub-box is the weights
+    zeroed outside it).  ``T^s`` is taken in place and contracted one axis at
+    a time, so ``T`` is the only array of grid size.
     """
     T = phase_tensor(points, weights, [v for v, _ in axes])
     np.power(T, s, out=T)
-    for (v, w), t in zip(reversed(axes), reversed(targets)):
-        T = T @ (np.exp(-2j * np.pi * t * v) * w)
-    return complex(T)
+    factors = [np.atleast_2d(np.exp(-2j * np.pi * t * v) * np.asarray(w))
+               for (v, w), t in zip(axes, targets)]
+    rows = max(len(f) for f in factors)
+    factors = [np.broadcast_to(f, (rows, f.shape[-1])) for f in factors]
+    # the last axis against every weight row at once, then each row on its own
+    T = T @ factors[-1].T
+    for f in reversed(factors[:-1]):
+        T = np.einsum("...ir,ri->...r", T, f)
+    return T if any(np.ndim(w) > 1 for _, w in axes) else complex(T[0])
 
 
 def _osc_quad(beta, X, panels):

@@ -131,6 +131,22 @@ def test_densities_qmax_zero_is_validation_error(capsys):
     assert code == EXIT_VALIDATION and "Q_max" in err
 
 
+def test_densities_qsum_default_gives_main_term(tmp_path, capsys):
+    # the k = 2 default Q_max = 100 meets the default tail tolerance 0.02
+    out_path = tmp_path / "dens.json"
+    code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2",
+                         "--n", "96,1934", "--method", "qsum", "--integral",
+                         "--out", str(out_path))
+    assert code == EXIT_OK
+    data = json.loads(out_path.read_text())
+    assert data["series_qsum"]["converged"] is True
+    assert data["series_qsum"]["method"] == "TruncatedSum{Q_max=100}"
+    assert "main_term_error" not in data and data["main_term"]["value"] > 0
+    grid = data["integral"]["detail"]["grid"]
+    assert grid["gamma_nodes"] == 8 * 48 * 3
+    assert len(grid["coarse_beta_nodes"]) == len(grid["fine_beta_nodes"]) == 2
+
+
 def test_densities_tol_reaches_both_routes(tmp_path, capsys):
     out_path = tmp_path / "dens.json"
     code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2",

@@ -21,7 +21,7 @@ from hklab.densities import (
     solution_count_mod,
 )
 from hklab.errors import BudgetExceededError, NonConvergedError, ValidationError
-from hklab.expsums import complete_sum, gl_panels, phase_tensor
+from hklab.expsums import complete_sum, gl_panels, phase_tensor, tensor_integral
 from hklab.local import small_primes
 
 P62 = SystemParams.pure(6, 2)
@@ -323,10 +323,67 @@ def test_integral_halfspace_symmetry():
 
 def test_integral_k4_default_box_over_grid_cap():
     # 48 folded beta_1 nodes and 56 on each other axis at the coarse pass:
-    # the gamma contraction, 800 x 48 x 56 x 56 cells, alone would pass the
+    # the gamma contraction, 480 x 48 x 56 x 56 cells, alone would pass the
     # cell cap, so the quadrature stops before allocating
     with pytest.raises(BudgetExceededError):
         singular_integral_quadrature([40, 200, 1000, 5000], SystemParams.pure(20, 4))
+
+
+def _fine_axes(mu, B, box=1.0):
+    # the folded fine grid of densities._integral_once: 1.5 B (1 + |mu_j|)
+    # panels rounded up to a multiple of 4, cut down to |beta_j| <= box B
+    axes = []
+    for m in mu:
+        panels = 4 * math.ceil(max(4, math.ceil(1.5 * B * (1.0 + abs(m)))) / 4)
+        axes.append(gl_panels(-box * B, box * B, round(box * panels)))
+    v1, w1 = axes[0]
+    axes[0] = (v1[v1 > 0], 2.0 * w1[v1 > 0])
+    return axes
+
+
+_X9 = [round(9 * i / 12) for i in range(1, 13)]
+_GAMMA_CASES = [
+    ([50], 2, 20.0),                                       # k = 1
+    ([50], 2, 60.0),
+    ([139, 4643], 6, 48.0),                                # seed-1 benchmark targets
+    ([126, 3962], 6, 48.0),
+    ([sum(v ** j for v in _X9) for j in (1, 2, 3)], 12, 6.0),  # k = 3, planted X = 9
+]
+
+
+@pytest.mark.parametrize("n,s,B", _GAMMA_CASES)
+def test_gamma_rule_matches_doubled_gamma_grid(n, s, B):
+    # one gamma panel per cycle of the largest local frequency B k(k+1)/2
+    # against twice that many panels, on the fine beta grid
+    _, mu = target_scale(n)
+    k = len(mu)
+    axes = _fine_axes(mu, B)
+    value = tensor_integral(*densities.gamma_rule(k, B), axes, s, mu).real
+    doubled = gl_panels(0.0, 1.0, 2 * math.ceil(B * k * (k + 1) / 2))
+    ref = tensor_integral(*doubled, axes, s, mu).real
+    assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("n,s,B", [_GAMMA_CASES[0], _GAMMA_CASES[2], _GAMMA_CASES[4]])
+def test_integral_half_box_is_a_slice_of_the_fine_grid(n, s, B):
+    # the half box read off the fine grid's T^s against a separate pass over
+    # |beta_j| <= B/2 with the same gamma rule and panel density
+    _, mu = target_scale(n)
+    k = len(mu)
+    (fine, half), nodes = densities._integral_once(mu, s, B, 1.5, half_box=True)
+    ref = tensor_integral(*densities.gamma_rule(k, B), _fine_axes(mu, B, 0.5), s, mu).real
+    assert abs(half - ref) <= 1e-12 * abs(ref)
+    assert nodes == [len(densities.gamma_rule(k, B)[0])] + [len(v) for v, _ in _fine_axes(mu, B)]
+
+
+def test_integral_detail_records_both_grids():
+    est = singular_integral_quadrature([139, 4643], P62)
+    # mu = (1, 0.24); gamma: 48 * 3 panels; beta: B (1 + |mu_j|) panels, 1.5
+    # times as many rounded up to a multiple of 4 on the fine grid, beta_1
+    # folded to its positive half
+    assert est.detail["grid"] == {"gamma_nodes": 1152,
+                                  "coarse_beta_nodes": [384, 480],
+                                  "fine_beta_nodes": [576, 736]}
 
 
 def test_integral_planted_positive_and_converged():

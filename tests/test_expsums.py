@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hklab.circle import lattice_representation_integral
-from hklab.densities import _integral_once
+from hklab.densities import _integral_once, gamma_rule
 from hklab.errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
 from hklab.expsums import (
     ShiftPolynomials,
@@ -159,6 +159,26 @@ def test_gl_panels_exact_on_degree_15():
     assert abs(np.sum(weights * nodes ** 15) - exact) <= 1e-12 * exact
 
 
+@pytest.mark.parametrize("B,panels", [(48.0, 216), (48.0, 215), (6.0, 7), (2.5, 1)])
+def test_gl_panels_symmetric_interval_mirrors_exactly(B, panels):
+    nodes, weights = gl_panels(-B, B, panels)
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert not np.any(nodes == 0)
+
+
+def test_phase_tensor_mirrored_axes_match_full_exponentials():
+    # both axes are exactly mirrored (even and odd length), so only their
+    # non-negative halves are exponentiated; the reference exponentiates all
+    g, w = gl_panels(0.0, 1.0, 12)
+    v1 = gl_panels(-3.0, 3.0, 4)[0]
+    v2 = np.concatenate([v1[:5], [0.0], v1[-5:]])
+    grid = phase_tensor(g, w, [v1, v2])
+    ref = np.einsum("g,gi,gj->ij", w, np.exp(2j * np.pi * np.outer(g, v1)),
+                    np.exp(2j * np.pi * np.outer(g ** 2, v2)))
+    assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_phase_tensor_weyl_grid_matches_batch(k):
     # integer points with unit weights: every cell is a Weyl sum, and the
@@ -225,9 +245,8 @@ def test_integral_fold_matches_full_beta_grid(mu, s, B):
     # the full grid of densities._integral_once at panel_scale 1
     k = len(mu)
     axes = [gl_panels(-B, B, max(4, math.ceil(B * (1.0 + abs(m))))) for m in mu]
-    gamma, gamma_w = gl_panels(0.0, 1.0, math.ceil(4 * (k * B + 1)))
-    full = tensor_integral(gamma, gamma_w, axes, s, mu)
-    folded = _integral_once(mu, s, B, panel_scale=1.0)
+    full = tensor_integral(*gamma_rule(k, B), axes, s, mu)
+    folded, _ = _integral_once(mu, s, B, panel_scale=1.0)
     assert abs(full.imag) < 1e-9
     assert abs(folded - full.real) <= 1e-12 * abs(full.real)
 
