@@ -30,6 +30,7 @@ from .densities import (
     singular_series_euler,
     _integral_once,
 )
+from . import expsums
 from .errors import AliasingError, NonConvergedError, ValidationError
 from .expsums import gl_panels, tensor_integral, weyl_sum_batch
 from .streams import substream
@@ -329,7 +330,8 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
     ``region="full"`` uses the exact lattice (see
     :func:`lattice_representation_integral`); 1-d regions use stratified
     Monte-Carlo over the torus with membership masking, estimating
-    ``E[f^s e(-alpha.h) 1_B]``.
+    ``E[f^s e(-alpha.h) 1_B]``.  A list of regions shares one sample pool
+    (see :func:`_region_mc`) and gives one ``(mean, halfwidth)`` per region.
     """
     if region == "full":
         return lattice_representation_integral(s, h, X, k), 0.0
@@ -340,7 +342,11 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
 
 
 def restricted_moment(t, region, X, k, samples=20000, seed=0):
-    """Estimate (exact where possible) of the restricted absolute moment."""
+    """Estimate (exact where possible) of the restricted absolute moment.
+
+    A list of regions shares one sample pool, as in
+    :func:`restricted_representation_integral`.
+    """
     if region == "full" and t % 2 == 0:
         return float(vinogradov_count(t // 2, k, X, x_min=0)), 0.0
     return _region_mc(region, X, k, samples, seed,
@@ -351,25 +357,41 @@ def _region_mc(region, X, k, samples, seed, func):
     """Stratified torus MC of ``E[func(alpha) 1_region(alpha)]``.
 
     Strata split the final coordinate; per-stratum counter-based streams make
-    the result independent of chunking/worker count.
+    the result independent of chunking/worker count.  The strata are drawn
+    into one pool and ``func`` (a phase sum over ``0..X``) is evaluated once
+    on the points that any region keeps, in row chunks within
+    ``PHASE_TERMS_MAX``.  ``region`` may be one region or a list of them:
+    each is masked on the same pool and summed per stratum in stratum
+    order, so a region's estimate does not depend on the others in the
+    list.  Returns ``(mean, halfwidth)``, or a list of them for a list.
     """
+    regions = region if isinstance(region, list) else [region]
     per = max(1, samples // STRATA)
     count = per * STRATA
-    total, totsq = 0.0 + 0.0j, 0.0
+    al = np.empty((STRATA, per, k))
     for st in range(STRATA):
-        rng = substream(seed, st)
-        al = rng.random((per, k))
-        al[:, -1] = (st + al[:, -1]) / STRATA
-        mask = region.mask_points(al)
-        vals = np.zeros(per, dtype=np.complex128)
-        if mask.any():
-            vals[mask] = func(al[mask])
-        total += vals.sum()
-        totsq += float(np.abs(vals) ** 2 @ np.ones(per))
-    mean = total / count
-    var = max(totsq / count - abs(mean) ** 2, 0.0)
-    hw = 1.96 * math.sqrt(var / count)
-    return mean, hw
+        al[st] = substream(seed, st).random((per, k))
+        al[st, :, -1] = (st + al[st, :, -1]) / STRATA
+    al = al.reshape(count, k)
+    masks = np.array([r.mask_points(al) for r in regions])
+    kept = np.flatnonzero(masks.any(axis=0))
+    pooled = np.zeros(count, dtype=np.complex128)
+    rows = max(1, expsums.PHASE_TERMS_MAX // (int(math.floor(X)) + 1))
+    for lo in range(0, kept.size, rows):
+        pooled[kept[lo:lo + rows]] = func(al[kept[lo:lo + rows]])
+    ones = np.ones(per)
+    out = []
+    for mask in masks:
+        vals = np.where(mask, pooled, 0.0).reshape(STRATA, per)
+        sq = np.abs(vals) ** 2
+        total, totsq = 0.0 + 0.0j, 0.0
+        for st in range(STRATA):
+            total += vals[st].sum()
+            totsq += float(sq[st] @ ones)
+        mean = total / count
+        var = max(totsq / count - abs(mean) ** 2, 0.0)
+        out.append((mean, 1.96 * math.sqrt(var / count)))
+    return out if isinstance(region, list) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +412,11 @@ def _minor_sup_candidates(Q_min, Q_max, k):
     ``a_j = sum_i b_ij (q/q_i) mod q`` reaches the product, since
     ``r -> (q/q_i) r`` permutes the residues mod ``q_i``.  One shared
     deterministic pool keeps the per-Q sups nested: the major-arc mask
-    removes the small denominators as Q grows.
+    removes the small denominators as Q grows.  Exactly tied maxima are
+    common, so the maximizer is the first primitive cell (in C order) within
+    a relative ``1e-9`` of the maximum, not whichever rounding favours.
     """
-    best = {}  # prime power -> primitive argmax of |S| on its grid
+    best = {}  # prime power -> first primitive near-maximizer of |S|
     cands = []
     for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1):
         a = np.zeros(k, dtype=np.int64)
@@ -400,7 +424,8 @@ def _minor_sup_candidates(Q_min, Q_max, k):
             if pe not in best:
                 S = np.abs(complete_sum_all(pe, k))
                 S[~_primitive_mask(pe, k)] = -1.0
-                best[pe] = np.array(np.unravel_index(int(np.argmax(S)), S.shape))
+                first = np.flatnonzero(S >= (1.0 - 1e-9) * S.max())[0]
+                best[pe] = np.array(np.unravel_index(first, S.shape))
             a += best[pe] * (q // pe)
         a %= q
         if a[-1] == 0:
@@ -454,17 +479,16 @@ def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0, h=None):
         fpool = np.append(fpool, cur_val)
         rows_by_Q[Q] = {"Q": Q, "sup": float(cur_val),
                         "measure_major": measure_major_1d(Q, X, k)}
-    rows = []
-    for Q in Q_list:
-        row = rows_by_Q[Q]
-        if h is not None:
-            region = MinorArcs1D(Q, X, k)
-            est, hw = restricted_representation_integral(
-                s, h, region, X, k, samples=samples * 10, seed=seed + 7)
-            w = k * (k + 1) / 2
-            row["I_restricted"] = abs(est) / float(X) ** (s - w)
-            row["I_halfwidth"] = hw / float(X) ** (s - w)
-        rows.append(row)
+    rows = [rows_by_Q[Q] for Q in Q_list]
+    if h is not None:
+        # one pool (seed + 7) serves every Q; only the minor-arc mask differs
+        restricted = restricted_representation_integral(
+            s, h, [MinorArcs1D(Q, X, k) for Q in Q_list], X, k,
+            samples=samples * 10, seed=seed + 7)
+        norm = float(X) ** (s - k * (k + 1) / 2)
+        for row, (est, hw) in zip(rows, restricted):
+            row["I_restricted"] = abs(est) / norm
+            row["I_halfwidth"] = hw / norm
     sups = np.array([r["sup"] for r in rows])
     qs = np.array(Q_list, dtype=float)
     slope = float(np.polyfit(np.log(qs), np.log(np.maximum(sups, 1e-300)), 1)[0])
@@ -486,18 +510,22 @@ def moment_majorant_experiment(s, k, X, Q_list, h, samples=60000, seed=0):
     The restricted integral itself is cancellation-dominated at desk scale,
     so its estimate is noise-limited; the reported ratios are upper-bound
     style and the acceptance check asks only for a bounded band over Q.
+    Each of the three quantities (the minor-arc integral, ``J_wide`` and
+    ``J_dilated``) has its own seed and one sample pool that its Q levels
+    share; a level's estimate is the one a single-region call would give.
     """
     rows = []
     logX = math.log(X)
-    for Q in sorted(Q_list):
-        minor = MinorArcs1D(Q, X, k)
-        dilated = MinorArcs1D(Q, X, k, dilation=s)
-        lhs, lhs_hw = restricted_representation_integral(
-            s, h, minor, X, k, samples=samples, seed=seed)
-        j1, j1_hw = restricted_moment(s + 1, minor, 2 * X, k,
-                                      samples=samples, seed=seed + 1)
-        j2, j2_hw = restricted_moment(s + 1, dilated, X, k,
-                                      samples=samples, seed=seed + 2)
+    Qs = sorted(Q_list)
+    minor = [MinorArcs1D(Q, X, k) for Q in Qs]
+    dilated = [MinorArcs1D(Q, X, k, dilation=s) for Q in Qs]
+    lhs_all = restricted_representation_integral(s, h, minor, X, k,
+                                                 samples=samples, seed=seed)
+    j1_all = restricted_moment(s + 1, minor, 2 * X, k, samples=samples,
+                               seed=seed + 1)
+    j2_all = restricted_moment(s + 1, dilated, X, k, samples=samples,
+                               seed=seed + 2)
+    for Q, (lhs, lhs_hw), (j1, j1_hw), (j2, j2_hw) in zip(Qs, lhs_all, j1_all, j2_all):
         j1 = float(np.real(j1))
         j2 = float(np.real(j2))
         if not all(math.isfinite(v) for v in (abs(lhs), j1, j2)):

@@ -3,9 +3,10 @@
 The series has two independent computational routes:
 
 * ``singular_series_qsum`` sums modulus terms ``A(q)`` built from complete
-  exponential sums over residues (exact residue arithmetic feeding a DFT,
-  with a direct small-q evaluator as the oracle), at prime powers only:
-  composite terms are products, by multiplicativity;
+  exponential sums over residues (the moment curve ``r -> (r, ..., r^k)``
+  with exact residue phases, one length-``q`` DFT along ``r`` for the
+  linear coefficient, and a direct small-q evaluator as the oracle), at
+  prime powers only: composite terms are products, by multiplicativity;
 * ``singular_series_euler`` multiplies p-adic solution densities
   ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting
   (convolution powers of residue histograms).
@@ -75,12 +76,30 @@ def prime_power_factors(q):
 
 
 def complete_sum_all(q, k):
-    """``S(q, a)`` for every ``a`` in ``[0, q)^k`` via the residue-histogram DFT."""
-    hist = np.zeros((q,) * k)
-    for r in range(1, q + 1):
-        idx = tuple(pow(r, j, q) for j in range(1, k + 1))
-        hist[idx] += 1.0
-    return np.conj(np.fft.fftn(hist))
+    """``S(q, a)`` for every ``a`` in ``[0, q)^k`` by one length-``q`` DFT pass.
+
+    ``S(q, a) = sum_r e_q(a_1 r) P[a_2..a_k, r]`` over ``r mod q``, with
+    ``P[a_2..a_k, r] = e_q(a_2 r^2 + ... + a_k r^k)``, the sum over the
+    moment curve ``r -> (r, ..., r^k)`` (Vaughan, *The Hardy-Littlewood
+    Method*, 2nd ed., ch. 4).  The residues of ``P``'s phases are exact
+    integers, summed in place in int32 from ``q x q`` products (so no
+    ``q^k`` int64 temporary), and ``P`` is gathered from one table of ``q``
+    roots of unity; an unnormalised inverse DFT along ``r`` then gives
+    ``a_1``, which is moved to the front.
+    """
+    r = np.arange(q, dtype=np.int64)
+    idx = np.zeros((q,) * k, dtype=np.int32)
+    rj = r
+    for axis in range(k - 1):
+        rj = rj * r % q  # r^(axis + 2) mod q, products below q^2
+        shape = [1] * k
+        shape[axis] = q
+        idx += np.arange(q, dtype=np.int64).reshape(shape) * rj % q
+    idx %= q  # the k - 1 terms sum to below k q
+    P = np.exp(2j * np.pi * np.arange(q) / q)[idx]
+    del idx
+    np.fft.ifft(P, axis=-1, norm="forward", out=P)
+    return np.moveaxis(P, -1, 0)
 
 
 def _primitive_mask(q, k):
@@ -443,6 +462,18 @@ def singular_integral_quadrature(n, params, B=None):
     )
 
 
+def _row_sums(a):
+    """Row sums of a 2-d array, adding the columns into one buffer left to right.
+
+    Below 8 columns numpy also sums a row left to right, so the values are
+    the same as ``a.sum(axis=1)``, without its per-row loop overhead.
+    """
+    out = a[:, 0].copy()
+    for col in a.T[1:]:
+        out += col
+    return out
+
+
 def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     """Monte-Carlo estimate of the normalized solution-slab volume.
 
@@ -464,11 +495,11 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
             m = min(chunk, samples - done)
             u = rng.random((m, s))
             # the j = 1 slab on every row, higher powers on its survivors only
-            u = u[np.abs(u.sum(axis=1) - mu[0]) <= e]
+            u = u[np.abs(_row_sums(u) - mu[0]) <= e]
             p = u
             for j in range(1, k):
                 p = p * u
-                keep = np.abs(p.sum(axis=1) - mu[j]) <= e
+                keep = np.abs(_row_sums(p) - mu[j]) <= e
                 u, p = u[keep], p[keep]
             hits += len(u)
             done += m

@@ -9,7 +9,9 @@ import pytest
 
 from hklab.core import SystemParams, power_sum_vector
 from hklab.counting import count_mitm
+from hklab import expsums
 from hklab.circle import (
+    STRATA,
     ClassRegion,
     _minor_sup_candidates,
     _primitive_tuples,
@@ -32,9 +34,11 @@ from hklab.circle import (
     w4_main_term_experiment,
 )
 from hklab.counting import count_naive
+from hklab import densities
 from hklab.densities import _primitive_mask, complete_sum_all
 from hklab.errors import AliasingError, BudgetExceededError, ValidationError
-from hklab.expsums import complete_sum
+from hklab.expsums import complete_sum, weyl_sum_batch
+from hklab.streams import substream
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -367,6 +371,90 @@ def test_lattice_integral_aliasing_error():
         lattice_representation_integral(3, [3, 3], 4, 2, N_list=[5, 17])
 
 
+def _region_mc_loop(region, k, samples, seed, func):
+    """Reference: one stratum at a time, ``func`` on that stratum's kept points."""
+    per = max(1, samples // STRATA)
+    total, totsq = 0.0 + 0.0j, 0.0
+    for st in range(STRATA):
+        al = substream(seed, st).random((per, k))
+        al[:, -1] = (st + al[:, -1]) / STRATA
+        mask = region.mask_points(al)
+        vals = np.zeros(per, dtype=np.complex128)
+        if mask.any():
+            vals[mask] = func(al[mask])
+        total += vals.sum()
+        totsq += float(np.abs(vals) ** 2 @ np.ones(per))
+    mean = total / (per * STRATA)
+    var = max(totsq / (per * STRATA) - abs(mean) ** 2, 0.0)
+    return mean, 1.96 * math.sqrt(var / (per * STRATA))
+
+
+def _moment_loop(t, region, X, k, samples, seed):
+    return _region_mc_loop(region, k, samples, seed,
+                           lambda al: np.abs(weyl_sum_batch(al, X)) ** t)
+
+
+def test_region_pool_matches_stratum_loop():
+    # one pool for several regions gives each region the estimate of the
+    # stratum-by-stratum loop, bit for bit
+    X, k = 96.0, 2
+    regions = [MinorArcs1D(Q, X, k) for Q in (4, 8, 16)]
+    regions.append(MinorArcs1D(8, X, k, dilation=6))
+    regions.append(ClassRegion(DissectionParams.from_scale(X, k, 1 / 3), "W3"))
+    pooled = restricted_moment(7, regions, X, k, samples=3000, seed=5)
+    assert pooled == [_moment_loop(7, r, X, k, 3000, 5) for r in regions]
+    assert restricted_moment(7, regions[0], X, k, samples=3000, seed=5) == pooled[0]
+    # numpy takes a one-row ``al @ h`` as a dot product, which rounds unlike
+    # the matrix-vector product, so the integral is compared on regions
+    # whose strata keep many points (W3 keeps single points in some)
+    h = [60, 1500]
+    pooled = restricted_representation_integral(6, h, regions[:4], X, k,
+                                                samples=2000, seed=3)
+    loop = [_region_mc_loop(r, k, 2000, 3, lambda al: weyl_sum_batch(al, X) ** 6
+                            * np.exp(-2j * np.pi * (al @ np.asarray(h, dtype=float))))
+            for r in regions[:4]]
+    assert pooled == loop
+
+
+def test_region_pool_honours_phase_budget(monkeypatch):
+    # 100 points per stratum fit the budget, the pooled 3200 do not: the
+    # pool is evaluated in chunks within it, with unchanged values
+    X, k = 64.0, 2
+    monkeypatch.setattr(expsums, "PHASE_TERMS_MAX", 100 * 65)
+    regions = [MinorArcs1D(Q, X, k) for Q in (2, 4, 8)]
+    with pytest.raises(BudgetExceededError):
+        weyl_sum_batch(np.zeros((101, k)), X)
+    pooled = restricted_moment(4, regions, X, k, samples=3200, seed=8)
+    assert pooled == [_moment_loop(4, r, X, k, 3200, 8) for r in regions]
+
+
+def test_pooled_experiments_match_single_region_calls():
+    # every Q level of a pooled quantity equals the single-region call with
+    # the quantity's own seed (seed, seed + 1, seed + 2; seed + 7 for minor-decay)
+    s, k, X, Qs = 6, 2, 96.0, [4, 8, 16]
+    h = [60, 1500]
+    for seed in (1, 2):
+        rows = moment_majorant_experiment(s, k, X, Qs, h, samples=1600,
+                                          seed=seed)["rows"]
+        for Q, row in zip(Qs, rows):
+            minor = MinorArcs1D(Q, X, k)
+            lhs, lhs_hw = restricted_representation_integral(
+                s, h, minor, X, k, samples=1600, seed=seed)
+            j1, j1_hw = restricted_moment(s + 1, minor, 2 * X, k,
+                                          samples=1600, seed=seed + 1)
+            j2, j2_hw = restricted_moment(s + 1, MinorArcs1D(Q, X, k, dilation=s),
+                                          X, k, samples=1600, seed=seed + 2)
+            assert (row["lhs_abs"], row["lhs_halfwidth"]) == (abs(lhs), lhs_hw)
+            assert (row["J_wide"], row["J_wide_halfwidth"]) == (float(np.real(j1)), j1_hw)
+            assert (row["J_dilated"], row["J_dilated_halfwidth"]) == (float(np.real(j2)), j2_hw)
+        decay = minor_arc_decay_experiment(s, k, X, Qs, samples=160, seed=seed, h=h)
+        norm = X ** (s - k * (k + 1) / 2)
+        for Q, row in zip(Qs, decay["rows"]):
+            est, hw = restricted_representation_integral(
+                s, h, MinorArcs1D(Q, X, k), X, k, samples=1600, seed=seed + 7)
+            assert (row["I_restricted"], row["I_halfwidth"]) == (abs(est) / norm, hw / norm)
+
+
 def test_restricted_integral_full_dispatch():
     v, hw = restricted_representation_integral(3, [3, 3], "full", 4, 2)
     assert abs(v - 1) < 1e-6 and hw == 0.0
@@ -403,6 +491,40 @@ def test_sup_candidates_reach_full_grid_max():
             assert math.gcd(q, *a) == 1, (q, k, a)
             full = np.abs(complete_sum_all(q, k))[_gcd_primitive(q, k)].max()
             assert abs(abs(complete_sum(q, a)) - full) <= 1e-9 * full, (q, k, a)
+
+
+def _moment_curve_sums(q, k):
+    """``|S(q, a)|`` for every ``a`` by the definition: exact residues, no DFT."""
+    r = np.arange(1, q + 1, dtype=np.int64) % q
+    powers = np.stack([r ** j % q for j in range(1, k + 1)])        # (k, q)
+    cells = np.array(list(itertools.product(range(q), repeat=k)), dtype=np.int64)
+    phases = cells @ powers % q                                      # (q^k, q)
+    return np.abs(np.exp(2j * np.pi * np.arange(q) / q)[phases].sum(axis=1))
+
+
+def test_sup_candidates_take_first_near_maximizer():
+    # each prime-power factor contributes the first primitive cell (C order)
+    # with |S| >= (1 - 1e-9) max, whatever the rounding of the grid; the
+    # definition is checked against complete_sum on a seeded subset
+    rng = np.random.default_rng(12)
+    for k in (2, 3):
+        cands = _minor_sup_candidates(0, 20, k)
+        first = {}
+        for q, c in zip(range(1, 41), cands):
+            want = np.zeros(k, dtype=np.int64)
+            for p, pe in densities.prime_power_factors(q):
+                if pe not in first:
+                    S = _moment_curve_sums(pe, k)
+                    cells = list(itertools.product(range(pe), repeat=k))
+                    for i in rng.choice(len(cells), size=min(len(cells), 20), replace=False):
+                        assert abs(S[i] - abs(complete_sum(pe, cells[i]))) < 1e-9
+                    S[~_primitive_mask(pe, k).ravel()] = -1.0
+                    first[pe] = np.array(cells[np.flatnonzero(S >= (1 - 1e-9) * S.max())[0]])
+                want += first[pe] * (q // pe)
+            want %= q
+            if want[-1] == 0:
+                want[-1] = q
+            assert np.array_equal(np.rint(c * q).astype(np.int64), want), (q, k)
 
 
 def test_primitive_tuples_match_gcd_loop():
