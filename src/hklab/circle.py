@@ -19,6 +19,7 @@ from math import gcd
 
 import numpy as np
 
+from . import expsums
 from .core import SystemParams, target_scale
 from .counting import count_mitm, vinogradov_count
 from .densities import (
@@ -30,7 +31,6 @@ from .densities import (
     singular_series_euler,
     _integral_once,
 )
-from . import expsums
 from .errors import AliasingError, NonConvergedError, ValidationError
 from .expsums import gl_panels, tensor_integral, weyl_sum_batch
 from .streams import substream

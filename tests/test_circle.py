@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hklab import densities, expsums
 from hklab.core import SystemParams, power_sum_vector
 from hklab.counting import count_mitm
-from hklab import expsums
 from hklab.circle import (
     STRATA,
     ClassRegion,
@@ -34,7 +34,6 @@ from hklab.circle import (
     w4_main_term_experiment,
 )
 from hklab.counting import count_naive
-from hklab import densities
 from hklab.densities import _primitive_mask, complete_sum_all
 from hklab.errors import AliasingError, BudgetExceededError, ValidationError
 from hklab.expsums import complete_sum, weyl_sum_batch
