@@ -359,8 +359,8 @@ def _region_mc(region, X, k, samples, seed, func):
     Strata split the final coordinate; per-stratum counter-based streams make
     the result independent of chunking/worker count.  The strata are drawn
     into one pool and ``func`` (a phase sum over ``0..X``) is evaluated once
-    on the points that any region keeps, in row chunks within
-    ``PHASE_TERMS_MAX``.  ``region`` may be one region or a list of them:
+    on the points that any region keeps, in row chunks of
+    :func:`expsums.batch_rows`.  ``region`` may be one region or a list of them:
     each is masked on the same pool and summed per stratum in stratum
     order, so a region's estimate does not depend on the others in the
     list.  Returns ``(mean, halfwidth)``, or a list of them for a list.
@@ -376,7 +376,7 @@ def _region_mc(region, X, k, samples, seed, func):
     masks = np.array([r.mask_points(al) for r in regions])
     kept = np.flatnonzero(masks.any(axis=0))
     pooled = np.zeros(count, dtype=np.complex128)
-    rows = max(1, expsums.PHASE_TERMS_MAX // (int(math.floor(X)) + 1))
+    rows = max(1, expsums.batch_rows(X))
     for lo in range(0, kept.size, rows):
         pooled[kept[lo:lo + rows]] = func(al[kept[lo:lo + rows]])
     ones = np.ones(per)

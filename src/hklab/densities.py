@@ -98,7 +98,7 @@ def complete_sum_all(q, k):
     idx %= q  # the k - 1 terms sum to below k q
     P = np.exp(2j * np.pi * np.arange(q) / q)[idx]
     del idx
-    np.fft.ifft(P, axis=-1, norm="forward", out=P)
+    np.fft.ifft(P, axis=-1, norm="forward", out=P)  # in place: numpy >= 2.0
     return np.moveaxis(P, -1, 0)
 
 
@@ -462,18 +462,6 @@ def singular_integral_quadrature(n, params, B=None):
     )
 
 
-def _row_sums(a):
-    """Row sums of a 2-d array, adding the columns into one buffer left to right.
-
-    Below 8 columns numpy also sums a row left to right, so the values are
-    the same as ``a.sum(axis=1)``, without its per-row loop overhead.
-    """
-    out = a[:, 0].copy()
-    for col in a.T[1:]:
-        out += col
-    return out
-
-
 def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     """Monte-Carlo estimate of the normalized solution-slab volume.
 
@@ -495,11 +483,11 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
             m = min(chunk, samples - done)
             u = rng.random((m, s))
             # the j = 1 slab on every row, higher powers on its survivors only
-            u = u[np.abs(_row_sums(u) - mu[0]) <= e]
+            u = u[np.abs(u.sum(axis=1) - mu[0]) <= e]
             p = u
             for j in range(1, k):
                 p = p * u
-                keep = np.abs(_row_sums(p) - mu[j]) <= e
+                keep = np.abs(p.sum(axis=1) - mu[j]) <= e
                 u, p = u[keep], p[keep]
             hits += len(u)
             done += m

@@ -42,15 +42,19 @@ def weyl_sum(alpha, X):
     return weyl_sum_batch(_coords(alpha)[None, :], X)[0]
 
 
+def batch_rows(X):
+    """Most rows one :func:`weyl_sum_batch` call over ``0..X`` may take."""
+    return PHASE_TERMS_MAX // (int(math.floor(X)) + 1)
+
+
 def weyl_sum_batch(alphas, X):
     """Batched ``weyl_sum`` over rows of ``alphas``; deterministic order."""
     alphas = np.atleast_2d(np.asarray(alphas, dtype=np.float64))
     if X < 0:
         raise ValidationError("range must be non-negative")
-    n = int(math.floor(X)) + 1
-    if n * len(alphas) > PHASE_TERMS_MAX:
+    if len(alphas) > batch_rows(X):
         raise BudgetExceededError("phase-sum budget exceeded", work_done=0)
-    return phase_poly_sums(alphas, 0, n - 1)
+    return phase_poly_sums(alphas, 0, int(math.floor(X)))
 
 
 def direct_weyl_sum(alpha, X):

@@ -421,6 +421,8 @@ def test_region_pool_honours_phase_budget(monkeypatch):
     X, k = 64.0, 2
     monkeypatch.setattr(expsums, "PHASE_TERMS_MAX", 100 * 65)
     regions = [MinorArcs1D(Q, X, k) for Q in (2, 4, 8)]
+    assert expsums.batch_rows(X) == 100
+    weyl_sum_batch(np.zeros((100, k)), X)
     with pytest.raises(BudgetExceededError):
         weyl_sum_batch(np.zeros((101, k)), X)
     pooled = restricted_moment(4, regions, X, k, samples=3200, seed=8)

@@ -57,15 +57,17 @@ def test_series_term_k1_vanishes():
 
 
 def test_complete_sum_all_matches_pointwise():
-    # every cell of the small grids, a seeded subset of the large ones
+    # every cell, except a seeded subset of the two largest grids
     rng = np.random.default_rng(59)
+    sampled = {(79, 3), (81, 3)}
     for q, k in ((1, 3), (2, 3), (7, 2), (16, 3), (27, 3), (79, 3), (81, 3),
                  (5, 1), (5, 4)):
         S = complete_sum_all(q, k)
         assert S.shape == (q,) * k
-        cells = list(itertools.product(range(q), repeat=k))
-        if len(cells) > 2000:
+        if (q, k) in sampled:
             cells = [tuple(a) for a in rng.integers(0, q, size=(400, k))]
+        else:
+            cells = list(itertools.product(range(q), repeat=k))
         for a in cells:
             assert abs(S[a] - complete_sum(q, a)) < 1e-10, (q, a)
 
