@@ -335,10 +335,19 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
     """
     if region == "full":
         return lattice_representation_integral(s, h, X, k), 0.0
-    return _region_mc(
-        region, X, k, samples, seed,
-        lambda al: weyl_sum_batch(al, X) ** s
-        * np.exp(-2j * np.pi * (al @ np.asarray(h, dtype=float))))
+    h = [float(v) for v in h]
+    if len(h) != k:
+        raise ValidationError("shift profile must have length k")
+
+    def func(al):
+        # alpha.h summed column by column, so a row's phase rounds the same
+        # whatever the batch size (a one-row matrix product is a dot product)
+        phase = al[:, 0] * h[0]
+        for j in range(1, len(h)):
+            phase = phase + al[:, j] * h[j]
+        return weyl_sum_batch(al, X) ** s * np.exp(-2j * np.pi * phase)
+
+    return _region_mc(region, X, k, samples, seed, func)
 
 
 def restricted_moment(t, region, X, k, samples=20000, seed=0):

@@ -251,6 +251,11 @@ def _half_mod(m, k, coeffs):
     Cell ``v`` counts ``x in [0,m)^len(coeffs)`` with
     ``sum_i c_i x_i^j = v_j mod m`` for every ``j``.  int64 while the total
     mass ``m^len(coeffs)`` fits, Python ints otherwise.
+
+    The first two variables are seeded by a pair join: the cell keys of all
+    ``m^2`` pairs of their shift tables, counted by one ``np.bincount``.
+    Each further variable is one :func:`conv_mod`, so a half of ``c``
+    coefficients runs ``max(0, c - 2)`` of them.
     """
     key = (m, k, tuple(coeffs))
     H = _HIST_CACHE.get(key)
@@ -259,14 +264,18 @@ def _half_mod(m, k, coeffs):
         return H
     shifts = [np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
                         for x in range(m)], dtype=np.int64) for c in coeffs]
-    # the first coefficient's shift histogram seeds the half; an empty half
-    # (s = 1) is the one cell at zero
-    seed = shifts[0] if shifts else np.zeros((1, k), dtype=np.int64)
-    H = np.zeros((m,) * k, dtype=np.int64)
-    np.add.at(H, tuple(seed.T), 1)
+    # an empty half (s = 1) is the one cell at zero
+    seed = shifts[:2] or [np.zeros((1, k), dtype=np.int64)]
+    cells = 0
+    for j in range(k):
+        v = seed[0][:, j]
+        if len(seed) == 2:
+            v = (v[:, None] + seed[1][:, j]) % m
+        cells = cells * m + v
+    H = np.bincount(cells.ravel(), minlength=m ** k).reshape((m,) * k)
     if m ** len(coeffs) >= INT64_SAFE:
         H = H.astype(object)
-    for sh in shifts[1:]:
+    for sh in shifts[2:]:
         H = conv_mod(H, sh)
     H.flags.writeable = False
     if H.nbytes <= _HIST_CACHE_BYTES:
@@ -462,34 +471,53 @@ def singular_integral_quadrature(n, params, B=None):
     )
 
 
+MC_CHUNK_ROWS = 250_000  # rows per draw of one slab width; the two hold 500 000
+
+
 def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     """Monte-Carlo estimate of the normalized solution-slab volume.
 
     ``(2 eta)^{-k} vol{u in [0,1]^s : |sum_i u_i^j - mu_j| <= eta for all j}``
     with a binomial confidence half-width; a second run at ``eta/2`` is
     reported to expose the eta-bias.
+
+    The two slab widths draw from their own counter-based streams (0 for
+    ``eta``, 1 for ``eta/2``) and run at the same time, the second on one
+    worker thread.  A stream yields the same numbers whichever thread draws
+    it, so the result does not depend on the threading.  Each run fills
+    buffers of ``MC_CHUNK_ROWS`` rows that the calling thread allocates
+    before the worker starts.
     """
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
+    if not eta > 0:
+        raise ValidationError("eta must be positive")
     _, mu = target_scale(n)
     s, k = params.s, params.k
     if not params.is_pure:
         raise ValidationError("volume oracle is defined for the pure system")
+    rows = min(MC_CHUNK_ROWS, samples)
 
-    def run(e, stream):
+    def run(e, stream, u, dev, keep):
         rng = substream(seed, stream)
         hits = 0
         done = 0
-        chunk = 500_000
         while done < samples:
-            m = min(chunk, samples - done)
-            u = rng.random((m, s))
+            m = min(rows, samples - done)
+            um, dm, km = u[:m], dev[:m], keep[:m]
+            rng.random(out=um)
             # the j = 1 slab on every row, higher powers on its survivors only
-            u = u[np.abs(u.sum(axis=1) - mu[0]) <= e]
-            p = u
+            um.sum(axis=1, out=dm)
+            np.subtract(dm, mu[0], out=dm)
+            np.abs(dm, out=dm)
+            np.less_equal(dm, e, out=km)
+            v = um[km]
+            p = v
             for j in range(1, k):
-                p = p * u
-                keep = np.abs(p.sum(axis=1) - mu[j]) <= e
-                u, p = u[keep], p[keep]
-            hits += len(u)
+                p = p * v
+                ok = np.abs(p.sum(axis=1) - mu[j]) <= e
+                v, p = v[ok], p[ok]
+            hits += len(v)
             done += m
         phat = hits / samples
         norm = (2.0 * e) ** (-k)
@@ -498,8 +526,16 @@ def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
         hw = 1.96 * math.sqrt(phat * (1 - phat) / samples) * norm
         return phat * norm, hw, hits
 
-    v1, h1, hits1 = run(eta, 0)
-    v2, h2, hits2 = run(eta / 2, 1)
+    # imported here: the executor modules would otherwise add to every
+    # import of hklab
+    from concurrent.futures import ThreadPoolExecutor
+
+    bufs = [(np.empty((rows, s)), np.empty(rows), np.empty(rows, dtype=bool))
+            for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        half = pool.submit(run, eta / 2, 1, *bufs[1])
+        v1, h1, hits1 = run(eta, 0, *bufs[0])
+    v2, h2, hits2 = half.result()
     # quadratic-bias (Richardson) extrapolation across the two slab widths
     extrap = (4.0 * v2 - v1) / 3.0
     extrap_hw = math.sqrt((4.0 / 3.0 * h2) ** 2 + (h1 / 3.0) ** 2)

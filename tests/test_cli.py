@@ -131,6 +131,18 @@ def test_densities_qmax_zero_is_validation_error(capsys):
     assert code == EXIT_VALIDATION and "Q_max" in err
 
 
+def test_densities_mc_zero_samples_is_validation_error(capsys):
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                           "--integral", "--mc", "--samples", "0")
+    assert code == EXIT_VALIDATION and "samples" in err
+
+
+def test_densities_mc_negative_samples_is_validation_error(capsys):
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                           "--integral", "--mc", "--samples", "-5")
+    assert code == EXIT_VALIDATION and "samples" in err
+
+
 def test_densities_qsum_default_gives_main_term(tmp_path, capsys):
     # the k = 2 default Q_max = 100 meets the default tail tolerance 0.02
     out_path = tmp_path / "dens.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -229,33 +230,51 @@ def test_second_euler_target_reuses_every_half(monkeypatch):
     assert est.value > 0
 
 
-def test_cached_halves_match_brute_force(monkeypatch):
+def _half_brute_force(m, k, coeffs):
+    """Half histogram by enumerating every ``x in [0, m)^len(coeffs)``."""
+    H = np.zeros((m,) * k, dtype=np.int64)
+    for x in itertools.product(range(m), repeat=len(coeffs)):
+        H[tuple(sum(c * v ** j for c, v in zip(coeffs, x)) % m
+                for j in range(1, k + 1))] += 1
+    return H
+
+
+def _check_cached_halves(monkeypatch):
+    # halves of 0 to 3 coefficients, pure and mixed, k = 2 and 3
     monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
     mixed = SystemParams.with_coefficients((1, -1, 2, 1, 3), 2)
     for k in (2, 3):
-        for params in (SystemParams.pure(5, k), SystemParams(mixed.s, k, mixed.coeffs)):
+        for params in (SystemParams.pure(5, k), SystemParams(mixed.s, k, mixed.coeffs),
+                       SystemParams.pure(1, k)):
             for m in (5, 8, 9, 16):
                 solution_count_mod(m, [1] * k, params)
-    assert len(densities._HIST_CACHE) == 2 * 2 * 4 * 2
+    assert len(densities._HIST_CACHE) == 2 * 3 * 4 * 2
+    safe = densities.INT64_SAFE
     for (m, k, coeffs), H in densities._HIST_CACHE.items():
-        c = np.array(coeffs)[:, None]
-        x = np.indices((m,) * len(coeffs)).reshape(len(coeffs), -1)
-        keys = tuple((c * x ** j).sum(axis=0) % m for j in range(1, k + 1))
-        brute = np.zeros((m,) * k, dtype=np.int64)
-        np.add.at(brute, keys, 1)
-        assert H.dtype == np.int64 and np.array_equal(H, brute), (m, k, coeffs)
+        assert H.dtype == (object if m ** len(coeffs) >= safe else np.int64)
+        assert np.array_equal(H, _half_brute_force(m, k, coeffs)), (m, k, coeffs)
 
 
-def test_fresh_half_seeds_from_first_shift_histogram(monkeypatch):
+def test_cached_halves_match_brute_force(monkeypatch):
+    _check_cached_halves(monkeypatch)
+
+
+def test_object_route_halves_match_brute_force(monkeypatch):
+    # every half of mass m^c >= 64 is cast to Python ints after its seed
+    monkeypatch.setattr(densities, "INT64_SAFE", 64)
+    _check_cached_halves(monkeypatch)
+
+
+def test_fresh_half_seeds_from_pair_join(monkeypatch):
     monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
     calls = []
     conv = densities.conv_mod
     monkeypatch.setattr(densities, "conv_mod",
                         lambda H, shifts: calls.append(1) or conv(H, shifts))
-    for coeffs in ((1,), (1, 1), (1, -1, 2), (2, 1, 1, 3)):
+    for coeffs in ((), (1,), (1, 1), (1, -1, 2), (2, 1, 1, 3)):
         calls.clear()
         densities._half_mod(11, 2, coeffs)
-        assert len(calls) == len(coeffs) - 1, coeffs
+        assert len(calls) == max(0, len(coeffs) - 2), coeffs
 
 
 def test_padic_density_is_exact_rational():
@@ -440,11 +459,38 @@ def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
 @pytest.mark.parametrize("n,params", [([96, 1934], P62),
                                       ([20, 90, 460], SystemParams.pure(6, 3))])
 def test_mc_oracle_early_rejection_keeps_hits(n, params):
-    est = mc_volume_oracle(n, params, eta=0.05, samples=600_000, seed=3)
-    assert est.detail["hits"] == _mc_hits_all_powers(n, params, 0.05, 600_000, 3, 0)
-    assert est.detail["half_eta"]["hits"] == _mc_hits_all_powers(
-        n, params, 0.025, 600_000, 3, 1)
-    assert est.detail["hits"] > 100
+    # the two widths run side by side in chunks of MC_CHUNK_ROWS; the serial
+    # 500 000-row reference pins both, also past a chunk boundary and below
+    # one chunk
+    for samples in (600_000, 600_001, 1_000):
+        est = mc_volume_oracle(n, params, eta=0.05, samples=samples, seed=3)
+        assert est.detail["hits"] == _mc_hits_all_powers(n, params, 0.05, samples, 3, 0)
+        assert est.detail["half_eta"]["hits"] == _mc_hits_all_powers(
+            n, params, 0.025, samples, 3, 1)
+        assert samples < 600_000 or est.detail["hits"] > 100
+
+
+def test_mc_oracle_worker_error_reaches_caller(monkeypatch):
+    # the eta/2 run draws stream 1 on the worker thread
+    from hklab.streams import substream
+
+    def failing(seed, index=0):
+        if index == 1:
+            raise RuntimeError("stream 1 failed")
+        return substream(seed, index)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(densities, "substream", failing)
+    with pytest.raises(RuntimeError, match="stream 1 failed"):
+        mc_volume_oracle([96, 1934], P62, samples=1_000)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5}, {"eta": 0.0},
+                                    {"eta": -0.1}])
+def test_mc_oracle_rejects_bad_inputs(kwargs):
+    with pytest.raises(ValidationError):
+        mc_volume_oracle([96, 1934], P62, **kwargs)
 
 
 def test_mc_oracle_reproducible():
