@@ -264,15 +264,20 @@ def _half_mod(m, k, coeffs):
         return H
     shifts = [np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
                         for x in range(m)], dtype=np.int64) for c in coeffs]
-    # an empty half (s = 1) is the one cell at zero
-    seed = shifts[:2] or [np.zeros((1, k), dtype=np.int64)]
-    cells = 0
+    # a missing table is the one zero row: a half of one variable pairs it
+    # with zero, and an empty half (s = 1) is the one cell at zero
+    a, b = (shifts + [np.zeros((1, k), dtype=np.int64)] * 2)[:2]
+    # keys built in place and freed before the convolutions, which then
+    # reuse their memory: transient m^2 temporaries raised peak RSS
+    cells = np.zeros((len(a), len(b)), dtype=np.int64)
+    v = np.empty_like(cells)
     for j in range(k):
-        v = seed[0][:, j]
-        if len(seed) == 2:
-            v = (v[:, None] + seed[1][:, j]) % m
-        cells = cells * m + v
+        cells *= m
+        np.add(a[:, j, None], b[:, j], out=v)
+        v %= m
+        cells += v
     H = np.bincount(cells.ravel(), minlength=m ** k).reshape((m,) * k)
+    del cells, v
     if m ** len(coeffs) >= INT64_SAFE:
         H = H.astype(object)
     for sh in shifts[2:]:
