@@ -16,3 +16,4 @@ def substream(seed, index=0):
     """Return a ``numpy.random.Generator`` for stream ``index`` of ``seed``."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+

@@ -460,6 +460,12 @@ def test_restricted_integral_full_dispatch():
     assert abs(v - 1) < 1e-6 and hw == 0.0
 
 
+def test_restricted_integral_rejects_short_shift_profile():
+    # the sampled phase alpha.h needs one shift per coordinate
+    with pytest.raises(ValidationError):
+        restricted_representation_integral(6, [60], MinorArcs1D(4, 96.0, 2), 96.0, 2)
+
+
 def test_minor_decay_experiment_small():
     r = minor_arc_decay_experiment(12, 3, 2000.0, [5, 10, 20], samples=150,
                                    seed=11)
