@@ -351,6 +351,13 @@ def cmd_local(args):
 
 def cmd_densities(args):
     t0 = time.perf_counter()
+    # reject flags that would be ignored, and bad values, before any series work
+    if args.mc and not args.integral:
+        raise ValidationError("--mc needs --integral")
+    if args.mc and args.samples < 1:
+        raise ValidationError("--samples must be at least 1")
+    if args.csv and args.method == "euler":
+        raise ValidationError("--csv needs --method qsum or both")
     params = _params_from_args(args)
     n = _parse_target(args)
     out = {"n": n, "s": args.s, "k": args.k}
@@ -612,10 +619,12 @@ def build_parser():
                         "convergence (default 0.02); euler: per-prime "
                         "stabilisation between depths (default 1e-9)")
     d.add_argument("--integral", action="store_true")
-    d.add_argument("--mc", action="store_true")
+    d.add_argument("--mc", action="store_true",
+                   help="add the Monte-Carlo volume oracle (needs --integral)")
     d.add_argument("--samples", type=int, default=2_000_000)
     d.add_argument("--seed", type=int, default=7)
-    d.add_argument("--csv", default=None, help="dump (q, A(q)) rows")
+    d.add_argument("--csv", default=None,
+                   help="dump (q, A(q)) rows (needs --method qsum or both)")
     d.add_argument("--out", default=None)
     d.set_defaults(func=cmd_densities)
 

@@ -21,9 +21,7 @@ class SystemParams:
     """The power-sum system: ``sum_i c_i x_i^j = n_j`` for ``j = 1..k``.
 
     ``coeffs`` is the tuple ``(c_1, ..., c_s)``; the pure system has all
-    ``c_i = 1``.  A sign-split system with equally many +1 and -1 variables
-    (or any coefficient vector summing to zero) retains a shadow of
-    translation invariance and is flagged ``degenerate``.
+    ``c_i = 1``.
     """
 
     s: int
@@ -61,19 +59,6 @@ class SystemParams:
     @property
     def is_pure(self):
         return all(c == 1 for c in self.coeffs)
-
-    @property
-    def degenerate(self):
-        """Coefficient sum zero: the shift argument loses its extra variable."""
-        return sum(self.coeffs) == 0
-
-    @property
-    def w(self):
-        return self.k * (self.k + 1) // 2
-
-    @property
-    def v(self):
-        return self.k * (self.k - 1) // 2
 
     @property
     def x_min(self):

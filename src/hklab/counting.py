@@ -465,22 +465,3 @@ def mvt_scaling_experiment(t, k, X_list, x_min=1, budget=50_000_000):
         "subcritical_exponent": 2 * t - k,
     }
 
-
-def unordered_count(params, n, box=None, budget=50_000_000):
-    """Derived report: number of solution multisets (pure system only)."""
-    if not params.is_pure:
-        raise ValidationError("unordered counts are defined for the pure system")
-    n = _target_vector(n)
-    if box is None:
-        box = default_box(params, n)
-    if box < 0:
-        return 0
-    if math.comb(box + params.s, params.s) > budget:
-        raise BudgetExceededError("unordered enumeration budget exceeded")
-    target = tuple(n)
-    total = 0
-    for tup in combinations_with_replacement(range(0, box + 1), params.s):
-        key = tuple(sum(v ** j for v in tup) for j in range(1, params.k + 1))
-        if key == target:
-            total += 1
-    return total

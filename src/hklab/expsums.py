@@ -2,9 +2,8 @@
 
 Covers the degree-k exponential sum over an integer range (``weyl_sum``),
 complete rational sums over residues (``complete_sum``), the oscillatory
-integral ``I(beta; X)``, shifted sums, and exact verifiers for the
-reindexing / resolution / binomial-transform identities that drive the
-shift argument.
+integral ``I(beta; X)``, and exact verifiers for the reindexing /
+resolution / binomial-transform identities that drive the shift argument.
 """
 
 import logging
@@ -238,24 +237,8 @@ def oscillatory_integral(beta, X, tol=None, max_panels=1 << 15):
 
 
 # ---------------------------------------------------------------------------
-# shifted sums and the exact identities behind the extra-variable trick
+# exact identities behind the extra-variable trick
 # ---------------------------------------------------------------------------
-
-def shifted_sum(alpha, gamma, y, X):
-    """``sum_{0 <= x <= 2X} e(psi(x - y; alpha) + gamma (x - y))`` for ``0<=y<=X``."""
-    a = _coords(alpha)
-    if not (0 <= y <= X):
-        raise ValidationError("shift must satisfy 0 <= y <= X")
-    coeffs = a.copy()
-    coeffs[0] += gamma
-    hi = int(math.floor(2 * X))
-    return phase_poly_sums(coeffs[None, :], -int(y), hi - int(y))[0]
-
-
-def kernel_sum(gamma, X):
-    """``K(gamma) = sum_{0 <= z <= X} e(-gamma z)``."""
-    return phase_poly_sums(np.array([[-float(gamma)]]), 0, int(math.floor(X)))[0]
-
 
 def verify_shift_reindex(alpha, X, y):
     """Absolute discrepancy of the reindexing identity under an integer shift.
@@ -332,9 +315,6 @@ class ShiftPolynomials:
         """Exact integer value of ``nu_j(y)``."""
         return sum(c * y ** l for l, c in enumerate(self.coeffs[j - 1]))
 
-    def leading(self, j):
-        return self.coeffs[j - 1][j]
-
 
 def shift_profile(x, y, k):
     """``h_j = sum_i (x_i - y)^j`` for ``j = 1..k`` (exact integers)."""
@@ -366,60 +346,3 @@ def verify_binomial_transform(x, y, k, h=None):
     if lhs != rhs:
         return False
     return lhs == nu.evaluate(k, y)
-
-
-def g_sum(alpha, h, gammas, X, s=None):
-    """``sum_{0 <= y <= X} e(-(alpha . nu(y; h) + y sum_i gamma_i))``.
-
-    With ``h = 0`` and the gammas summing to zero this reduces to the
-    conjugate of ``weyl_sum(s * alpha, X)``.
-    """
-    a = _coords(alpha)
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    if s is None:
-        s = len(gammas)
-    k = len(a)
-    nu = ShiftPolynomials(h, s, k)
-    # exponent polynomial in y: c_l = -sum_j alpha_j [y^l] nu_j, minus sum(gammas) at l=1
-    c = np.zeros(k + 1)
-    for j in range(1, k + 1):
-        for l, coef in enumerate(nu.coeffs[j - 1]):
-            c[l] -= a[j - 1] * coef
-    c[1] -= float(gammas.sum())
-    body = phase_poly_sums(c[1:][None, :], 0, int(math.floor(X)))[0]
-    return unit_phase(reduce_mod1(c[0])) * body
-
-
-# ---------------------------------------------------------------------------
-# major-arc approximant
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ApproximantReport:
-    value: complex
-    f_value: complex
-    err: float
-    bound: float
-
-    @property
-    def ratio(self):
-        return self.err / self.bound if self.bound > 0 else math.inf
-
-
-def major_arc_approximant(alpha, q, a, X):
-    """``V(alpha; q, a) = q^{-1} S(q, a) I(alpha - a/q; X)`` with its error report.
-
-    The report compares ``|f(alpha) - V|`` against the classical bound
-    ``q + X|q alpha_1 - a_1| + ... + X^k |q alpha_k - a_k|``.
-    """
-    al = _coords(alpha)
-    a = [int(v) for v in a]
-    q = int(q)
-    beta = al - np.array(a, dtype=np.float64) / q
-    S = complete_sum(q, a)
-    integral = oscillatory_integral(beta, X)
-    V = S / q * integral.value
-    f = weyl_sum(al, X)
-    bound = q + sum(float(X) ** j * abs(q * al[j - 1] - a[j - 1])
-                    for j in range(1, len(al) + 1))
-    return ApproximantReport(V, f, abs(f - V), bound)

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -81,63 +80,6 @@ def fermat_congruences(n):
         details.append({"p": p, "ok": not bad, "violations": bad})
         ok = ok and not bad
     return ok, details
-
-
-# ---------------------------------------------------------------------------
-# Jacobian rank
-# ---------------------------------------------------------------------------
-
-def jacobian_matrix(x, k):
-    """Exact integer Jacobian of the power-sum map: rows ``j * x_i^(j-1)``."""
-    return [[j * int(v) ** (j - 1) for v in x] for j in range(1, k + 1)]
-
-
-def jacobian_rank(x, k, p=None):
-    """Rank of the power-sum Jacobian over the rationals or over Z/p.
-
-    Computed by exact Gaussian elimination (Fractions resp. modular
-    inverse pivots).  Over characteristic 0 or ``p > k`` this equals
-    ``min(k, #distinct coordinates)`` through the Vandermonde factorization;
-    that shortcut is what the property tests cross-check.
-    """
-    M = jacobian_matrix(x, k)
-    if p is None:
-        rows = [[Fraction(v) for v in row] for row in M]
-        return _rank_field(rows, len(M), len(M[0]), lambda a: a == 0,
-                           lambda a, b: a / b)
-    rows = [[v % p for v in row] for row in M]
-    return _rank_field(rows, len(M), len(M[0]), lambda a: a % p == 0,
-                       lambda a, b: (a * pow(b, -1, p)) % p)
-
-
-def _rank_field(rows, nr, nc, is_zero, div):
-    rank = 0
-    col = 0
-    r = 0
-    while r < nr and col < nc:
-        piv = None
-        for rr in range(r, nr):
-            if not is_zero(rows[rr][col]):
-                piv = rr
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for rr in range(r + 1, nr):
-            if not is_zero(rows[rr][col]):
-                f = div(rows[rr][col], rows[r][col])
-                for cc in range(col, nc):
-                    rows[rr][cc] = rows[rr][cc] - f * rows[r][cc]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
-
-
-def vandermonde_rank_prediction(x, k):
-    """``min(k, #distinct coordinates)`` (valid in char 0 or ``p > k``)."""
-    return min(k, len(set(int(v) for v in x)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +280,6 @@ def _refine(x, n, s, k, p, mod):
                     t[i] = (t[i] + c * vec[i]) % p
         kids.append(tuple(int(v) + mod * t[i] for i, v in enumerate(x)))
     return kids
-
-
-def lift_witness(result, n, s):
-    """Refinements of a found witness one level deeper."""
-    n = _target_vector(n)
-    return _refine(result.witness, n, s, len(n), result.p, result.p ** result.depth)
 
 
 # ---------------------------------------------------------------------------

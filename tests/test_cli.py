@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from hklab import cli
 from hklab.circle import DissectionParams, classify_direct
 from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
 from hklab.core import SystemParams
@@ -131,16 +137,53 @@ def test_densities_qmax_zero_is_validation_error(capsys):
     assert code == EXIT_VALIDATION and "Q_max" in err
 
 
-def test_densities_mc_zero_samples_is_validation_error(capsys):
+@pytest.fixture
+def no_density_work(monkeypatch):
+    """Make every series and quadrature route fail if the command reaches it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("density work ran before validation")
+    for name in ("singular_series_qsum", "singular_series_euler",
+                 "singular_integral_quadrature"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def test_densities_mc_zero_samples_is_validation_error(capsys, no_density_work):
     code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
                            "--integral", "--mc", "--samples", "0")
     assert code == EXIT_VALIDATION and "samples" in err
 
 
-def test_densities_mc_negative_samples_is_validation_error(capsys):
+def test_densities_mc_negative_samples_is_validation_error(capsys, no_density_work):
     code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
                            "--integral", "--mc", "--samples", "-5")
     assert code == EXIT_VALIDATION and "samples" in err
+
+
+@pytest.mark.parametrize("flags, needed", [
+    (["--mc"], "--integral"),
+    (["--method", "euler", "--csv", "terms.csv"], "--method qsum or both"),
+])
+def test_densities_ignored_flag_is_validation_error(capsys, no_density_work, flags, needed):
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                           *flags)
+    assert code == EXIT_VALIDATION and needed in err
+
+
+def test_densities_help_names_flag_dependencies(capsys):
+    with pytest.raises(SystemExit):
+        main(["densities", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(needs --integral)" in out and "(needs --method qsum or both)" in out
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # mc_volume_oracle imports its thread pool lazily, so `hk` start-up does not pay for it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hklab.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_densities_qsum_default_gives_main_term(tmp_path, capsys):

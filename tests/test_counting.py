@@ -13,7 +13,6 @@ from hklab.counting import (
     default_box,
     mvt_scaling_experiment,
     powersum_histogram,
-    unordered_count,
     vinogradov_count,
 )
 from hklab.errors import BudgetExceededError, MemoryBudgetError, ValidationError
@@ -80,16 +79,6 @@ def test_ordered_count_lower_bound_from_witness():
     x = [1, 3, 5, 8]
     n = power_sum_vector(x, p)
     assert count_mitm(p, n).count >= math.factorial(4)
-
-
-def test_unordered_vs_ordered():
-    p = SystemParams.pure(3, 2)
-    x = [2, 2, 5]
-    n = power_sum_vector(x, p)
-    ordered = count_mitm(p, n).count
-    unordered = unordered_count(p, n)
-    assert unordered >= 1
-    assert ordered >= unordered  # each multiset contributes >= 1 ordering
 
 
 def test_default_box_is_sound():

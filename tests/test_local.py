@@ -5,17 +5,14 @@ from fractions import Fraction
 
 from hklab.core import SystemParams
 from hklab.local import (
+    _refine,
     fermat_congruences,
     holder_necessary,
-    jacobian_matrix,
-    jacobian_rank,
-    lift_witness,
     minor_valuation,
     padic_witness,
     real_witness,
     small_primes,
     solubility_report,
-    vandermonde_rank_prediction,
 )
 
 
@@ -73,23 +70,6 @@ def test_fermat_witness_profiles_pass():
         assert fermat_congruences(n)[0]
 
 
-def test_jacobian_rank_examples():
-    assert jacobian_rank([2, 2, 2, 2], 3) == 1
-    assert jacobian_rank([1, 2, 3, 4], 3) == 3
-    # characteristic 3 kills the degree-3 row
-    assert jacobian_rank([1, 2, 0, 4], 3, p=3) <= 2
-
-
-def test_jacobian_rank_vandermonde_shortcut_exhaustive():
-    for s in (2, 3, 4):
-        for x in itertools.product(range(4), repeat=s):
-            for k in (2, 3):
-                assert jacobian_rank(x, k) == vandermonde_rank_prediction(x, k)
-                # over Z/p with p > k the shortcut also holds
-                assert jacobian_rank(x, k, p=5) == min(
-                    k, len({v % 5 for v in x}))
-
-
 def test_padic_witness_planted_distinct_residues():
     p = 7
     x = (0, 1, 2, 3, 4, 6)
@@ -118,7 +98,7 @@ def test_padic_witness_lifts_congruently():
         n = [sum(v ** j for v in x) for j in (1, 2)]
         r = padic_witness(n, 6, p)
         assert r.status == "found", (p, n, r)
-        refinements = lift_witness(r, n, 6)
+        refinements = _refine(r.witness, n, 6, len(n), p, p ** r.depth)
         assert refinements, (p, r)
         mod = p ** max(1, r.depth - r.tau)
         for ref in refinements[:4]:
@@ -161,7 +141,7 @@ def test_minor_valuation_matches_determinants():
         p = rng.choice([2, 3, 5, 7])
         cap = rng.randint(1, 8)
         x = [rng.randint(0, 40) for _ in range(s)]
-        M = jacobian_matrix(x, k)
+        M = [[j * v ** (j - 1) for v in x] for j in range(1, k + 1)]
         want = cap
         for cols in itertools.combinations(range(s), k):
             d = _det([[row[i] for i in cols] for row in M])
