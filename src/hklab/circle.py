@@ -24,7 +24,7 @@ from .core import SystemParams, target_scale
 from .counting import count_mitm, vinogradov_count
 from .densities import (
     _primitive_mask,
-    complete_sum_all,
+    _shift_tables,
     prime_power_factors,
     series_terms,
     singular_integral_quadrature,
@@ -417,24 +417,34 @@ def _minor_sup_candidates(Q_min, Q_max, k):
     ``S(q, a) = prod_i S(q_i, (a_j (q/q_i)^(j-1))_j)``, which maps primitive
     ``a`` one-to-one onto tuples of primitive factor vectors, so the maximum
     is the product of the factor maxima.  Each factor's maximizer ``b_i`` is
-    found exactly on its own DFT grid, and the CRT combination
+    found exactly from its shift tables, and the CRT combination
     ``a_j = sum_i b_ij (q/q_i) mod q`` reaches the product, since
     ``r -> (q/q_i) r`` permutes the residues mod ``q_i``.  One shared
     deterministic pool keeps the per-Q sups nested: the major-arc mask
-    removes the small denominators as Q grows.  Exactly tied maxima are
-    common, so the maximizer is the first primitive cell (in C order) within
-    a relative ``1e-9`` of the maximum, not whichever rounding favours.
+    removes the small denominators as Q grows.  As ``|S(q, a)| = |S(q, b(t))|``
+    under ``r -> r + t`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
+    ch. 4; ``complete_sum_all``), only the shift representatives get a DFT
+    (``2q - 1`` of ``q^2`` rows at a prime ``q > 3``, ``k = 3``); they are
+    grid cells and the shift keeps primitivity, so their primitive maximum
+    is the grid's.  Exactly tied maxima are common, so the maximizer is the
+    first primitive cell in C order (``a_1`` slabs read through the tables)
+    within a relative ``1e-9`` of the maximum, not whichever rounding favours.
     """
     best = {}  # prime power -> first primitive near-maximizer of |S|
     cands = []
     for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1):
         a = np.zeros(k, dtype=np.int64)
-        for _, pe in prime_power_factors(q):
+        for p, pe in prime_power_factors(q):
             if pe not in best:
-                S = np.abs(complete_sum_all(pe, k))
-                S[~_primitive_mask(pe, k)] = -1.0
-                first = np.flatnonzero(S >= (1.0 - 1e-9) * S.max())[0]
-                best[pe] = np.array(np.unravel_index(first, S.shape))
+                D, rep, _, c, _ = _shift_tables(pe, k)
+                S = np.abs(D)  # drop p | a: rows with p | (a_2..a_k) have t = 0
+                S[rep[~(np.indices((pe,) * (k - 1)) % p).any(axis=0).ravel()], ::p] = -1.0
+                top = (1.0 - 1e-9) * S.max()
+                for a1 in range(pe):
+                    hits = np.flatnonzero(S[rep, (a1 + c) % pe] >= top)
+                    if hits.size:
+                        best[pe] = np.array((a1, *np.unravel_index(hits[0], (pe,) * (k - 1))))
+                        break
             a += best[pe] * (q // pe)
         a %= q
         if a[-1] == 0:

@@ -354,10 +354,15 @@ def cmd_densities(args):
     # reject flags that would be ignored, and bad values, before any series work
     if args.mc and not args.integral:
         raise ValidationError("--mc needs --integral")
-    if args.mc and args.samples < 1:
+    if args.samples is not None and not args.mc:
+        raise ValidationError("--samples needs --mc")
+    if args.samples is not None and args.samples < 1:
         raise ValidationError("--samples must be at least 1")
-    if args.csv and args.method == "euler":
-        raise ValidationError("--csv needs --method qsum or both")
+    if args.method == "euler" and (args.csv or args.qmax is not None):
+        flag = "--csv" if args.csv else "--qmax"
+        raise ValidationError(f"{flag} needs --method qsum or both")
+    if args.method == "qsum" and args.pmax is not None:
+        raise ValidationError("--pmax needs --method euler or both")
     params = _params_from_args(args)
     n = _parse_target(args)
     out = {"n": n, "s": args.s, "k": args.k}
@@ -371,7 +376,8 @@ def cmd_densities(args):
                        [[q, v] for q, v in series.detail["terms"]])
         out["series_qsum"]["detail"].pop("partials", None)
     if args.method in ("euler", "both"):
-        series = singular_series_euler(n, params, p_max=args.pmax,
+        series = singular_series_euler(n, params,
+                                       p_max=13 if args.pmax is None else args.pmax,
                                        tol=1e-9 if args.tol is None else args.tol)
         out["series_euler"] = asdict(series)
     if args.integral:
@@ -379,7 +385,8 @@ def cmd_densities(args):
         out["integral"] = asdict(quad)
         if args.mc:
             out["integral_mc"] = asdict(mc_volume_oracle(
-                n, params, samples=args.samples, seed=args.seed))
+                n, params, seed=args.seed,
+                samples=2_000_000 if args.samples is None else args.samples))
         if series is not None:
             try:
                 out["main_term"] = main_term(n, params, series, quad)
@@ -612,8 +619,10 @@ def build_parser():
     d.add_argument("--n", required=True)
     d.add_argument("--variant", default="pure")
     d.add_argument("--method", choices=["qsum", "euler", "both"], default="both")
-    d.add_argument("--qmax", type=int, default=None)
-    d.add_argument("--pmax", type=int, default=13)
+    d.add_argument("--qmax", type=int, help="q-sum modulus bound (default 100 at "
+                   "k = 2, else 30; needs --method qsum or both)")
+    d.add_argument("--pmax", type=int, help="largest Euler prime (default 13; "
+                   "needs --method euler or both)")
     d.add_argument("--tol", type=float, default=None,
                    help="qsum: bound on the fitted tail past Q_max for "
                         "convergence (default 0.02); euler: per-prime "
@@ -621,7 +630,8 @@ def build_parser():
     d.add_argument("--integral", action="store_true")
     d.add_argument("--mc", action="store_true",
                    help="add the Monte-Carlo volume oracle (needs --integral)")
-    d.add_argument("--samples", type=int, default=2_000_000)
+    d.add_argument("--samples", type=int, help="Monte-Carlo samples per slab "
+                   "width (default 2000000; needs --mc)")
     d.add_argument("--seed", type=int, default=7)
     d.add_argument("--csv", default=None,
                    help="dump (q, A(q)) rows (needs --method qsum or both)")

@@ -533,6 +533,27 @@ def test_sup_candidates_take_first_near_maximizer():
             assert np.array_equal(np.rint(c * q).astype(np.int64), want), (q, k)
 
 
+def test_sup_candidates_match_full_grid_reference():
+    # the benchmark's minor-decay config: the tables give the candidates
+    # that the first primitive near-maximizer of each full grid gives
+    Q_min, Q_max, k = 5, 40, 3
+    first = {}
+    for q in range(Q_min + 1, 2 * Q_max + 1):
+        for _, pe in densities.prime_power_factors(q):
+            if pe not in first:
+                S = np.abs(complete_sum_all(pe, k))
+                S[~_gcd_primitive(pe, k)] = -1.0
+                first[pe] = np.unravel_index(
+                    np.flatnonzero(S >= (1 - 1e-9) * S.max())[0], S.shape)
+    cands = _minor_sup_candidates(Q_min, Q_max, k)
+    for q, c in zip(range(Q_min + 1, 2 * Q_max + 1), cands):
+        want = sum(np.array(first[pe]) * (q // pe)
+                   for _, pe in densities.prime_power_factors(q)) % q
+        if want[-1] == 0:
+            want[-1] = q
+        assert np.array_equal(np.rint(c * q).astype(np.int64), want), q
+
+
 def test_primitive_tuples_match_gcd_loop():
     for q in range(1, 13):
         for k in (1, 2, 3):

@@ -143,7 +143,7 @@ def no_density_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("density work ran before validation")
     for name in ("singular_series_qsum", "singular_series_euler",
-                 "singular_integral_quadrature"):
+                 "singular_integral_quadrature", "mc_volume_oracle"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -162,6 +162,10 @@ def test_densities_mc_negative_samples_is_validation_error(capsys, no_density_wo
 @pytest.mark.parametrize("flags, needed", [
     (["--mc"], "--integral"),
     (["--method", "euler", "--csv", "terms.csv"], "--method qsum or both"),
+    (["--method", "euler", "--qmax", "3"], "--qmax needs --method qsum or both"),
+    (["--method", "qsum", "--pmax", "13"], "--pmax needs --method euler or both"),
+    (["--samples", "5"], "--samples needs --mc"),
+    (["--integral", "--samples", "2000000"], "--samples needs --mc"),
 ])
 def test_densities_ignored_flag_is_validation_error(capsys, no_density_work, flags, needed):
     code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
@@ -174,6 +178,9 @@ def test_densities_help_names_flag_dependencies(capsys):
         main(["densities", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert "(needs --integral)" in out and "(needs --method qsum or both)" in out
+    assert "else 30; needs --method qsum or both)" in out
+    assert "(default 13; needs --method euler or both)" in out
+    assert "(default 2000000; needs --mc)" in out
 
 
 def test_cli_import_leaves_thread_pool_unloaded():

@@ -73,6 +73,40 @@ def test_complete_sum_all_matches_pointwise():
             assert abs(S[a] - complete_sum(q, a)) < 1e-10, (q, a)
 
 
+def _plain_dft_grid(q, k):
+    """``S(q, a)`` on every cell: one length-``q`` DFT along ``r`` on every row."""
+    r = np.arange(q, dtype=np.int64)
+    rows = np.array(list(itertools.product(range(q), repeat=k - 1)), dtype=np.int64)
+    phases = rows @ np.stack([r ** j % q for j in range(2, k + 1)]) % q  # exact
+    P = np.exp(2j * np.pi * np.arange(q) / q)[phases]
+    return np.moveaxis(np.fft.ifft(P, axis=-1, norm="forward").reshape((q,) * k), -1, 0)
+
+
+def test_shift_reduced_grid_matches_plain_dft():
+    # k = 3 covers unit and non-unit rows (25, 49), p | k (27) and 2-powers
+    # with half the rows reduced (64); k = 2 reduces no row
+    for k, qs in ((2, range(1, 70)), (3, range(1, 82)), (4, range(1, 22))):
+        for q in qs:
+            S, ref = complete_sum_all(q, k), _plain_dft_grid(q, k)
+            assert S.shape == ref.shape
+            if k == 2:
+                assert np.array_equal(S, ref), q
+            else:
+                assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), (q, k)
+
+
+def test_shift_tables_transform_only_representative_rows(monkeypatch):
+    rows = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: rows.append(len(a))
+                        or ifft(a, *args, **kw))
+    for q, want in [(p, 2 * p - 1) for p in (5, 7, 11, 13, 31, 79)] + [
+            (27, 27 ** 2), (49, 385), (9, 81)]:
+        rows.clear()
+        complete_sum_all(q, 3)
+        assert rows == [want], q
+
+
 def test_series_term_imag_diagnostic_small():
     rng = np.random.default_rng(21)
     for _ in range(5):
