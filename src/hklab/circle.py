@@ -38,7 +38,6 @@ from .streams import substream
 EPS_SLACK = 0.05  # fixed report-time slack for exponent comparisons
 CF_STEPS = 64        # continued-fraction steps of the 1-d witness scan
 STRATA = 32          # final-coordinate strata of the restricted Monte Carlo
-REFINE_STEPS = 40    # hill-climbing steps per Q level of the minor-arc sup
 
 
 def sigma(k):
@@ -274,19 +273,6 @@ class MinorArcs1D:
         return self.mask(points[:, -1])
 
 
-class ClassRegion:
-    """One cell of the four-class dissection; masks a batch by one :func:`classify`."""
-
-    def __init__(self, d, name):
-        if name not in (W1, W2, W3, W4):
-            raise ValidationError(f"unknown arc class '{name}'")
-        self.d = d
-        self.name = name
-
-    def mask_points(self, points):
-        return classify(points, self.d)[0] == self.name
-
-
 # ---------------------------------------------------------------------------
 # restricted mean values
 # ---------------------------------------------------------------------------
@@ -454,51 +440,31 @@ def _minor_sup_candidates(Q_min, Q_max, k):
 
 
 def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0, h=None):
-    """Sampled sup of |f| over the 1-d minor set, across a growing Q list.
+    """Sup of |f| over the rational candidates in the 1-d minor set, per Q.
 
-    A single sample pool (uniform points plus informed rational candidates)
-    serves every Q; since the minor sets are nested and membership is just a
-    mask, the reported sups are non-increasing by construction.  Q levels
-    are processed largest-first and each hill-climbed maximizer joins the
-    pool for the smaller cutoffs, so refinement cannot break the nesting.
-    The estimate is a lower bound on the true sup; log-log slope and the
-    reference decay exponents are reported.
+    The candidates are the fixed pool of :func:`_minor_sup_candidates`: for
+    each denominator in ``(min Q, 2 max Q]`` the numerator vector maximizing
+    the complete sum, where ``|f|`` is about ``(X/q) max_a |S(q, a)|``.
+    Each Q masks the pool by its minor set and reports the largest ``|f|``
+    left, so the ``sup`` is a deterministic lower bound on the minor-set sup,
+    the same for every seed, and non-increasing in Q because the minor sets
+    are nested.  ``samples`` and ``seed`` size and seed only the optional
+    ``I_restricted`` column (the restricted integral at shift ``h``, on its
+    own pool with seed ``seed + 7``).  Log-log slope and the reference decay
+    exponents are reported.
     """
     Q_list = sorted(Q_list)
     if len(Q_list) < 3:
         raise ValidationError("need at least 3 Q values")
     if s < k * (k + 1):
         raise ValidationError("minor-arc comparison needs s >= k(k+1)")
-    rng = substream(seed, 0)
-    pool = rng.random((samples, k))
-    pool = np.vstack([pool, _minor_sup_candidates(min(Q_list), max(Q_list), k)])
+    pool = _minor_sup_candidates(min(Q_list), max(Q_list), k)
     fpool = np.abs(weyl_sum_batch(pool, X))
-    rows_by_Q = {}
-    for qi, Q in enumerate(sorted(Q_list, reverse=True)):
-        region = MinorArcs1D(Q, X, k)
-        mask = region.mask(pool[:, -1])
-        if not mask.any():
-            rows_by_Q[Q] = {"Q": Q, "sup": 0.0,
-                            "measure_major": measure_major_1d(Q, X, k)}
-            continue
-        idx = int(np.argmax(np.where(mask, fpool, -1.0)))
-        cur, cur_val = pool[idx].copy(), float(fpool[idx])
-        rng_ref = substream(seed, 1000 + qi)
-        step = np.array([0.3 * float(X) ** (-j) for j in range(1, k + 1)])
-        for it in range(REFINE_STEPS):
-            cand = (cur + step * rng_ref.normal(size=k)) % 1.0
-            if not region.mask(cand[-1:])[0]:
-                continue
-            v = abs(weyl_sum_batch(cand[None, :], X)[0])
-            if v > cur_val:
-                cur, cur_val = cand, v
-            if it % 15 == 14:
-                step *= 0.5
-        pool = np.vstack([pool, cur[None, :]])
-        fpool = np.append(fpool, cur_val)
-        rows_by_Q[Q] = {"Q": Q, "sup": float(cur_val),
-                        "measure_major": measure_major_1d(Q, X, k)}
-    rows = [rows_by_Q[Q] for Q in Q_list]
+    rows = []
+    for Q in Q_list:
+        minor = MinorArcs1D(Q, X, k).mask(pool[:, -1])
+        rows.append({"Q": Q, "sup": float(np.max(fpool, where=minor, initial=0.0)),
+                     "measure_major": measure_major_1d(Q, X, k)})
     if h is not None:
         # one pool (seed + 7) serves every Q; only the minor-arc mask differs
         restricted = restricted_representation_integral(
