@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
-from .expsums import complete_sum, gl_panels, oscillatory_integral, tensor_integral
+from .expsums import (TENSOR_CELLS_MAX, complete_sum, gl_panels, oscillatory_integral,
+                      tensor_integral)
 from .kernels import conv_mod
 from .local import small_primes
 from .streams import substream
@@ -82,7 +83,8 @@ def _shift_tables(q, k):
     ``D`` holds the DFT rows of the representatives (``complete_sum_all``);
     ``rep``, ``t``, ``c = b_1 - a_1`` and ``d = f(t) - a_1 t`` are given for
     every row ``(a_2..a_k)`` in C order.  Phases are exact int32 residues
-    summed in place from ``(rows, q)`` products.
+    summed in place from ``(rows, q)`` products.  Raises
+    ``BudgetExceededError`` before allocating DFT rows past ``TENSOR_CELLS_MAX`` cells.
     """
     rows = q ** (k - 1)
     A = np.indices((q,) * (k - 1)).reshape(k - 1, rows)  # a_2..a_k, int64
@@ -96,8 +98,10 @@ def _shift_tables(q, k):
                 B[l] = (B[l] + A[j - 2] * (math.comb(j, l) % q) % q * (t ** (j - l) % q)) % q
         rep = (np.cumsum(t == 0) - 1)[np.ravel_multi_index(tuple(B[2:]), (q,) * (k - 1))]
     sel = t == 0  # the representatives
+    if (cells := np.count_nonzero(sel) * q) > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
     r = np.arange(q, dtype=np.int64)
-    idx = np.zeros((np.count_nonzero(sel), q), dtype=np.int32)
+    idx = np.zeros((cells // q, q), dtype=np.int32)
     rj = r
     for j in range(k - 1):
         rj = rj * r % q  # r^(j + 2) mod q, products below q^2
@@ -509,71 +513,70 @@ def singular_integral_quadrature(n, params, B=None):
     )
 
 
-MC_CHUNK_ROWS = 250_000  # rows per draw of one slab width; the two hold 500 000
+MC_CHUNK_ROWS = 250_000  # proposal rows per draw: memory is bounded for any samples
+
+
+def _irwin_hall_cdf(s, x):
+    """``F_s(x) = P(u_1 + ... + u_s <= x)`` for iid uniform ``u_i`` on ``[0, 1]``.
+
+    ``(1/s!) sum_{0 <= i <= floor(x)} (-1)^i C(s, i) (x - i)^s`` (Irwin 1927;
+    Hall 1927, *Biometrika* 19), exact in ``Fraction``; 0 at ``x <= 0``.
+    """
+    x = Fraction(x)
+    return Fraction(sum((-1) ** i * math.comb(s, i) * (x - i) ** s
+                        for i in range(min(math.floor(x), s) + 1)), math.factorial(s))
 
 
 def mc_volume_oracle(n, params, eta=0.05, samples=2_000_000, seed=7):
     """Monte-Carlo estimate of the normalized solution-slab volume.
 
     ``(2 eta)^{-k} vol{u in [0,1]^s : |sum_i u_i^j - mu_j| <= eta for all j}``
-    with a binomial confidence half-width; a second run at ``eta/2`` is
-    reported to expose the eta-bias.
+    with a binomial confidence half-width; a second run at ``eta/2`` (stream
+    1; ``eta`` draws stream 0) is reported to expose the eta-bias.
 
-    The two slab widths draw from their own counter-based streams (0 for
-    ``eta``, 1 for ``eta/2``) and run at the same time, the second on one
-    worker thread.  A stream yields the same numbers whichever thread draws
-    it, so the result does not depend on the threading.  Each run fills
-    buffers of ``MC_CHUNK_ROWS`` rows that the calling thread allocates
-    before the worker starts.
+    Only the cube rows with ``sum u <= hi = mu_1 + e`` can hit at width
+    ``e``.  Of ``samples`` rows, ``N ~ Binomial(samples, F_s(hi))`` lie there
+    (:func:`_irwin_hall_cdf`), iid uniform on that part of the cube.  Just
+    those are drawn: ``u = hi (E_1..E_s) / (E_0 + ... + E_s)`` from ``s + 1``
+    iid Exp(1) is uniform on the simplex ``sum u <= hi`` (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. V), less the rows
+    with ``max u > 1``.  So the hit count is ``Binomial(samples, p)`` as for
+    plain cube rows.  As ``mu_1 <= 1`` and ``eta < 1``, the simplex holds at
+    most twice its part in the cube.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
-    if not eta > 0:
-        raise ValidationError("eta must be positive")
+    if not 0 < eta < 1:
+        raise ValidationError("eta must be in (0, 1)")
     _, mu = target_scale(n)
     s, k = params.s, params.k
     if not params.is_pure:
         raise ValidationError("volume oracle is defined for the pure system")
-    rows = min(MC_CHUNK_ROWS, samples)
 
-    def run(e, stream, u, dev, keep):
+    def run(e, stream):
         rng = substream(seed, stream)
+        hi = mu[0] + e
+        need = int(rng.binomial(samples, float(_irwin_hall_cdf(s, hi))))
         hits = 0
-        done = 0
-        while done < samples:
-            m = min(rows, samples - done)
-            um, dm, km = u[:m], dev[:m], keep[:m]
-            rng.random(out=um)
-            # the j = 1 slab on every row, higher powers on its survivors only
-            um.sum(axis=1, out=dm)
-            np.subtract(dm, mu[0], out=dm)
-            np.abs(dm, out=dm)
-            np.less_equal(dm, e, out=km)
-            v = um[km]
-            p = v
-            for j in range(1, k):
-                p = p * v
+        while need:
+            E = rng.standard_exponential((min(MC_CHUNK_ROWS, need), s + 1))
+            u = E[:, 1:] * (hi / E.sum(axis=1))[:, None]
+            u = u[u.max(axis=1) <= 1.0][:need]
+            need -= len(u)
+            v = p = u  # slab j on the survivors of slabs 1..j-1, p = v^j
+            for j in range(k):
                 ok = np.abs(p.sum(axis=1) - mu[j]) <= e
-                v, p = v[ok], p[ok]
+                v = v[ok]
+                p = p[ok] * v
             hits += len(v)
-            done += m
         phat = hits / samples
         norm = (2.0 * e) ** (-k)
         if hits == 0:
             return 0.0, 3.0 / samples * norm, hits
-        hw = 1.96 * math.sqrt(phat * (1 - phat) / samples) * norm
-        return phat * norm, hw, hits
+        return phat * norm, 1.96 * math.sqrt(phat * (1 - phat) / samples) * norm, hits
 
-    # imported here: the executor modules would otherwise add to every
-    # import of hklab
-    from concurrent.futures import ThreadPoolExecutor
-
-    bufs = [(np.empty((rows, s)), np.empty(rows), np.empty(rows, dtype=bool))
-            for _ in range(2)]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        half = pool.submit(run, eta / 2, 1, *bufs[1])
-        v1, h1, hits1 = run(eta, 0, *bufs[0])
-    v2, h2, hits2 = half.result()
+    v1, h1, hits1 = run(eta, 0)
+    v2, h2, hits2 = run(eta / 2, 1)
     # quadratic-bias (Richardson) extrapolation across the two slab widths
     extrap = (4.0 * v2 - v1) / 3.0
     extrap_hw = math.sqrt((4.0 / 3.0 * h2) ** 2 + (h1 / 3.0) ** 2)

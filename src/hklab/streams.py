@@ -2,11 +2,8 @@
 
 All Monte-Carlo code draws from Philox generators keyed by ``(seed, stream
 index)`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011).  Streams are independent of each other and of how work is
-chunked, and a stream yields the same numbers whichever thread draws it,
-so a sampling experiment produces the same numbers for any worker count.
-``densities.mc_volume_oracle`` runs its two slab widths at the same time,
-each on its own stream.
+SC 2011), independent of each other and of how work is chunked.  The slab
+widths ``eta`` and ``eta/2`` of ``densities.mc_volume_oracle`` draw streams 0 and 1.
 """
 
 import numpy as np

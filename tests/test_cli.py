@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hklab import cli
+from hklab import cli, densities
 from hklab.circle import DissectionParams, classify_direct
 from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
 from hklab.core import SystemParams
@@ -294,6 +294,21 @@ def test_experiment_rejects_budget_key(tmp_path, capsys, monkeypatch):
                            "--out", str(tmp_path / "r.json"))
     assert code == EXIT_VALIDATION and "budget" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_experiment_over_budget_table_exits_3(tmp_path, capsys, monkeypatch):
+    # a small cell cap stands in for the 1.1 GB table of q = 512 at k = 3:
+    # the sup candidates' table at q = 8 has 36 representative rows of 8 cells
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 100)
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({
+        "name": "minor-decay", "s": 12, "k": 3, "X": 200.0,
+        "Q_list": [3, 6, 12], "samples": 10, "seed": 5}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "r.json"))
+    assert code == EXIT_BUDGET and "complete-sum table at q=8, k=3: 288 cells" in err
+    assert json.loads((tmp_path / "r.json").read_text())["partial"] is True
 
 
 def test_w4_main_rejects_seed_key(tmp_path, capsys):

@@ -10,6 +10,8 @@ from hklab import densities
 from hklab.core import SystemParams, target_scale
 from hklab.densities import (
     DensityEstimate,
+    _irwin_hall_cdf,
+    _shift_tables,
     complete_sum_all,
     main_term,
     mc_volume_oracle,
@@ -105,6 +107,26 @@ def test_shift_tables_transform_only_representative_rows(monkeypatch):
         rows.clear()
         complete_sum_all(q, 3)
         assert rows == [want], q
+
+
+def test_shift_tables_refuse_over_budget_before_allocating(monkeypatch):
+    # 385 representative rows of length 49 at q = 49, k = 3: the cap counts
+    # them before the phase indices or the DFT rows are allocated
+    tables = []
+    np_zeros = np.zeros
+
+    def zeros(shape, *args, **kw):
+        if np.ndim(shape):
+            tables.append(shape)
+        return np_zeros(shape, *args, **kw)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 385 * 49 - 1)
+    with pytest.raises(BudgetExceededError, match="q=49, k=3: 18865 cells"):
+        _shift_tables(49, 3)
+    assert tables == []
+    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 385 * 49)
+    assert len(_shift_tables(49, 3)[0]) == 385 and tables == [(385, 49)]
 
 
 def test_series_term_imag_diagnostic_small():
@@ -470,7 +492,7 @@ def test_mc_oracle_empty_body():
 
 
 def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
-    """Hit count of one oracle run, testing every power on every row."""
+    """Hit count of plain cube rows at width ``eta``, every power on every row."""
     from hklab.streams import substream
 
     _, mu = target_scale(n)
@@ -490,18 +512,54 @@ def _mc_hits_all_powers(n, params, eta, samples, seed, stream):
     return hits
 
 
-@pytest.mark.parametrize("n,params", [([96, 1934], P62),
-                                      ([20, 90, 460], SystemParams.pure(6, 3))])
-def test_mc_oracle_early_rejection_keeps_hits(n, params):
-    # the two widths run side by side in chunks of MC_CHUNK_ROWS; the serial
-    # 500 000-row reference pins both, also past a chunk boundary and below
-    # one chunk
-    for samples in (600_000, 600_001, 1_000):
-        est = mc_volume_oracle(n, params, eta=0.05, samples=samples, seed=3)
-        assert est.detail["hits"] == _mc_hits_all_powers(n, params, 0.05, samples, 3, 0)
-        assert est.detail["half_eta"]["hits"] == _mc_hits_all_powers(
-            n, params, 0.025, samples, 3, 1)
-        assert samples < 600_000 or est.detail["hits"] > 100
+def _z(a, b, samples):
+    """z-score of the gap between two independent Binomial(samples, p) counts."""
+    p = (a + b) / (2 * samples)
+    return (a - b) / math.sqrt(2 * samples * p * (1 - p))
+
+
+@pytest.mark.parametrize("n,params,eta,samples", [
+    ([96, 1934], P62, 0.05, 1_000_000),
+    ([20, 90, 460], SystemParams.pure(6, 3), 0.05, 1_000_000),
+    # hi = 1.5: a ninth of the proposal simplex lies outside the cube
+    ([10, 50], SystemParams.pure(3, 2), 0.5, 200_000)])
+def test_mc_oracle_hits_match_cube_draws(n, params, eta, samples):
+    # the oracle draws only the rows below mu_1 + eta; its hit counts are the
+    # same binomials as those of plain cube rows, for both widths
+    est = mc_volume_oracle(n, params, eta=eta, samples=samples, seed=3)
+    for hits, e, stream in [(est.detail["hits"], eta, 0),
+                            (est.detail["half_eta"]["hits"], eta / 2, 1)]:
+        ref = _mc_hits_all_powers(n, params, e, samples, 3, stream)
+        assert ref > 50
+        assert abs(_z(hits, ref, samples)) <= 4, (hits, ref)
+
+
+def test_irwin_hall_cdf_closed_forms():
+    xs = [Fraction(j, 8) for j in range(-4, 60)] + [Fraction(1.03), Fraction(0.97)]
+    for x in xs:
+        # s = 2: the triangle distribution
+        want = (0 if x <= 0 else x ** 2 / 2 if x <= 1
+                else 1 - (2 - x) ** 2 / 2 if x <= 2 else 1)
+        assert _irwin_hall_cdf(2, x) == want, x
+    for s in range(1, 9):
+        for x in xs:
+            if 0 <= x <= 1:
+                assert _irwin_hall_cdf(s, x) == x ** s / math.factorial(s)
+            # F_s(x) = (x F_(s-1)(x) + (s - x) F_(s-1)(x - 1)) / s
+            assert _irwin_hall_cdf(s, x) == (x * _irwin_hall_cdf(s - 1, x) + (s - x)
+                                             * _irwin_hall_cdf(s - 1, x - 1)) / s
+    assert [_irwin_hall_cdf(0, x) for x in (-1, 0, 1)] == [0, 1, 1]  # F_0(x) = [x >= 0]
+    assert _irwin_hall_cdf(6, 1.03) == _irwin_hall_cdf(6, Fraction(1.03))
+
+
+@pytest.mark.parametrize("s,eta,samples", [(2, 0.05, 500_000), (6, 0.03, 10 ** 8),
+                                           (3, 0.5, 1_000_000), (12, 0.2, 10 ** 10)])
+def test_mc_oracle_first_slab_rate_is_irwin_hall(s, eta, samples):
+    # at k = 1 every hit is a first-slab hit: Binomial(samples, F_s(hi) - F_s(lo))
+    est = mc_volume_oracle([50], SystemParams(s, 1), eta=eta, samples=samples, seed=4)
+    p = float(_irwin_hall_cdf(s, 1 + eta) - _irwin_hall_cdf(s, 1 - eta))
+    hits = est.detail["hits"]
+    assert abs(hits - samples * p) <= 4 * math.sqrt(samples * p * (1 - p)), (hits, samples * p)
 
 
 def test_mc_oracle_worker_error_reaches_caller(monkeypatch):
@@ -521,7 +579,7 @@ def test_mc_oracle_worker_error_reaches_caller(monkeypatch):
 
 
 @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5}, {"eta": 0.0},
-                                    {"eta": -0.1}])
+                                    {"eta": -0.1}, {"eta": 1.0}, {"eta": 2.5}])
 def test_mc_oracle_rejects_bad_inputs(kwargs):
     with pytest.raises(ValidationError):
         mc_volume_oracle([96, 1934], P62, **kwargs)
@@ -531,6 +589,15 @@ def test_mc_oracle_reproducible():
     a = mc_volume_oracle([96, 1934], P62, eta=0.05, samples=200_000, seed=5)
     b = mc_volume_oracle([96, 1934], P62, eta=0.05, samples=200_000, seed=5)
     assert a.value == b.value and a.detail["hits"] == b.detail["hits"]
+
+
+def test_mc_oracle_independent_of_chunk_size(monkeypatch):
+    # the kept rows are the first accepted proposals of the stream, however
+    # many are drawn at once; a ninth are rejected at hi = 1.5
+    args = ([10, 50], SystemParams.pure(3, 2))
+    ref = mc_volume_oracle(*args, eta=0.5, samples=4_000, seed=5)
+    monkeypatch.setattr(densities, "MC_CHUNK_ROWS", 7)
+    assert mc_volume_oracle(*args, eta=0.5, samples=4_000, seed=5).detail == ref.detail
 
 
 def test_mc_extrapolation_tracks_quadrature():
