@@ -21,17 +21,18 @@ import numpy as np
 
 from . import expsums
 from .core import SystemParams, target_scale
-from .counting import count_mitm, vinogradov_count
+from .counting import count_mitm
 from .densities import (
     _primitive_mask,
     _shift_tables,
+    main_term,
     prime_power_factors,
     series_terms,
     singular_integral_quadrature,
     singular_series_euler,
     _integral_once,
 )
-from .errors import AliasingError, NonConvergedError, ValidationError
+from .errors import ValidationError
 from .expsums import gl_panels, tensor_integral, weyl_sum_batch
 from .streams import substream
 
@@ -269,22 +270,18 @@ class MinorArcs1D:
         q, _ = major_1d_witness(cand, self.Q, self.X, self.k)
         return (q.reshape(cand.shape) == 0).any(axis=1)
 
-    def mask_points(self, points):
-        return self.mask(points[:, -1])
-
 
 # ---------------------------------------------------------------------------
 # restricted mean values
 # ---------------------------------------------------------------------------
 
-def lattice_representation_integral(s, h, X, k, N_list=None):
+def lattice_representation_integral(s, h, X, k):
     """Exact full-torus integral of ``f^s e(-alpha.h)`` by aliasing-free lattice.
 
     ``f^s e(-alpha.h)`` is a trigonometric polynomial whose frequency in axis
     j ranges over ``[-h_j, s floor(X)^j - h_j]``, so the ``N_j``-point average
-    with ``N_j = s floor(X)^j + 1`` is exact.  A user-supplied ``N_list``
-    below that resolution raises (aliasing would corrupt the average).
-    Targets outside the reachable frequency range integrate to zero exactly.
+    with ``N_j = s floor(X)^j + 1`` is exact.  Targets outside the reachable
+    frequency range integrate to zero exactly.
 
     The integrand at ``-alpha`` is the conjugate of the one at ``alpha``, and
     negation mod 1 maps every lattice axis onto itself, so the first axis is
@@ -297,11 +294,7 @@ def lattice_representation_integral(s, h, X, k, N_list=None):
     Xf = int(math.floor(X))
     if any(hj < 0 or hj > s * Xf ** j for j, hj in enumerate(h, start=1)):
         return 0.0
-    required = [s * Xf ** j + 1 for j in range(1, k + 1)]
-    Ns = required if N_list is None else [int(N) for N in N_list]
-    if any(N < r for N, r in zip(Ns, required)):
-        raise AliasingError(
-            f"aliasing: lattice {Ns} below exactness threshold {required}")
+    Ns = [s * Xf ** j + 1 for j in range(1, k + 1)]
     N1 = Ns[0]
     j = np.arange(N1 // 2 + 1)
     folded = (j / N1, np.where((j == 0) | (2 * j == N1), 1.0, 2.0) / N1)
@@ -309,18 +302,14 @@ def lattice_representation_integral(s, h, X, k, N_list=None):
     return tensor_integral(np.arange(Xf + 1.0), np.ones(Xf + 1), axes, s, h).real
 
 
-def restricted_representation_integral(s, h, region, X, k, samples=20000,
+def restricted_representation_integral(s, h, regions, X, k, samples=20000,
                                        seed=0):
-    """Estimate of the region-restricted representation integral.
+    """Estimates of ``E[f^s e(-alpha.h) 1_B]``, one ``(mean, halfwidth)`` per region ``B``.
 
-    ``region="full"`` uses the exact lattice (see
-    :func:`lattice_representation_integral`); 1-d regions use stratified
-    Monte-Carlo over the torus with membership masking, estimating
-    ``E[f^s e(-alpha.h) 1_B]``.  A list of regions shares one sample pool
-    (see :func:`_region_mc`) and gives one ``(mean, halfwidth)`` per region.
+    Stratified Monte-Carlo over the torus with membership masking; the
+    regions share one sample pool (see :func:`_region_mc`).  The exact
+    full-torus value is :func:`lattice_representation_integral`.
     """
-    if region == "full":
-        return lattice_representation_integral(s, h, X, k), 0.0
     h = [float(v) for v in h]
     if len(h) != k:
         raise ValidationError("shift profile must have length k")
@@ -333,34 +322,32 @@ def restricted_representation_integral(s, h, region, X, k, samples=20000,
             phase = phase + al[:, j] * h[j]
         return weyl_sum_batch(al, X) ** s * np.exp(-2j * np.pi * phase)
 
-    return _region_mc(region, X, k, samples, seed, func)
+    return _region_mc(regions, X, k, samples, seed, func)
 
 
-def restricted_moment(t, region, X, k, samples=20000, seed=0):
-    """Estimate (exact where possible) of the restricted absolute moment.
+def restricted_moment(t, regions, X, k, samples=20000, seed=0):
+    """Estimates of ``E[|f|^t 1_B]``, one ``(mean, halfwidth)`` per region ``B``.
 
-    A list of regions shares one sample pool, as in
-    :func:`restricted_representation_integral`.
+    The regions share one sample pool, as in
+    :func:`restricted_representation_integral`.  The exact full-torus moment
+    at even ``t`` is ``vinogradov_count(t // 2, k, X, x_min=0)``.
     """
-    if region == "full" and t % 2 == 0:
-        return float(vinogradov_count(t // 2, k, X, x_min=0)), 0.0
-    return _region_mc(region, X, k, samples, seed,
+    return _region_mc(regions, X, k, samples, seed,
                       lambda al: np.abs(weyl_sum_batch(al, X)) ** t)
 
 
-def _region_mc(region, X, k, samples, seed, func):
-    """Stratified torus MC of ``E[func(alpha) 1_region(alpha)]``.
+def _region_mc(regions, X, k, samples, seed, func):
+    """Stratified torus MC of ``E[func(alpha) 1_B(alpha)]`` for each region ``B``.
 
     Strata split the final coordinate; per-stratum counter-based streams make
     the result independent of chunking/worker count.  The strata are drawn
     into one pool and ``func`` (a phase sum over ``0..X``) is evaluated once
     on the points that any region keeps, in row chunks of
-    :func:`expsums.batch_rows`.  ``region`` may be one region or a list of them:
-    each is masked on the same pool and summed per stratum in stratum
-    order, so a region's estimate does not depend on the others in the
-    list.  Returns ``(mean, halfwidth)``, or a list of them for a list.
+    :func:`expsums.batch_rows`.  Each region masks the pool by its final
+    coordinate and is summed per stratum in stratum order, so a region's
+    estimate does not depend on the others in the list.  Returns one
+    ``(mean, halfwidth)`` per region.
     """
-    regions = region if isinstance(region, list) else [region]
     per = max(1, samples // STRATA)
     count = per * STRATA
     al = np.empty((STRATA, per, k))
@@ -368,7 +355,7 @@ def _region_mc(region, X, k, samples, seed, func):
         al[st] = substream(seed, st).random((per, k))
         al[st, :, -1] = (st + al[st, :, -1]) / STRATA
     al = al.reshape(count, k)
-    masks = np.array([r.mask_points(al) for r in regions])
+    masks = np.array([r.mask(al[:, -1]) for r in regions])
     kept = np.flatnonzero(masks.any(axis=0))
     pooled = np.zeros(count, dtype=np.complex128)
     rows = max(1, expsums.batch_rows(X))
@@ -386,7 +373,7 @@ def _region_mc(region, X, k, samples, seed, func):
         mean = total / count
         var = max(totsq / count - abs(mean) ** 2, 0.0)
         out.append((mean, 1.96 * math.sqrt(var / count)))
-    return out if isinstance(region, list) else out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +484,7 @@ def moment_majorant_experiment(s, k, X, Q_list, h, samples=60000, seed=0):
     style and the acceptance check asks only for a bounded band over Q.
     Each of the three quantities (the minor-arc integral, ``J_wide`` and
     ``J_dilated``) has its own seed and one sample pool that its Q levels
-    share; a level's estimate is the one a single-region call would give.
+    share; a level's estimate is the one a one-region list would give.
     """
     rows = []
     logX = math.log(X)
@@ -569,13 +556,8 @@ def w4_main_term_experiment(s, k, base_tuple, scale_list, l_exponent=1.0 / 3,
         series = singular_series_euler(n, params, p_max=series_p_max,
                                        modulus_cap=series_modcap)
         integral = singular_integral_quadrature(n, params)
-        if not series.converged:
-            raise NonConvergedError(f"series estimate not converged at n={n}")
-        if not integral.converged:
-            raise NonConvergedError(f"integral estimate not converged at n={n}")
+        main = main_term(n, params, series, integral)["value"]
         X0, mu = target_scale(n)
-        w = k * (k + 1) / 2
-        main = series.value * integral.value * X0 ** (s - w)
         Xd = 2.0 * X0
         d = DissectionParams.from_scale(Xd, k, l_exponent=l_exponent)
         trunc_series = sum(t.value for t in series_terms(n, params, int(d.L)))

@@ -68,24 +68,24 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 
 # name -> (allowed config keys, runner(options) -> result, summary(result) -> str).
-# Runners look the experiment functions up as module globals at call time,
-# so rebinding those names (as a tracer does) reaches every run.
+# Each allowed key is a parameter of the function the runner calls, and the
+# runner passes the config as keyword arguments, so the function's own
+# defaults fill the keys a config leaves out.  Runners look the experiment
+# functions up as module globals at call time, so rebinding those names (as
+# a tracer does) reaches every run.
 _EXPERIMENTS = {
     "minor-decay": (
         {"s", "k", "X", "Q_list", "samples", "seed"},
-        lambda o: minor_arc_decay_experiment(
-            o["s"], o["k"], o["X"], o["Q_list"],
-            samples=o.get("samples", 400), seed=o.get("seed", 0)),
+        lambda o: minor_arc_decay_experiment(**o),
         lambda r: (f"sup slope {r['sup_slope']:.4f} "
                    f"(reference {r['reference_sigma']:.4f}), strictly "
                    f"decreasing: {r['strictly_decreasing']}")),
     "moment-majorant": (
         {"s", "k", "X", "Q_list", "h", "samples", "seed"},
-        lambda o: {**moment_majorant_experiment(
-            o["s"], o["k"], o["X"], o["Q_list"], o["h"],
-            samples=o.get("samples", 60000), seed=o.get("seed", 0)),
-            "containment": dilation_containment_check(
-                o["s"], max(o["Q_list"]), o["X"], o["k"], seed=o.get("seed", 0))},
+        lambda o: {**moment_majorant_experiment(**o),
+                   "containment": dilation_containment_check(
+                       o["s"], max(o["Q_list"]), o["X"], o["k"],
+                       **_given(seed=o.get("seed")))},
         lambda r: ("bound ratios "
                    f"{[format(row['ratio'], '.3g') for row in r['rows']]}, "
                    f"containment {r['containment']['passed']}"
@@ -93,11 +93,7 @@ _EXPERIMENTS = {
     "w4-main": (
         {"s", "k", "base_tuple", "scale_list", "l_exponent",
          "series_p_max", "series_modcap"},
-        lambda o: w4_main_term_experiment(
-            o["s"], o["k"], o["base_tuple"], o["scale_list"],
-            l_exponent=o.get("l_exponent", 1.0 / 3),
-            series_p_max=o.get("series_p_max", 101),
-            series_modcap=o.get("series_modcap", 512)),
+        lambda o: w4_main_term_experiment(**o),
         lambda r: ("count/main-term ratios "
                    f"{[round(row['ratio'], 4) for row in r['rows']]} "
                    f"at scales {[row['X0'] for row in r['rows']]}")),
@@ -237,6 +233,11 @@ def _parse_target(args):
     return n
 
 
+def _given(**options):
+    """The options given a value (not None); the callee's defaults fill the rest."""
+    return {name: v for name, v in options.items() if v is not None}
+
+
 def _params_from_args(args):
     variant = getattr(args, "variant", "pure") or "pure"
     if variant == "pure":
@@ -365,28 +366,26 @@ def cmd_densities(args):
         raise ValidationError("--pmax needs --method euler or both")
     params = _params_from_args(args)
     n = _parse_target(args)
+    if args.integral and not params.is_pure:
+        raise ValidationError("--integral needs the pure system (--variant pure)")
     out = {"n": n, "s": args.s, "k": args.k}
     series = None  # the Euler product when both routes ran
     if args.method in ("qsum", "both"):
-        series = singular_series_qsum(n, params, Q_max=args.qmax,
-                                      tol=0.02 if args.tol is None else args.tol)
+        series = singular_series_qsum(n, params, **_given(Q_max=args.qmax, tol=args.tol))
         out["series_qsum"] = asdict(series)
         if args.csv:
             _write_csv(args.csv, ["q", "A_q"],
                        [[q, v] for q, v in series.detail["terms"]])
         out["series_qsum"]["detail"].pop("partials", None)
     if args.method in ("euler", "both"):
-        series = singular_series_euler(n, params,
-                                       p_max=13 if args.pmax is None else args.pmax,
-                                       tol=1e-9 if args.tol is None else args.tol)
+        series = singular_series_euler(n, params, **_given(p_max=args.pmax, tol=args.tol))
         out["series_euler"] = asdict(series)
     if args.integral:
         quad = singular_integral_quadrature(n, params)
         out["integral"] = asdict(quad)
         if args.mc:
             out["integral_mc"] = asdict(mc_volume_oracle(
-                n, params, seed=args.seed,
-                samples=2_000_000 if args.samples is None else args.samples))
+                n, params, seed=args.seed, **_given(samples=args.samples)))
         if series is not None:
             try:
                 out["main_term"] = main_term(n, params, series, quad)

@@ -84,8 +84,11 @@ def _shift_tables(q, k):
     ``rep``, ``t``, ``c = b_1 - a_1`` and ``d = f(t) - a_1 t`` are given for
     every row ``(a_2..a_k)`` in C order.  Phases are exact int32 residues
     summed in place from ``(rows, q)`` products.  Raises
-    ``BudgetExceededError`` before allocating DFT rows past ``TENSOR_CELLS_MAX`` cells.
+    ``BudgetExceededError`` before any allocation when the DFT rows
+    (:func:`_representative_rows`) would pass ``TENSOR_CELLS_MAX`` cells.
     """
+    if (cells := _representative_rows(q, k) * q) > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
     rows = q ** (k - 1)
     A = np.indices((q,) * (k - 1)).reshape(k - 1, rows)  # a_2..a_k, int64
     t, rep = np.zeros(rows, dtype=np.int64), np.arange(rows)
@@ -98,10 +101,8 @@ def _shift_tables(q, k):
                 B[l] = (B[l] + A[j - 2] * (math.comb(j, l) % q) % q * (t ** (j - l) % q)) % q
         rep = (np.cumsum(t == 0) - 1)[np.ravel_multi_index(tuple(B[2:]), (q,) * (k - 1))]
     sel = t == 0  # the representatives
-    if (cells := np.count_nonzero(sel) * q) > TENSOR_CELLS_MAX:
-        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
     r = np.arange(q, dtype=np.int64)
-    idx = np.zeros((cells // q, q), dtype=np.int32)
+    idx = np.zeros((np.count_nonzero(sel), q), dtype=np.int32)
     rj = r
     for j in range(k - 1):
         rj = rj * r % q  # r^(j + 2) mod q, products below q^2
@@ -111,6 +112,18 @@ def _shift_tables(q, k):
     del idx
     np.fft.ifft(D, axis=-1, norm="forward", out=D)  # in place: numpy >= 2.0
     return D, rep, t, B[1], B[0]
+
+
+def _representative_rows(q, k):
+    """DFT rows of :func:`_shift_tables`: ``q^(k-3) u + q^(k-2) (q - u)`` at ``k >= 3``.
+
+    ``u`` counts the units among ``k a``: a row is its own representative
+    when ``k a_k`` is not a unit, or when it is and ``a_(k-1) = 0``.
+    """
+    if k <= 2:
+        return q ** (k - 1)
+    u = sum(math.gcd(k * a, q) == 1 for a in range(q))
+    return q ** (k - 3) * u + q ** (k - 2) * (q - u)
 
 
 def complete_sum_all(q, k):
@@ -489,6 +502,8 @@ def singular_integral_quadrature(n, params, B=None):
     of both grids.  Converged when the estimate is below ``QUADRATURE_TOL``
     or 5% of the value.
     """
+    if not params.is_pure:
+        raise ValidationError("singular integral is defined for the pure system")
     s, k = params.s, params.k
     if B is None:
         B = 48.0 if k <= 2 else 6.0

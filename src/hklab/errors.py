@@ -29,8 +29,8 @@ class AliasingError(ValidationError):
     """A lattice/average resolution is too coarse to be exact."""
 
 
-class ToleranceError(RuntimeError):
-    """A requested tolerance was not reached; carries the achieved estimate."""
+class ToleranceError(BudgetExceededError):
+    """A requested tolerance was not reached within the work budget."""
 
     def __init__(self, message, value=None, achieved=None):
         super().__init__(message)

@@ -115,6 +115,7 @@ _GL_WEIGHTS = 0.5 * (_GL_WEIGHTS + _GL_WEIGHTS[::-1])
 # B = 6, folds its 144 beta_1 nodes to 72 and so needs 288 gamma nodes times
 # 72 x 80 cells on the planted s = 12 target, about 1.7e6.
 TENSOR_CELLS_MAX = 1 << 25
+OSC_PANELS_MAX = 1 << 15  # panels of the finest rule a tolerance may ask for
 
 
 def gl_panels(lo, hi, panels):
@@ -207,12 +208,15 @@ def _osc_quad(beta, X, panels):
     return phase_tensor(*gl_panels(0.0, X, panels), beta[:, None]).item()
 
 
-def oscillatory_integral(beta, X, tol=None, max_panels=1 << 15):
+def oscillatory_integral(beta, X, tol=None):
     """``I(beta; X) = integral_0^X e(beta_1 g + ... + beta_k g^k) dg``.
 
     Composite 8-node Gauss-Legendre with the panel count proportional to the
     total phase variation, evaluated by :func:`phase_tensor` on one-value
-    axes; the error estimate comes from panel doubling.
+    axes; the error estimate comes from panel doubling.  Raises
+    ``BudgetExceededError`` before building any node when the finer rule's
+    nodes would pass ``TENSOR_CELLS_MAX``, and ``ToleranceError`` (a budget
+    error) when ``tol`` needs a rule past ``OSC_PANELS_MAX`` panels.
     """
     beta = _coords(beta)
     if X < 0:
@@ -221,9 +225,13 @@ def oscillatory_integral(beta, X, tol=None, max_panels=1 << 15):
         return OscillatoryIntegral(0j, 0.0, 0)
     variation = sum(abs(c) * float(X) ** j for j, c in enumerate(beta, start=1))
     p = int(math.ceil(4.0 * (variation + 1.0)))
+    if 16 * p > TENSOR_CELLS_MAX:  # 8 nodes on each of the 2p finer panels
+        raise BudgetExceededError(
+            f"oscillatory integral needs {16 * p} nodes, above {TENSOR_CELLS_MAX}",
+            work_done=0)
     coarse, fine = _osc_quad(beta, X, p), _osc_quad(beta, X, 2 * p)
     while tol is not None and abs(fine - coarse) > tol:
-        if 4 * p > max_panels:
+        if 4 * p > OSC_PANELS_MAX:
             raise ToleranceError("quadrature tolerance unreachable within panel budget",
                                  value=fine, achieved=abs(fine - coarse))
         p *= 2
@@ -265,21 +273,20 @@ def verify_shift_reindex(alpha, X, y):
     return abs(weyl_sum(a, X) - acc)
 
 
-def verify_resolution_identity(alpha, X, y, N, allow_alias=False):
+def verify_resolution_identity(alpha, X, y, N):
     """Discrepancy of resolving the range sum through the shifted sum.
 
     The gamma-integral is replaced by the exact N-point average; the
     integrand is a trigonometric polynomial in gamma with integer
     frequencies of absolute value at most ``3 X``, so any ``N >= 3*floor(X)+3``
-    resolves it exactly.  Smaller ``N`` raises unless ``allow_alias`` is set
-    (useful for demonstrating the aliasing failure).
+    resolves it exactly.  Smaller ``N`` raises ``AliasingError``.
     """
     a = _coords(alpha)
     X = int(X)
     y = int(y)
     if not (0 <= y <= X):
         raise ValidationError("shift must satisfy 0 <= y <= X")
-    if N < 3 * X + 3 and not allow_alias:
+    if N < 3 * X + 3:
         raise AliasingError(f"aliasing: need N >= {3 * X + 3}, got {N}")
     gammas = np.arange(N) / N
     coeffs = np.tile(a, (N, 1))
@@ -321,20 +328,15 @@ def shift_profile(x, y, k):
     return [sum((int(v) - int(y)) ** j for v in x) for j in range(1, k + 1)]
 
 
-def verify_binomial_transform(x, y, k, h=None):
+def verify_binomial_transform(x, y, k):
     """Exact check that power sums of a shifted tuple obey the nu-polynomials.
 
-    When ``h`` is supplied its first ``k-1`` entries must match the profile of
-    ``(x, y)``; otherwise the profile is derived from the tuple.
+    The profile ``h`` is derived from ``(x, y)`` by :func:`shift_profile`.
     """
     x = [int(v) for v in x]
     y = int(y)
     s = len(x)
     derived = shift_profile(x, y, k)
-    if h is not None:
-        h = [int(v) for v in h]
-        if list(h[:k - 1]) != derived[:k - 1]:
-            raise ValidationError("not a valid h-profile for this tuple")
     nu = ShiftPolynomials(derived, s, k)
     for j in range(1, k):
         if sum(v ** j for v in x) != nu.evaluate(j, y):

@@ -387,7 +387,7 @@ class SolubilityReport:
     verdict: str
     warnings: list = field(default_factory=list)
 
-    def to_json(self, **kwargs):
+    def to_json(self):
         out = {
             "holder_ok": self.holder_ok,
             "fermat_ok": self.fermat_ok,
@@ -398,7 +398,7 @@ class SolubilityReport:
             "verdict": self.verdict,
             "warnings": self.warnings,
         }
-        return json.dumps(out, sort_keys=True, default=str, **kwargs)
+        return json.dumps(out, sort_keys=True, default=str)
 
 
 def solubility_report(n, s, primes=None, seed=0, budget=2_000_000):

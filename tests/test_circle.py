@@ -9,7 +9,7 @@ import pytest
 
 from hklab import densities, expsums
 from hklab.core import SystemParams, power_sum_vector
-from hklab.counting import count_mitm
+from hklab.counting import count_mitm, vinogradov_count
 from hklab.circle import (
     STRATA,
     _minor_sup_candidates,
@@ -34,7 +34,7 @@ from hklab.circle import (
 )
 from hklab.counting import count_naive
 from hklab.densities import _primitive_mask, complete_sum_all
-from hklab.errors import AliasingError, BudgetExceededError, ValidationError
+from hklab.errors import BudgetExceededError, ValidationError
 from hklab.expsums import complete_sum, weyl_sum_batch
 from hklab.streams import substream
 
@@ -270,31 +270,32 @@ def test_major_witness_matches_scalar_test():
 
 
 def test_restricted_moment_exact_even():
-    m, hw = restricted_moment(2, "full", 10, 2)
-    assert m == 11.0 and hw == 0.0                        # diagonal pairs
+    # the full-torus moments are exact counts: the second is the diagonal
+    assert vinogradov_count(1, 2, 10, x_min=0) == 11
     # 2w-th moment equals the 0-based translation-invariant count
     w = 3
-    m6, _ = restricted_moment(2 * w, "full", 6, 2)
     from hklab.counting import powersum_histogram
 
     _, counts = powersum_histogram(w, 2, 6, x_min=0)
-    assert m6 == float(sum(int(c) ** 2 for c in counts))
+    assert vinogradov_count(w, 2, 6, x_min=0) == sum(int(c) ** 2 for c in counts)
 
 
 def test_restricted_moment_full_is_vinogradov_count():
-    from hklab.counting import vinogradov_count
-
+    # the full-torus 2w-th moment counts the solutions of the sign-split
+    # system x_1^j + ... + x_w^j = y_1^j + ... + y_w^j over 0..X
     for t, X, k in [(4, 12.5, 2), (6, 9, 3), (8, 5, 2)]:
-        m, hw = restricted_moment(t, "full", X, k)
-        assert m == float(vinogradov_count(t // 2, k, X, x_min=0)) and hw == 0.0
+        w = t // 2
+        split = count_mitm(SystemParams.mixed_sign(w, w, k), [0] * k,
+                           box=int(X), x_min=0).count
+        assert vinogradov_count(w, k, X, x_min=0) == split
     with pytest.raises(BudgetExceededError) as ei:
-        restricted_moment(12, "full", 10 ** 6, 2)
+        vinogradov_count(6, 2, 10 ** 6, x_min=0)
     assert ei.value.work_done == 0
 
 
 def test_restricted_moment_empty_region():
     region = MinorArcs1D(1e4, 1e4, 2)                     # empty minor set
-    m, hw = restricted_moment(4, region, 50.0, 2, samples=2000, seed=1)
+    [(m, hw)] = restricted_moment(4, [region], 50.0, 2, samples=2000, seed=1)
     assert m == 0.0
 
 
@@ -347,11 +348,6 @@ def test_lattice_integral_out_of_range_target():
     assert lattice_representation_integral(3, [100, 3], 4, 2) == 0
 
 
-def test_lattice_integral_aliasing_error():
-    with pytest.raises(AliasingError):
-        lattice_representation_integral(3, [3, 3], 4, 2, N_list=[5, 17])
-
-
 def _stratum(seed, st, per, k):
     """The ``per`` points of stratum ``st`` of the restricted Monte Carlo."""
     al = substream(seed, st).random((per, k))
@@ -365,7 +361,7 @@ def _region_mc_loop(region, k, samples, seed, func):
     total, totsq = 0.0 + 0.0j, 0.0
     for st in range(STRATA):
         al = _stratum(seed, st, per, k)
-        mask = region.mask_points(al)
+        mask = region.mask(al[:, -1])
         vals = np.zeros(per, dtype=np.complex128)
         if mask.any():
             vals[mask] = func(al[mask])
@@ -390,11 +386,11 @@ def test_region_pool_matches_stratum_loop():
     regions.append(MinorArcs1D(90, X, k))                 # sparse minor set
     pooled = restricted_moment(7, regions, X, k, samples=3000, seed=5)
     assert pooled == [_moment_loop(7, r, X, k, 3000, 5) for r in regions]
-    assert restricted_moment(7, regions[0], X, k, samples=3000, seed=5) == pooled[0]
+    assert restricted_moment(7, regions[:1], X, k, samples=3000, seed=5) == pooled[:1]
     # the phase alpha.h is a column sum in a fixed order, so the integral
     # matches too, also on the sparse set, 8 of whose strata keep one point
     h = [60.0, 1500.0]
-    kept = [int(regions[-1].mask_points(_stratum(3, st, 2000 // STRATA, k)).sum())
+    kept = [int(regions[-1].mask(_stratum(3, st, 2000 // STRATA, k)[:, -1]).sum())
             for st in range(STRATA)]
     assert kept.count(1) == 8
     pooled = restricted_representation_integral(6, h, regions, X, k,
@@ -420,7 +416,7 @@ def test_region_pool_honours_phase_budget(monkeypatch):
 
 
 def test_pooled_experiments_match_single_region_calls():
-    # every Q level of a pooled quantity equals the single-region call with
+    # every Q level of a pooled quantity equals the one-region call with
     # the quantity's own seed (seed, seed + 1, seed + 2; seed + 7 for minor-decay)
     s, k, X, Qs = 6, 2, 96.0, [4, 8, 16]
     h = [60, 1500]
@@ -429,32 +425,34 @@ def test_pooled_experiments_match_single_region_calls():
                                           seed=seed)["rows"]
         for Q, row in zip(Qs, rows):
             minor = MinorArcs1D(Q, X, k)
-            lhs, lhs_hw = restricted_representation_integral(
-                s, h, minor, X, k, samples=1600, seed=seed)
-            j1, j1_hw = restricted_moment(s + 1, minor, 2 * X, k,
-                                          samples=1600, seed=seed + 1)
-            j2, j2_hw = restricted_moment(s + 1, MinorArcs1D(Q, X, k, dilation=s),
-                                          X, k, samples=1600, seed=seed + 2)
+            [(lhs, lhs_hw)] = restricted_representation_integral(
+                s, h, [minor], X, k, samples=1600, seed=seed)
+            [(j1, j1_hw)] = restricted_moment(s + 1, [minor], 2 * X, k,
+                                              samples=1600, seed=seed + 1)
+            [(j2, j2_hw)] = restricted_moment(s + 1, [MinorArcs1D(Q, X, k, dilation=s)],
+                                              X, k, samples=1600, seed=seed + 2)
             assert (row["lhs_abs"], row["lhs_halfwidth"]) == (abs(lhs), lhs_hw)
             assert (row["J_wide"], row["J_wide_halfwidth"]) == (float(np.real(j1)), j1_hw)
             assert (row["J_dilated"], row["J_dilated_halfwidth"]) == (float(np.real(j2)), j2_hw)
         decay = minor_arc_decay_experiment(s, k, X, Qs, samples=160, seed=seed, h=h)
         norm = X ** (s - k * (k + 1) / 2)
         for Q, row in zip(Qs, decay["rows"]):
-            est, hw = restricted_representation_integral(
-                s, h, MinorArcs1D(Q, X, k), X, k, samples=1600, seed=seed + 7)
+            [(est, hw)] = restricted_representation_integral(
+                s, h, [MinorArcs1D(Q, X, k)], X, k, samples=1600, seed=seed + 7)
             assert (row["I_restricted"], row["I_halfwidth"]) == (abs(est) / norm, hw / norm)
 
 
-def test_restricted_integral_full_dispatch():
-    v, hw = restricted_representation_integral(3, [3, 3], "full", 4, 2)
-    assert abs(v - 1) < 1e-6 and hw == 0.0
+def test_restricted_integral_full_torus_is_lattice():
+    # the full-torus value is the exact lattice integral: (1, 1, 1) alone
+    # has power sums (3, 3) in 0..4
+    v = lattice_representation_integral(3, [3, 3], 4, 2)
+    assert abs(v - 1) < 1e-6 and isinstance(v, float)
 
 
 def test_restricted_integral_rejects_short_shift_profile():
     # the sampled phase alpha.h needs one shift per coordinate
     with pytest.raises(ValidationError):
-        restricted_representation_integral(6, [60], MinorArcs1D(4, 96.0, 2), 96.0, 2)
+        restricted_representation_integral(6, [60], [MinorArcs1D(4, 96.0, 2)], 96.0, 2)
 
 
 def test_minor_decay_experiment_small():

@@ -8,8 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hklab import cli, densities
-from hklab.circle import DissectionParams, classify_direct
+from hklab import cli, densities, expsums
+from hklab.circle import (
+    DissectionParams,
+    classify_direct,
+    dilation_containment_check,
+    moment_majorant_experiment,
+)
 from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
 from hklab.core import SystemParams
 from hklab.densities import singular_series_euler
@@ -64,6 +69,23 @@ def test_sums_weyl_and_integral(capsys):
     code, out, _ = run_cli(capsys, "sums", "integral", "--beta", "0,1",
                            "--X", "1")
     assert code == EXIT_OK and "0.24412" in out
+
+
+def test_sums_integral_unreachable_tol_exits_3(capsys):
+    code, _, err = run_cli(capsys, "sums", "integral", "--beta", "40,170",
+                           "--X", "9", "--tol", "1e-30")
+    assert code == EXIT_BUDGET and "tolerance unreachable" in err
+
+
+def test_sums_integral_oversized_rule_exits_3(capsys, monkeypatch):
+    # 3.2e9 nodes: refused before the first panel is built (a built panel
+    # would fail the test instead of allocating)
+    def refuse(*args):
+        raise AssertionError("panels built before the budget check")
+    monkeypatch.setattr(expsums, "gl_panels", refuse)
+    code, _, err = run_cli(capsys, "sums", "integral", "--beta", "0,10000",
+                           "--X", "100")
+    assert code == EXIT_BUDGET and "nodes" in err
 
 
 def test_sums_grid_csv(tmp_path, capsys):
@@ -173,6 +195,12 @@ def test_densities_ignored_flag_is_validation_error(capsys, no_density_work, fla
     assert code == EXIT_VALIDATION and needed in err
 
 
+def test_densities_non_pure_integral_is_validation_error(capsys, no_density_work):
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "10,300",
+                           "--variant", "mixed:3,3", "--method", "euler", "--integral")
+    assert code == EXIT_VALIDATION and "pure system" in err
+
+
 def test_densities_help_names_flag_dependencies(capsys):
     with pytest.raises(SystemExit):
         main(["densities", "--help"])
@@ -252,6 +280,24 @@ def test_arcs_wide_profile_pinned(tmp_path, capsys):
     assert [r[2] for r in rows] == classify_direct(pts, d).tolist()
     lines = out_path.read_text().splitlines()
     assert '0.11219699434112951,0.416699703145176,W3,5,"(1, 2)"' in lines
+
+
+@pytest.mark.parametrize("seed", [{}, {"seed": 3}])
+def test_moment_majorant_runner_is_the_direct_call(tmp_path, capsys, monkeypatch, seed):
+    # the runner passes the config's keys and nothing else, so its result is
+    # the direct call's, with the functions' own default for a left-out seed
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    config = {"s": 6, "k": 2, "X": 64.0, "Q_list": [8, 16], "h": [60, 1500],
+              "samples": 800, **seed}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "moment-majorant", **config}))
+    out = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out),
+                         "--no-cache")
+    assert code == EXIT_OK
+    direct = {**moment_majorant_experiment(**config),
+              "containment": dilation_containment_check(6, 16, 64.0, 2, **seed)}
+    assert json.loads(out.read_text())["result"] == json.loads(json.dumps(direct))
 
 
 def test_experiment_cache_byte_identical(tmp_path, capsys, monkeypatch):

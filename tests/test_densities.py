@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hklab.core import SystemParams, target_scale
 from hklab.densities import (
     DensityEstimate,
     _irwin_hall_cdf,
+    _representative_rows,
     _shift_tables,
     complete_sum_all,
     main_term,
@@ -127,6 +129,30 @@ def test_shift_tables_refuse_over_budget_before_allocating(monkeypatch):
     assert tables == []
     monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 385 * 49)
     assert len(_shift_tables(49, 3)[0]) == 385 and tables == [(385, 49)]
+
+
+@pytest.mark.parametrize("k, q_max", [(1, 12), (2, 30), (3, 60), (4, 16)])
+def test_representative_rows_closed_form(k, q_max):
+    for q in range(1, q_max + 1):
+        assert _representative_rows(q, k) == len(_shift_tables(q, k)[0]), (q, k)
+
+
+def test_shift_tables_count_rows_before_building_them(monkeypatch):
+    # q = 499, k = 4 has 499^3 rows (3 GB of int64 indices) and about 5e5
+    # representatives; the closed-form count refuses the table before the
+    # row indices are built, which the patched np.indices would report
+    def refuse(*args, **kw):
+        raise AssertionError("row indices built before the budget check")
+
+    monkeypatch.setattr(np, "indices", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="q=499, k=4"):
+            _shift_tables(499, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_series_term_imag_diagnostic_small():
@@ -385,6 +411,13 @@ def test_integral_k1_closed_forms():
     est = singular_integral_quadrature([50], p21, B=60.0)
     assert abs(est.value - 1.0) < 5e-3                     # peak of the hat
     assert est.imag_diagnostic < 1e-9
+
+
+def test_integral_rejects_non_pure_system():
+    # the quadrature integrates the pure system's I(beta; 1)^s, whatever the
+    # coefficients, so a sign-split system would get the pure value
+    with pytest.raises(ValidationError, match="pure system"):
+        singular_integral_quadrature([10, 300], SystemParams.mixed_sign(3, 3, 2))
 
 
 def test_integral_halfspace_symmetry():

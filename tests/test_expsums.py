@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hklab import expsums
 from hklab.circle import lattice_representation_integral
 from hklab.densities import _integral_once, gamma_rule
-from hklab.errors import AliasingError, BudgetExceededError, ToleranceError, ValidationError
+from hklab.errors import AliasingError, BudgetExceededError, ToleranceError
 from hklab.expsums import (
     ShiftPolynomials,
     complete_sum,
@@ -16,7 +17,6 @@ from hklab.expsums import (
     gl_panels,
     oscillatory_integral,
     phase_tensor,
-    shift_profile,
     tensor_integral,
     verify_binomial_transform,
     verify_resolution_identity,
@@ -144,8 +144,25 @@ def test_integral_modulus_bound_and_error_estimate():
 
 def test_integral_tolerance_error():
     with pytest.raises(ToleranceError) as ei:
-        oscillatory_integral([40.0, 170.0], 9.0, tol=1e-30, max_panels=64)
+        oscillatory_integral([40.0, 170.0], 9.0, tol=1e-30)
     assert ei.value.achieved is not None
+    assert isinstance(ei.value, BudgetExceededError)  # hk exits 3
+
+
+def test_integral_oversized_rule_raises_before_building_nodes(monkeypatch):
+    # 8p = 3.2e9 nodes at beta = (0, 10^4), X = 100; the panel builder is
+    # refused, so a missing check fails the test instead of allocating them
+    def refuse(*args):
+        raise AssertionError("panels built before the budget check")
+    monkeypatch.setattr(expsums, "gl_panels", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as ei:
+            oscillatory_integral([0.0, 1e4], 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ei.value.work_done == 0 and peak < 1 << 16
 
 
 def test_gl_panels_exact_on_degree_15():
@@ -309,10 +326,6 @@ def test_resolution_identity_trivial_y0_alpha0():
 def test_resolution_identity_aliasing_guard():
     with pytest.raises(AliasingError):
         verify_resolution_identity([0.1, 0.2], 10, 3, 12)
-    # adversarially small N really does corrupt the average:
-    # at alpha = 0 the aliases x - y - z = +-N contribute positive mass
-    disc = verify_resolution_identity([0.0, 0.0], 10, 0, 10, allow_alias=True)
-    assert disc > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +358,6 @@ def test_binomial_transform_examples():
 @settings(max_examples=80)
 def test_binomial_transform_random_tuples(x, y, k):
     assert verify_binomial_transform(x, y, k)
-
-
-def test_binomial_transform_profile_mismatch():
-    h = shift_profile([2, 3], 1, 2)
-    h[0] += 1
-    with pytest.raises(ValidationError):
-        verify_binomial_transform([2, 3], 1, 2, h=h)
 
 
 # ---------------------------------------------------------------------------
