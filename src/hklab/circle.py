@@ -23,6 +23,7 @@ from . import expsums
 from .core import SystemParams, target_scale
 from .counting import count_mitm
 from .densities import (
+    _check_shift_table,
     _primitive_mask,
     _shift_tables,
     main_term,
@@ -230,6 +231,8 @@ def classify_direct(alphas, d):
 
 def measure_major_1d(Q, X, k):
     """Exact measure of the 1-d major union, with the crude union bound."""
+    if not (1 <= Q):
+        raise ValidationError("need Q >= 1")
     thr = Q * float(X) ** (-k)
     intervals = []
     for q in range(1, int(math.floor(Q)) + 1):
@@ -402,12 +405,16 @@ def _minor_sup_candidates(Q_min, Q_max, k):
     is the grid's.  Exactly tied maxima are common, so the maximizer is the
     first primitive cell in C order (``a_1`` slabs read through the tables)
     within a relative ``1e-9`` of the maximum, not whichever rounding favours.
+    Every table is checked against the cell cap before the first is built.
     """
+    factors = {q: prime_power_factors(q) for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1)}
+    for pe in sorted({pe for f in factors.values() for _, pe in f}):
+        _check_shift_table(pe, k)
     best = {}  # prime power -> first primitive near-maximizer of |S|
     cands = []
-    for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1):
+    for q, f in factors.items():
         a = np.zeros(k, dtype=np.int64)
-        for p, pe in prime_power_factors(q):
+        for p, pe in f:
             if pe not in best:
                 D, rep, _, c, _ = _shift_tables(pe, k)
                 S = np.abs(D)  # drop p | a: rows with p | (a_2..a_k) have t = 0
@@ -443,6 +450,8 @@ def minor_arc_decay_experiment(s, k, X, Q_list, samples=400, seed=0, h=None):
     Q_list = sorted(Q_list)
     if len(Q_list) < 3:
         raise ValidationError("need at least 3 Q values")
+    if Q_list[0] < 1:
+        raise ValidationError("need Q >= 1")
     if s < k * (k + 1):
         raise ValidationError("minor-arc comparison needs s >= k(k+1)")
     pool = _minor_sup_candidates(min(Q_list), max(Q_list), k)
@@ -516,17 +525,24 @@ def moment_majorant_experiment(s, k, X, Q_list, h, samples=60000, seed=0):
 
 
 def dilation_containment_check(s, Q, X, k, samples=10000, seed=0):
-    """Sampled check that s-dilated minor points stay minor at cutoff Q/s."""
+    """Sampled check that s-dilated minor points stay minor at cutoff Q/s.
+
+    Nothing is drawn when the major arcs at Q cover the torus (no minor
+    points), and a cutoff Q/s below 1 has no major arcs, so every dilated
+    point is minor there.
+    """
+    if measure_major_1d(Q, X, k)["measure"] >= 1:
+        return {"checked": 0, "passed": 0, "all_pass": True}
     rng = substream(seed, 0)
     minor_Q = MinorArcs1D(Q, X, k)
-    minor_Qs = MinorArcs1D(Q / s, X, k)
+    minor_Qs = MinorArcs1D(Q / s, X, k) if Q >= s else None
     checked = 0
     passed = 0
     while checked < samples:
         vals = rng.random(4 * samples)
         vals = vals[minor_Q.mask(vals)][: samples - checked]
         checked += len(vals)
-        passed += int(minor_Qs.mask((s * vals) % 1.0).sum())
+        passed += int(minor_Qs.mask((s * vals) % 1.0).sum()) if minor_Qs else len(vals)
     return {"checked": checked, "passed": passed, "all_pass": passed == checked}
 
 

@@ -5,7 +5,7 @@ splits the variables in half and joins power-sum keys of the two halves:
 
 * it enumerates one half only when the second half's coefficients equal the
   first's or are their negation (the pure system, ``mixed_sign(l, l, k)``),
-  and reuses those keys, negated in the second case (on both routes);
+  and reuses those keys, negated in the second case;
 * it prunes each half during the enumeration to keys that can still meet
   the target, ``[n - max(other half), n - min(other half)]``, with the
   reachable ranges of :func:`power_range`;
@@ -14,26 +14,26 @@ splits the variables in half and joins power-sum keys of the two halves:
 * it sums the products with an int64 ``np.dot`` when a certificate rules out
   overflow, and in Python integers otherwise.
 
-Both count ordered tuples and agree exactly wherever both run.
+Both count ordered tuples; ``count_naive`` is the oracle for the join.
 ``vinogradov_count`` evaluates the full-torus even moment of the degree-k
 generating sum from the same reduced histogram and certified dot (sum of
 squared key frequencies).
 
-Keys stay in int64 arrays while value ranges provably fit; otherwise the
-count falls back to exact Python integers (``_count_mitm_python``, which is
-also the oracle for the array route).
+There is one join.  Keys are int64 while a certificate bounds every power
+sum below ``INT64_SAFE`` (``_int64_safe``), and encodings while the radix
+product stays below it; otherwise the same numpy operations run on object
+arrays of Python integers, and the count is reported as ``"mitm-bigint"``.
 """
 
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .core import INT64_SAFE, _target_vector
 from .errors import BudgetExceededError, MemoryBudgetError, ValidationError
-from .kernels import canonical_powersum_run, tuple_multiplicities
+from .kernels import _key_bounds, canonical_powersum_run
 
 
 @dataclass
@@ -180,12 +180,6 @@ def _reach(coeffs, lo, hi, k):
     return [sum(r[0] for r in rj) for rj in ranges], [sum(r[1] for r in rj) for rj in ranges]
 
 
-def _clip(bounds):
-    """Integer bounds clipped into int64; every key of an int64-safe system lies inside."""
-    return np.array([min(max(int(v), -INT64_SAFE), INT64_SAFE) for v in bounds],
-                    dtype=np.int64)
-
-
 def _mirror_sign(c_first, c_second):
     """1 when the second half's coefficients are the first's, -1 when they
     are their negation, else 0."""
@@ -193,19 +187,20 @@ def _mirror_sign(c_first, c_second):
             else -1 if c_second == tuple(-c for c in c_first) else 0)
 
 
-def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
+def _half_histogram(coeffs, lo, hi, k, key_min, key_max, dtype):
     """Keys in ``[key_min, key_max]`` and multiplicities of one variable block.
 
     Variables with equal coefficients are enumerated canonically and weighted
     by the multinomial multiplicity; distinct coefficient runs combine by
     Cartesian product.  Each run is pruned during its enumeration, and after
     each product the rows that the later runs can no longer bring into the
-    bounds are dropped.  Multiplicities are Python integers when the block's
+    bounds are dropped.  Keys have ``dtype`` (int64, or object for Python
+    integers).  Multiplicities are Python integers when the block's
     ``(hi - lo + 1)^len(coeffs)`` ordered tuples could overflow an int64 sum.
     """
     runs = _coeff_runs(coeffs)
     reach = [_reach((c,) * t, lo, hi, k) for c, t in runs]
-    keys = np.zeros((1, k), dtype=np.int64)
+    keys = np.zeros((1, k), dtype=dtype)
     exact64 = (hi - lo + 1) ** len(coeffs) < INT64_SAFE
     mult = np.ones(1, dtype=np.int64 if exact64 else object)
     for i, (c, t) in enumerate(runs):
@@ -216,12 +211,13 @@ def _half_histogram(coeffs, lo, hi, k, key_min, key_max):
         part_max = [key_max[j] - rest_min[j] for j in range(k)]
         rk, rm = canonical_powersum_run(
             t, lo, hi, k, coeff=c,
-            key_min=_clip([part_min[j] - int(keys[:, j].max()) for j in range(k)]),
-            key_max=_clip([part_max[j] - int(keys[:, j].min()) for j in range(k)]))
+            key_min=[part_min[j] - int(keys[:, j].max()) for j in range(k)],
+            key_max=[part_max[j] - int(keys[:, j].min()) for j in range(k)])
         keys = (keys[:, None, :] + rk[None, :, :]).reshape(-1, k)
         mult = (mult[:, None] * rm[None, :]).reshape(-1)
         if i:
-            ok = np.all((keys >= _clip(part_min)) & (keys <= _clip(part_max)), axis=1)
+            ok = np.all((keys >= _key_bounds(part_min, dtype))
+                        & (keys <= _key_bounds(part_max, dtype)), axis=1)
             keys, mult = keys[ok], mult[ok]
         if not len(keys):
             break
@@ -235,27 +231,24 @@ def _int64_safe(params, lo, hi):
 
 
 def _encode_keys(*key_arrays):
-    """Mixed-radix encode rows of k-column int64 keys into scalars.
+    """Mixed-radix encode rows of k-column keys into scalars, one array each.
 
-    Returns encoded arrays (same order) or None when the radix product would
-    overflow int64.
+    Encodings are int64 for int64 keys whose radix product stays below
+    ``INT64_SAFE``, and Python integers (object) otherwise.
     """
     k = key_arrays[0].shape[1]
-    lo = np.array([min(int(a[:, j].min()) for a in key_arrays) for j in range(k)])
-    hi = np.array([max(int(a[:, j].max()) for a in key_arrays) for j in range(k)])
-    radix = (hi - lo + 1).astype(object)
-    total = 1
-    for r in radix:
-        total *= int(r)
-    if total >= INT64_SAFE:
-        return None
+    lo = [min(int(a[:, j].min()) for a in key_arrays) for j in range(k)]
+    radix = [max(int(a[:, j].max()) for a in key_arrays) - lo[j] + 1 for j in range(k)]
+    wide = math.prod(radix) >= INT64_SAFE
     out = []
     for a in key_arrays:
-        enc = np.zeros(len(a), dtype=np.int64)
+        if wide:
+            a = a.astype(object)
+        enc = np.zeros(len(a), dtype=a.dtype)
         stride = 1
         for j in range(k):
             enc += (a[:, j] - lo[j]) * stride
-            stride *= int(radix[j])
+            stride *= radix[j]
         out.append(enc)
     return out
 
@@ -320,14 +313,12 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
             "use a smaller box or a larger memory_budget_bytes",
             work_done=0,
         )
-    # canonical tuples of the halves enumerated, on either route
+    # canonical tuples of the halves enumerated
     work = sum(math.comb(box - lo + t, t) for half in halves for _, t in _coeff_runs(half))
     if work > budget:
         raise BudgetExceededError("mitm enumeration budget exceeded", work_done=0)
 
-    if not _int64_safe(params, lo, box):
-        return _count_mitm_python(params, n, lo, box, s1, t0)
-
+    dtype = np.int64 if _int64_safe(params, lo, box) else object
     min1, max1 = _reach(c_first, lo, box, k)
     min2, max2 = _reach(c_second, lo, box, k)
     if any(not a + c <= nj <= b + d for nj, a, b, c, d in zip(n, min1, max1, min2, max2)):
@@ -340,69 +331,21 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
         if sign < 0:
             lo2, hi2 = [-v for v in hi2], [-v for v in lo2]
         k1, m1 = _half_histogram(c_first, lo, box, k, list(map(min, lo1, lo2)),
-                                 list(map(max, hi1, hi2)))
+                                 list(map(max, hi1, hi2)), dtype)
         k2, m2 = (k1 if sign > 0 else -k1), m1
     else:
-        k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1)
-        k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2)
+        k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1, dtype)
+        k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2, dtype)
     if not (len(k1) and len(k2)):
         return CountResult(0, "mitm", work, time.perf_counter() - t0)
-    enc = _encode_keys(k1, np.asarray(n, dtype=np.int64)[None, :] - k2)
-    if enc is None:
-        return _count_mitm_python(params, n, lo, box, s1, t0)
-    u1, c1 = _unique_sum(enc[0], m1)
-    u2, c2 = _unique_sum(enc[1], m2)
+    e1, e2 = _encode_keys(k1, np.asarray(n, dtype=dtype)[None, :] - k2)
+    u1, c1 = _unique_sum(e1, m1)
+    u2, c2 = _unique_sum(e2, m2)
     pos = np.minimum(np.searchsorted(u1, u2), len(u1) - 1)
     hit = u1[pos] == u2
     total = _certified_dot(c1[pos[hit]], c2[hit])
-    return CountResult(total, "mitm", work, time.perf_counter() - t0)
-
-
-def _run_table(c, t, lo, hi, k):
-    """Exact ``{key: multiplicity}`` over the ordered ``t``-tuples of one
-    coefficient run, with Python-integer keys ``c * (sum x^j)_j``."""
-    tuples = list(combinations_with_replacement(range(lo, hi + 1), t))
-    mults = tuple_multiplicities(np.array(tuples, dtype=np.int64).reshape(len(tuples), t))
-    table = {}
-    for tup, mult in zip(tuples, mults):
-        key = tuple(c * sum(v ** j for v in tup) for j in range(1, k + 1))
-        table[key] = table.get(key, 0) + int(mult)
-    return table
-
-
-def _count_mitm_python(params, n, lo, box, s1, t0):
-    """Exact big-integer fallback with dict join."""
-    k = params.k
-
-    def half(coeffs):
-        table = {(0,) * k: 1}
-        for c, t in _coeff_runs(coeffs):
-            block = _run_table(c, t, lo, box, k)
-            new = {}
-            for key1, mu1 in table.items():
-                for key2, mu2 in block.items():
-                    key = tuple(a + b for a, b in zip(key1, key2))
-                    new[key] = new.get(key, 0) + mu1 * mu2
-            table = new
-        return table
-
-    c_first, c_second = params.coeffs[:s1], params.coeffs[s1:]
-    sign = _mirror_sign(c_first, c_second)
-    h1 = half(c_first)
-    if sign:
-        # a mirrored second half is the first, its keys negated for sign -1
-        h2 = h1 if sign > 0 else {tuple(-v for v in key): mu for key, mu in h1.items()}
-        work = len(h1)
-    else:
-        h2 = half(c_second)
-        work = len(h1) + len(h2)
-    total = 0
-    for key2, mu2 in h2.items():
-        need = tuple(a - b for a, b in zip(n, key2))
-        mu1 = h1.get(need)
-        if mu1:
-            total += mu1 * mu2
-    return CountResult(total, "mitm-bigint", work, time.perf_counter() - t0)
+    method = "mitm-bigint" if e1.dtype == object else "mitm"
+    return CountResult(total, method, work, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +355,17 @@ def _count_mitm_python(params, n, lo, box, s1, t0):
 def powersum_histogram(t, k, hi, x_min=1):
     """Frequencies r(m) of power-sum keys over ordered t-tuples in [x_min, hi].
 
-    Returns ``(encoded_or_raw_keys, counts)`` where counts are exact ints
-    (int64, or Python integers when ``(hi - x_min + 1)^t`` could overflow);
-    used by the mean-value evaluators.  The raw (k-column) keys are returned
-    when int64 encoding is not possible.
+    Returns ``(keys, counts)``: the sorted mixed-radix encodings of the
+    distinct keys (int64, or Python integers past int64) and their exact
+    frequencies (int64, or Python integers when ``(hi - x_min + 1)^t`` could
+    overflow); used by the mean-value evaluators.
     """
     if hi < x_min:
-        return np.zeros((0, k), dtype=np.int64), np.zeros(0, dtype=object)
-    if t * max(abs(x_min), abs(hi)) ** k < INT64_SAFE:
-        keys, mult = canonical_powersum_run(t, x_min, hi, k)
-        enc = _encode_keys(keys)
-        if enc is not None:
-            if (hi - x_min + 1) ** t >= INT64_SAFE:
-                mult = mult.astype(object)
-            return _unique_sum(enc[0], mult)
-    items = sorted(_run_table(1, t, x_min, hi, k).items())
-    return [key for key, _ in items], np.array([c for _, c in items], dtype=object)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=object)
+    keys, mult = canonical_powersum_run(t, x_min, hi, k)
+    if (hi - x_min + 1) ** t >= INT64_SAFE:
+        mult = mult.astype(object)
+    return _unique_sum(_encode_keys(keys)[0], mult)
 
 
 def vinogradov_count(t, k, X, x_min=1, budget=50_000_000):

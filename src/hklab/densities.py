@@ -84,11 +84,10 @@ def _shift_tables(q, k):
     ``rep``, ``t``, ``c = b_1 - a_1`` and ``d = f(t) - a_1 t`` are given for
     every row ``(a_2..a_k)`` in C order.  Phases are exact int32 residues
     summed in place from ``(rows, q)`` products.  Raises
-    ``BudgetExceededError`` before any allocation when the DFT rows
-    (:func:`_representative_rows`) would pass ``TENSOR_CELLS_MAX`` cells.
+    ``BudgetExceededError`` before any allocation when the table is over the
+    cap (:func:`_check_shift_table`).
     """
-    if (cells := _representative_rows(q, k) * q) > TENSOR_CELLS_MAX:
-        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
+    _check_shift_table(q, k)
     rows = q ** (k - 1)
     A = np.indices((q,) * (k - 1)).reshape(k - 1, rows)  # a_2..a_k, int64
     t, rep = np.zeros(rows, dtype=np.int64), np.arange(rows)
@@ -112,6 +111,13 @@ def _shift_tables(q, k):
     del idx
     np.fft.ifft(D, axis=-1, norm="forward", out=D)  # in place: numpy >= 2.0
     return D, rep, t, B[1], B[0]
+
+
+def _check_shift_table(q, k):
+    """Raise ``BudgetExceededError`` when the DFT rows of :func:`_shift_tables`
+    (:func:`_representative_rows`) would pass ``TENSOR_CELLS_MAX`` cells."""
+    if (cells := _representative_rows(q, k) * q) > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
 
 
 def _representative_rows(q, k):

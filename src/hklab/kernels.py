@@ -1,4 +1,4 @@
-"""Hot numeric kernels.  Public dispatchers sit at the bottom of the module.
+"""Hot numeric kernels.
 
 All kernels are numpy only.
 
@@ -31,6 +31,8 @@ import functools
 import math
 
 import numpy as np
+
+from .core import INT64_SAFE
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,17 @@ def _block_sums(c, index, limbs, B, last):
     return acc.sum(axis=1)
 
 
-def _phase_poly_sums_blocked(coeffs, u0, u1):
+def phase_poly_sums(coeffs, u0, u1):
+    """Batch of sums ``sum_{u=u0}^{u1} e(sum_j coeffs[r,j] u^(j+1))``.
+
+    ``coeffs`` is ``(m, k)`` float64; returns ``(m,)`` complex128.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+    if coeffs.ndim != 2:
+        raise ValueError("coeffs must be 2-d (batch, degree)")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("non-finite frequency")
+    u0, u1 = int(u0), int(u1)
     m, k = coeffs.shape
     out = np.zeros(m, dtype=np.complex128)
     n = u1 - u0 + 1
@@ -223,6 +235,47 @@ def tuple_multiplicities(rows):
     return facts[t] // (prod * facts[run])
 
 
+def _key_bounds(bounds, dtype):
+    """Integer key bounds as a ``dtype`` array.  int64 bounds are clipped into
+    ``[-INT64_SAFE, INT64_SAFE]``, which holds every key of an int64 table."""
+    if dtype == object:
+        return np.array([int(v) for v in bounds], dtype=object)
+    return np.array([min(max(int(v), -INT64_SAFE), INT64_SAFE) for v in bounds],
+                    dtype=np.int64)
+
+
+def canonical_powersum_run(t, lo, hi, k, coeff=1, key_min=None, key_max=None):
+    """Keys and multiplicities of non-decreasing ``t``-tuples in ``[lo, hi]``.
+
+    Key of a tuple is ``coeff * (sum x, sum x^2, ..., sum x^k)``;
+    multiplicity is the number of ordered rearrangements.  Returns
+    ``(keys (N,k), mult (N,))``.  Keys are int64 when
+    ``t * |coeff| * max(|lo|,|hi|)^k < INT64_SAFE``, which bounds every
+    partial key, and Python integers (object) otherwise; ``mult`` is int64
+    (Python integers once ``t! >= 2^63``).  With ``key_min`` and ``key_max``
+    (length ``k``) only tuples whose key lies in ``[key_min, key_max]`` in
+    every component are returned, and partial tuples that cannot reach that
+    box are dropped during the enumeration.
+    """
+    dtype = np.int64 if t * abs(coeff) * max(abs(lo), abs(hi)) ** k < INT64_SAFE else object
+    vals = np.arange(lo, hi + 1, dtype=np.int64).astype(dtype, copy=False)
+    powtab = np.empty((len(vals), k), dtype=dtype)
+    acc = vals * int(coeff)
+    for j in range(k):
+        powtab[:, j] = acc
+        if j < k - 1:
+            acc = acc * vals
+    if key_min is not None:
+        key_min, key_max = _key_bounds(key_min, dtype), _key_bounds(key_max, dtype)
+    if t == 0:
+        keys = np.zeros((1, k), dtype=dtype)
+        if key_min is not None and not np.all((key_min <= 0) & (0 <= key_max)):
+            keys = keys[:0]
+        return keys, np.ones(len(keys), dtype=np.int64)
+    rows, keys = _enum_canonical(t, powtab, key_min, key_max)
+    return keys, tuple_multiplicities(rows)
+
+
 # ---------------------------------------------------------------------------
 # modular convolution step for counting solutions mod m
 # ---------------------------------------------------------------------------
@@ -279,54 +332,6 @@ def _conv_mod_numpy(H, sh):
     for row in sh:
         out += np.roll(H, tuple(int(v) for v in row), axis=axes)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def phase_poly_sums(coeffs, u0, u1):
-    """Batch of sums ``sum_{u=u0}^{u1} e(sum_j coeffs[r,j] u^(j+1))``.
-
-    ``coeffs`` is ``(m, k)`` float64; returns ``(m,)`` complex128.
-    """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-    if coeffs.ndim != 2:
-        raise ValueError("coeffs must be 2-d (batch, degree)")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("non-finite frequency")
-    return _phase_poly_sums_blocked(coeffs, int(u0), int(u1))
-
-
-def canonical_powersum_run(t, lo, hi, k, coeff=1, key_min=None, key_max=None):
-    """Keys and multiplicities of non-decreasing ``t``-tuples in ``[lo, hi]``.
-
-    Key of a tuple is ``coeff * (sum x, sum x^2, ..., sum x^k)``;
-    multiplicity is the number of ordered rearrangements.  Returns
-    ``(keys (N,k) int64, mult (N,))``, ``mult`` int64 (Python integers
-    once ``t! >= 2^63``).  With ``key_min`` and ``key_max`` (length ``k``)
-    only tuples whose key lies in ``[key_min, key_max]`` in every component
-    are returned, and partial tuples that cannot reach that box are dropped
-    during the enumeration.  Caller is responsible for ensuring int64
-    headroom (``t * max(|lo|,|hi|)^k * |coeff|`` and the bounds well below 2^63).
-    """
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    powtab = np.empty((len(vals), k), dtype=np.int64)
-    acc = vals * np.int64(coeff)
-    for j in range(k):
-        powtab[:, j] = acc
-        if j < k - 1:
-            acc = acc * vals
-    if key_min is not None:
-        key_min = np.asarray(key_min, dtype=np.int64)
-        key_max = np.asarray(key_max, dtype=np.int64)
-    if t == 0:
-        keys = np.zeros((1, k), dtype=np.int64)
-        if key_min is not None and not np.all((key_min <= 0) & (0 <= key_max)):
-            keys = keys[:0]
-        return keys, np.ones(len(keys), dtype=np.int64)
-    rows, keys = _enum_canonical(t, powtab, key_min, key_max)
-    return keys, tuple_multiplicities(rows)
 
 
 def conv_mod(H, shifts):

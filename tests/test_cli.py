@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hklab import cli, densities, expsums
+from hklab import circle, cli, densities, expsums
 from hklab.circle import (
     DissectionParams,
     classify_direct,
@@ -355,6 +355,51 @@ def test_experiment_over_budget_table_exits_3(tmp_path, capsys, monkeypatch):
                            "--out", str(tmp_path / "r.json"))
     assert code == EXIT_BUDGET and "complete-sum table at q=8, k=3: 288 cells" in err
     assert json.loads((tmp_path / "r.json").read_text())["partial"] is True
+
+
+@pytest.mark.parametrize("config,code,message", [
+    ({"s": 12, "k": 3, "X": 200.0, "Q_list": [-3, 5, 10]}, EXIT_VALIDATION,
+     "need Q >= 1"),
+    # q = 125 has 5.0e7 cells; the smaller tables before it are not built either
+    ({"s": 20, "k": 4, "X": 500.0, "Q_list": [50, 100, 250]}, EXIT_BUDGET,
+     "complete-sum table at q=125, k=4"),
+])
+def test_minor_decay_refuses_before_table_work(tmp_path, capsys, monkeypatch,
+                                               config, code, message):
+    def build_anyway(*args):
+        raise AssertionError("a shift table was built for a refused config")
+
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(circle, "_shift_tables", build_anyway)
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({"name": "minor-decay", **config}))
+    got, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                          "--out", str(tmp_path / "r.json"))
+    assert got == code and message in err
+
+
+@pytest.mark.parametrize("Q_list,checked", [
+    ([64], 0),          # the major arcs at Q = 64 cover the torus: no minor point
+    ([2, 4], 10_000),   # Q / s < 1: no major arcs at the dilated cutoff
+])
+def test_containment_check_ends_on_degenerate_cutoffs(tmp_path, Q_list, checked):
+    # a child process with a timeout, so a check that never returns fails
+    # this test instead of hanging the suite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "moment-majorant", "s": 6, "k": 2, "X": 64.0,
+                               "Q_list": Q_list, "h": [10, 40], "samples": 2000}))
+    out = tmp_path / "r.json"
+    env = {**os.environ, "HK_CACHE_DIR": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys; from hklab.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "experiment", "--config", str(cfg),
+         "--out", str(out), "--no-cache"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == EXIT_OK, res.stderr
+    assert json.loads(out.read_text())["result"]["containment"] == {
+        "checked": checked, "passed": checked, "all_pass": True}
 
 
 def test_w4_main_rejects_seed_key(tmp_path, capsys):

@@ -115,23 +115,6 @@ def test_mitm_budget_binds_bigint_route():
     assert res.method == "mitm-bigint" and res.count == 24
 
 
-def test_mitm_bigint_route_enumerates_mirrored_half_once(monkeypatch):
-    # the second half of pure(4, 12) is the first: one C(42, 2) enumeration
-    p = SystemParams.pure(4, 12)
-    n = power_sum_vector([1, 2, 3, 4], p)
-    calls = []
-    run_table = counting._run_table
-
-    def counted(*args):
-        calls.append(args)
-        return run_table(*args)
-
-    monkeypatch.setattr(counting, "_run_table", counted)
-    res = count_mitm(p, n, box=40, budget=math.comb(42, 2))
-    assert res.method == "mitm-bigint" and res.count == 24
-    assert len(calls) == 1
-
-
 def test_mitm_bigint_route_negates_mirrored_half(monkeypatch):
     # sign-split halves on the exact-integer route match the int64 route
     pm = SystemParams.mixed_sign(3, 3, 2)
@@ -228,15 +211,48 @@ def test_general_coefficients_match_brute_force():
         assert count_mitm(pc, n, box=B).count == brute
 
 
-def test_counts_match_between_int64_and_bigint_paths():
+def test_counts_match_between_int64_and_bigint_paths(monkeypatch):
     p = SystemParams.pure(4, 2)
     n = power_sum_vector([5, 11, 2, 7], p)
     fast = count_mitm(p, n)
-    from hklab.counting import _count_mitm_python
-    import time
+    monkeypatch.setattr(counting, "INT64_SAFE", 100)  # 4 * 13^2 = 676 passes it
+    slow = count_mitm(p, n)
+    assert fast.method == "mitm" and slow.method == "mitm-bigint"
+    assert fast.count == slow.count == count_naive(p, n).count
 
-    slow = _count_mitm_python(p, n, 0, default_box(p, n), 2, time.perf_counter())
-    assert fast.count == slow.count
+
+def test_wide_radix_keys_join_in_python_integers(monkeypatch):
+    # every key fits int64 (4 * 12^6 < 2^62), but the radix product of the
+    # six key columns does not: one bounded enumeration still serves the count
+    p = SystemParams.pure(4, 6)
+    n = [23, 203, 2099, 23219, 265883, 3104363]
+    assert n == power_sum_vector([1, 3, 7, 12], p) and default_box(p, n) == 12
+    res = count_mitm(p, n)
+    assert res.method == "mitm-bigint"
+    assert res.count == count_naive(p, n).count == 24
+    calls = []
+    enumerate_run = counting.canonical_powersum_run
+
+    def doubled(*args, **kwargs):
+        calls.append(kwargs)
+        keys, mult = enumerate_run(*args, **kwargs)
+        return keys, 2 * mult
+
+    # both mirrored halves read the one enumeration: doubling its
+    # multiplicities quadruples the count
+    monkeypatch.setattr(counting, "canonical_powersum_run", doubled)
+    assert count_mitm(p, n).count == 4 * 24
+    assert len(calls) == 1 and calls[0]["key_min"] is not None
+
+
+@pytest.mark.parametrize("t,k,X", [(3, 2, 12), (2, 6, 12)])
+def test_powersum_histogram_returns_sorted_encodings(t, k, X):
+    # (2, 6, 12): the six key columns' radix product passes int64
+    keys, counts = powersum_histogram(t, k, X, x_min=0)
+    assert isinstance(keys, np.ndarray) and keys.shape == counts.shape
+    assert all(a < b for a, b in zip(keys[:-1], keys[1:]))
+    assert sum(int(c) for c in counts) == (X + 1) ** t
+    assert vinogradov_count(t, k, X, x_min=0) == sum(int(c) ** 2 for c in counts)
 
 
 def _brute_count(coeffs, k, n, lo, hi):
@@ -298,6 +314,9 @@ def test_theorem_regime_counts(X, count):
 @pytest.mark.parametrize("params,n,box,x_min", [
     (SystemParams.pure(8, 2), [120, 2000], None, None),
     (SystemParams.mixed_sign(3, 3, 2), [0, 0], 10, 1),
+    # 4 * 40^12 passes int64: the one C(42, 2) enumeration is in Python integers
+    (SystemParams.pure(4, 12), power_sum_vector([1, 2, 3, 4], SystemParams.pure(4, 12)),
+     40, None),
 ])
 def test_mitm_enumerates_mirrored_half_once(monkeypatch, params, n, box, x_min):
     expected = count_mitm(params, n, box=box, x_min=x_min).count
