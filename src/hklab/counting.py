@@ -277,10 +277,13 @@ def _certified_dot(a, b):
     return int(np.dot(a.astype(object), b.astype(object)))
 
 
-def _row_bytes(k):
+def _row_bytes(k, dtype):
     """Peak bytes per unpruned half row: keys, their complements, encodings
-    and enumeration temporaries (110-145 bytes measured at k = 2 and 3)."""
-    return 8 * (3 * k + 10)
+    and enumeration temporaries, ``3 k + 10`` cells of 8 bytes for int64 keys
+    (110-145 bytes a row measured at k = 2 and 3) and of 24 bytes for Python
+    integers, a pointer and its share of the int objects (550-1045 bytes a
+    row, 19.6-22.7 a cell, measured at k = 6..12)."""
+    return (24 if dtype == object else 8) * (3 * k + 10)
 
 
 def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
@@ -307,7 +310,8 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     # rows before pruning: per half, the Cartesian product of its run blocks
     rows = sum(math.prod(math.comb(box - lo + t, t) for _, t in _coeff_runs(half))
                for half in halves)
-    if rows * _row_bytes(k) > memory_budget_bytes:
+    dtype = np.int64 if _int64_safe(params, lo, box) else object
+    if rows * _row_bytes(k, dtype) > memory_budget_bytes:
         raise MemoryBudgetError(
             "half histogram would exceed the memory budget; "
             "use a smaller box or a larger memory_budget_bytes",
@@ -318,7 +322,6 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     if work > budget:
         raise BudgetExceededError("mitm enumeration budget exceeded", work_done=0)
 
-    dtype = np.int64 if _int64_safe(params, lo, box) else object
     min1, max1 = _reach(c_first, lo, box, k)
     min2, max2 = _reach(c_second, lo, box, k)
     if any(not a + c <= nj <= b + d for nj, a, b, c, d in zip(n, min1, max1, min2, max2)):

@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
-from .expsums import (TENSOR_CELLS_MAX, complete_sum, gl_panels, oscillatory_integral,
-                      tensor_integral)
+from .expsums import (TENSOR_CELLS_MAX, complete_sum, gl_edges, gl_panels,
+                      oscillatory_integral, power_contract, tensor_chunk, tensor_integral)
 from .kernels import conv_mod
 from .local import small_primes
 from .streams import substream
@@ -171,7 +171,14 @@ def _primitive_mask(q, k):
 
 
 def series_term(q, n, params):
-    """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)`` (bulk path)."""
+    """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)`` (bulk path).
+
+    The cells with ``gcd(q, a) > 1`` are those on the ``[::p]`` sub-grid of
+    every axis for some prime ``p | q``; they are zeroed in place, and ``S^s``
+    is contracted one axis at a time against ``e_q(-a_j n_j)``
+    (``expsums.power_contract``).  The primitive cells number Jordan's
+    totient ``J_k(q) = q^k prod_{p | q} (1 - p^-k)``.
+    """
     q = int(q)
     if q < 1:
         raise ValidationError("modulus must be positive")
@@ -187,16 +194,15 @@ def series_term(q, n, params):
     if not params.is_pure:
         raise ValidationError("series terms are defined for the pure system")
     S = complete_sum_all(q, k)
-    mask = _primitive_mask(q, k)
-    phase_idx = np.zeros((q,) * k, dtype=np.int64)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = q
-        phase_idx = (phase_idx + (-(n[axis] % q)) *
-                     np.arange(q, dtype=np.int64).reshape(shape)) % q
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    total = np.sum((S[mask] ** params.s) * table[phase_idx[mask]]) / q ** params.s
-    return SeriesTerm(q, float(total.real), float(total.imag), int(mask.sum()))
+    n_primitive = q ** k
+    for p, _ in prime_power_factors(q):
+        S[(slice(None, None, p),) * k] = 0
+        n_primitive = n_primitive // p ** k * (p ** k - 1)
+    a = np.arange(q, dtype=np.int64)
+    table = np.exp(2j * np.pi * a / q)
+    factors = [table[None, (-(nj % q)) * a % q] for nj in n]
+    total = power_contract(S, params.s, factors)[0] / q ** params.s
+    return SeriesTerm(q, float(total.real), float(total.imag), n_primitive)
 
 
 def series_term_direct(q, n, params):
@@ -431,26 +437,44 @@ GAMMA_PANELS_MIN = 8  # floor of the gamma rule for small boxes
 def gamma_rule(k, B):
     """Gauss-Legendre nodes and weights on ``[0, 1]`` for ``I(beta; 1)``, ``|beta_j| <= B``.
 
-    The phase ``sum_j beta_j g^j`` turns at ``sum_j j beta_j g^(j-1)``, at
-    most ``B k(k+1)/2`` cycles per unit of ``g``, so one 8-node panel per
-    cycle of that bound: the 8-node error on a panel of phase width
-    ``2 pi`` is about 1e-10 of the panel's weight (Davis and Rabinowitz,
-    *Methods of Numerical Integration*, 2nd ed., 1984, section 2.7), and
-    most of the box turns far slower.
+    On ``[g, h]`` the phase ``sum_j beta_j g^j`` moves by at most
+    ``Phi(h) - Phi(g)`` for every ``beta`` in the box, where
+    ``Phi(g) = B (g + g^2 + ... + g^k)``.  So the panel edges are the level
+    sets of ``Phi`` at ``max(8, ceil(B k))`` equal steps from ``Phi(0) = 0``
+    to ``Phi(1) = B k``: every panel spans at most one cycle for every
+    ``beta``, and the 8-node error on a panel of phase width ``2 pi`` is about
+    1e-10 of the panel's weight (Davis and Rabinowitz, *Methods of Numerical
+    Integration*, 2nd ed., 1984, section 2.7).  The panels crowd towards
+    ``g = 1``, where the high powers turn fastest; at ``k = 1`` they are
+    equally spaced.
+
+    The edges solve ``p(g) = k u`` for ``u`` equally spaced on ``[0, 1]``,
+    ``p(g) = g + ... + g^k``, by Newton's method from ``g = u``: ``p`` is
+    increasing and convex on ``[0, 1]`` with ``p(u) <= k u``, so the first
+    step lands at or right of the root and the later ones fall to it
+    monotonically.
     """
-    return gl_panels(0.0, 1.0, max(GAMMA_PANELS_MIN, math.ceil(B * k * (k + 1) / 2)))
+    u = np.linspace(0.0, 1.0, max(GAMMA_PANELS_MIN, math.ceil(B * k)) + 1)
+    g = u.copy()
+    for _ in range(30):
+        p, dp = np.zeros_like(g), np.zeros_like(g)
+        for j in range(k, 0, -1):  # Horner: p = g (1 + g (1 + ...)), dp = p'
+            dp = dp * g + p + 1.0
+            p = p * g + g
+        g = g - (p - k * u) / dp
+    return gl_edges(g)
 
 
-def _integral_once(mu, s, B, panel_scale, half_box=False):
-    """Box quadrature of ``J(mu)`` over ``|beta_j| <= B``; also returns the grid's node counts.
+def _beta_axes(mu, B, panel_scale, half_box=False):
+    """Folded beta axes ``(nodes, weights)`` of one pass of the box quadrature.
 
-    With ``half_box`` the value is the pair (box, half box): every beta
-    panel count is rounded up to a multiple of 4, so ``0`` and ``+-B/2``
-    are panel edges, and the half box ``|beta_j| <= B/2`` is the same
-    ``T^s`` contracted with the weights zeroed outside it.  The node counts
-    are the gamma nodes and then each beta axis after the fold.
+    With ``half_box`` every beta panel count is rounded up to a multiple of
+    4, so ``0`` and ``+-B/2`` are panel edges, and the weights are the pair
+    of rows (box, half box ``|beta_j| <= B/2``).  ``I(-beta) = conj I(beta)``
+    and every axis is symmetric with no node at 0, so the ``beta_1 < 0``
+    cells are the conjugates of the ``beta_1 > 0`` cells: the first axis
+    keeps its positive half with doubled weights.
     """
-    k = len(mu)
     step = 4 if half_box else 1
     axes = []
     for m in mu:
@@ -459,11 +483,20 @@ def _integral_once(mu, s, B, panel_scale, half_box=False):
         if half_box:
             w = np.stack([w, np.where(np.abs(v) <= B / 2, w, 0.0)])
         axes.append((v, w))
-    # I(-beta) = conj I(beta) and every axis is symmetric with no node at 0,
-    # so the beta_1 < 0 cells are the conjugates of the beta_1 > 0 cells
     v1, w1 = axes[0]
     axes[0] = (v1[v1 > 0], 2.0 * w1[..., v1 > 0])
-    gamma, gamma_weights = gamma_rule(k, B)
+    return axes
+
+
+def _integral_once(mu, s, B, panel_scale, half_box=False):
+    """Box quadrature of ``J(mu)`` over ``|beta_j| <= B``; also returns the grid's node counts.
+
+    The beta axes are :func:`_beta_axes`; with ``half_box`` the value is the
+    pair (box, half box), both contracted from one ``T^s``.  The node counts
+    are the gamma nodes and then each beta axis after the fold.
+    """
+    axes = _beta_axes(mu, B, panel_scale, half_box)
+    gamma, gamma_weights = gamma_rule(len(mu), B)
     value = tensor_integral(gamma, gamma_weights, axes, s, mu).real
     return value, [len(gamma)] + [len(v) for v, _ in axes]
 
@@ -506,7 +539,8 @@ def singular_integral_quadrature(n, params, B=None):
     box-halving difference (fine against its half box), both empirical; the
     provable union-bound tail goes to ``detail``, and so do the node counts
     of both grids.  Converged when the estimate is below ``QUADRATURE_TOL``
-    or 5% of the value.
+    or 5% of the value.  Both grids are checked against the cell cap
+    (``expsums.tensor_chunk``) before either is built.
     """
     if not params.is_pure:
         raise ValidationError("singular integral is defined for the pure system")
@@ -514,6 +548,9 @@ def singular_integral_quadrature(n, params, B=None):
     if B is None:
         B = 48.0 if k <= 2 else 6.0
     _, mu = target_scale(n)
+    gamma_nodes = len(gamma_rule(k, B)[0])
+    for panel_scale, half_box in ((1.0, False), (1.5, True)):
+        tensor_chunk(gamma_nodes, [len(v) for v, _ in _beta_axes(mu, B, panel_scale, half_box)])
     coarse, coarse_nodes = _integral_once(mu, s, B, panel_scale=1.0)
     (fine, half_box), fine_nodes = _integral_once(mu, s, B, panel_scale=1.5, half_box=True)
     quad_err = abs(fine - coarse)

@@ -109,12 +109,16 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES - _GL_NODES[::-1])
 _GL_WEIGHTS = 0.5 * (_GL_WEIGHTS + _GL_WEIGHTS[::-1])
 
-# Cells (complex128, 16 bytes each) that a tensor grid, or the contraction
-# intermediate behind it, may hold: 2^25 cells is 512 MiB per array.  The
+# Cells (complex128, 16 bytes each) that a tensor grid and one point chunk of
+# :func:`phase_tensor` may hold together: 2^25 cells is 512 MiB.  The
 # largest default grid, the fine pass of the k = 3 singular integral at
-# B = 6, folds its 144 beta_1 nodes to 72 and so needs 288 gamma nodes times
-# 72 x 80 cells on the planted s = 12 target, about 1.7e6.
+# B = 6, folds its 160 beta_1 nodes to 80 and so holds 80 x 96 x 96 cells on
+# the planted s = 12 target, about 7.4e5, next to a chunk of 2^18.
 TENSOR_CELLS_MAX = 1 << 25
+# Cells of one point chunk of :func:`phase_tensor`: half for the chunk's
+# phase rows against every axis, half for one row block of its share of the
+# grid.  2^18 cells is 4 MiB, about 100 gamma nodes of the k = 2 fine pass.
+TENSOR_CHUNK_CELLS = 1 << 18
 OSC_PANELS_MAX = 1 << 15  # panels of the finest rule a tolerance may ask for
 
 
@@ -128,11 +132,39 @@ def gl_panels(lo, hi, panels):
     edges = np.linspace(lo, hi, panels + 1)
     if lo == -hi:
         edges = 0.5 * (edges - edges[::-1])
+    return gl_edges(edges)
+
+
+def gl_edges(edges):
+    """Nodes and weights of the 8-node Gauss-Legendre rule on every panel
+    ``[edges[i], edges[i + 1]]``, panel by panel."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def tensor_chunk(n_points, sizes):
+    """``(points, rows)`` of one chunk of :func:`phase_tensor` on a grid of ``sizes``.
+
+    A chunk is ``points`` points against every axis, and its share of the
+    grid is added ``rows`` leading cells at a time; each part holds at most
+    half of ``TENSOR_CHUNK_CELLS`` cells unless one point or one row alone
+    needs more.  Raises ``BudgetExceededError`` when the grid and one chunk
+    would pass ``TENSOR_CELLS_MAX`` cells, so a caller can check a grid
+    before any tensor is built.
+    """
+    lead, last = math.prod(sizes[:-1]), sizes[-1]
+    half = TENSOR_CHUNK_CELLS // 2
+    points = min(n_points, max(1, half // (lead + last)))
+    rows = min(lead, max(1, half // last))
+    cells = math.prod(sizes) + points * (lead + last) + rows * last
+    if cells > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(
+            f"tensor grid {sizes} over {n_points} points needs {cells} cells, "
+            f"above {TENSOR_CELLS_MAX}", work_done=0)
+    return points, rows
 
 
 def phase_tensor(points, weights, axis_values):
@@ -142,43 +174,67 @@ def phase_tensor(points, weights, axis_values):
     nodes with their weights give ``I(beta; 1)`` on the grid; the integers
     ``0..X`` with unit weights give the Weyl sum ``f``, their phases
     ``x^j v`` reduced mod 1 exactly by ``kernels.mul_mod1`` (while
-    ``X^k < 2^53``).  Raises ``BudgetExceededError`` before allocating when
-    the grid, the intermediate of the points against all axes but the last,
-    or a phase matrix would pass ``TENSOR_CELLS_MAX`` cells.
+    ``X^k < 2^53``).  The points are taken a chunk at a time
+    (:func:`tensor_chunk`): a chunk's phases against all axes but the last
+    are multiplied out, then contracted against the last axis into the grid
+    one block of rows at a time, so only the grid and one chunk are held.
+    Raises ``BudgetExceededError`` before allocating when those would pass
+    ``TENSOR_CELLS_MAX`` cells.
     """
     sizes = [len(v) for v in axis_values]
-    cells = max(math.prod(sizes), len(points) * max(math.prod(sizes[:-1]), sizes[-1]))
-    if cells > TENSOR_CELLS_MAX:
-        raise BudgetExceededError(
-            f"tensor grid {sizes} over {len(points)} points needs {cells} cells, "
-            f"above {TENSOR_CELLS_MAX}", work_done=0)
+    chunk, rows = tensor_chunk(len(points), sizes)
     exact = (np.array_equal(points, np.rint(points))
              and float(np.max(np.abs(points))) ** len(sizes) < 2.0 ** 53)
+    # an exactly mirrored axis has e(g^j (-v)) = conj e(g^j v): exponentiate
+    # its non-negative half and conjugate that into the mirror
+    mirrored = [len(v) // 2 if np.array_equal(v, -v[::-1]) else 0 for v in axis_values]
 
-    def phases(j, v):
-        # an exactly mirrored axis has e(g^j (-v)) = conj e(g^j v): exponentiate
-        # its non-negative half and conjugate that into the mirror
-        m = len(v) // 2 if np.array_equal(v, -v[::-1]) else 0
+    def phases(g, j):
+        v, m = axis_values[j - 1], mirrored[j - 1]
         if exact:
-            power = (points.astype(np.int64) ** j).astype(np.float64)
+            power = (g.astype(np.int64) ** j).astype(np.float64)
             theta = mul_mod1(v[None, m:], power[:, None])
         else:
-            theta = np.outer(points ** j, v[m:])
-        mat = np.empty((len(points), len(v)), dtype=complex)
+            theta = np.outer(g ** j, v[m:])
+        mat = np.empty((len(g), len(v)), dtype=complex)
         half = mat[:, m:]
         np.multiply(theta, 2j * np.pi, out=half)
         np.exp(half, out=half)
         np.conjugate(mat[:, len(v) - m:][:, ::-1], out=mat[:, :m])
         return mat
 
-    # weights ride on the last axis: at k = 2 the first matrix is the intermediate
-    head = np.ones((len(points), 1))
-    for j, v in enumerate(axis_values[:-1], start=1):
-        mat = phases(j, v)
-        head = mat if j == 1 else (head[:, :, None] * mat[:, None, :]).reshape(len(points), -1)
-    last = phases(len(sizes), axis_values[-1])
-    last *= np.asarray(weights)[:, None]
-    return (head.T @ last).reshape(sizes)
+    T = np.zeros((math.prod(sizes[:-1]), sizes[-1]), dtype=complex)
+    weights = np.asarray(weights)
+    for start in range(0, len(points), chunk):
+        g = points[start:start + chunk]
+        # weights ride on the last axis: at k = 2 the first matrix is the head
+        head = np.ones((len(g), 1))
+        for j in range(1, len(sizes)):
+            mat = phases(g, j)
+            head = mat if j == 1 else (head[:, :, None] * mat[:, None, :]).reshape(len(g), -1)
+        last = phases(g, len(sizes))
+        last *= weights[start:start + chunk, None]
+        for r in range(0, len(T), rows):
+            T[r:r + rows] += head[:, r:r + rows].T @ last
+    return T.reshape(sizes)
+
+
+def power_contract(T, s, factors):
+    """``sum_cells T^s prod_j f_j[r, i_j]`` for every row ``r`` of the factor stacks.
+
+    ``factors[j-1]`` holds the rows of axis ``j``, shape ``(r, T.shape[j-1])``
+    or ``(1, T.shape[j-1])`` broadcast against the others.  ``T`` is
+    overwritten by ``T^s`` and contracted one axis at a time, the last axis
+    against every row at once and then each row on its own, so ``T`` is the
+    only array of grid size.
+    """
+    np.power(T, s, out=T)
+    n_rows = max(len(f) for f in factors)
+    factors = [np.broadcast_to(f, (n_rows, f.shape[-1])) for f in factors]
+    T = T @ factors[-1].T
+    for f in reversed(factors[:-1]):
+        T = np.einsum("...ir,ri->...r", T, f)
+    return T
 
 
 def tensor_integral(points, weights, axes, s, targets):
@@ -188,19 +244,12 @@ def tensor_integral(points, weights, axes, s, targets):
     be a stack of ``r`` weight rows, shape ``(r, len(v_j))``, broadcast
     against the other axes' weights: the result is then the array of the
     ``r`` sums, all contracted from one ``T^s`` (a sub-box is the weights
-    zeroed outside it).  ``T^s`` is taken in place and contracted one axis at
-    a time, so ``T`` is the only array of grid size.
+    zeroed outside it) by :func:`power_contract`.
     """
     T = phase_tensor(points, weights, [v for v, _ in axes])
-    np.power(T, s, out=T)
     factors = [np.atleast_2d(np.exp(-2j * np.pi * t * v) * np.asarray(w))
                for (v, w), t in zip(axes, targets)]
-    rows = max(len(f) for f in factors)
-    factors = [np.broadcast_to(f, (rows, f.shape[-1])) for f in factors]
-    # the last axis against every weight row at once, then each row on its own
-    T = T @ factors[-1].T
-    for f in reversed(factors[:-1]):
-        T = np.einsum("...ir,ri->...r", T, f)
+    T = power_contract(T, s, factors)
     return T if any(np.ndim(w) > 1 for _, w in axes) else complex(T[0])
 
 

@@ -233,7 +233,7 @@ def test_densities_qsum_default_gives_main_term(tmp_path, capsys):
     assert data["series_qsum"]["method"] == "TruncatedSum{Q_max=100}"
     assert "main_term_error" not in data and data["main_term"]["value"] > 0
     grid = data["integral"]["detail"]["grid"]
-    assert grid["gamma_nodes"] == 8 * 48 * 3
+    assert grid["gamma_nodes"] == 8 * 48 * 2
     assert len(grid["coarse_beta_nodes"]) == len(grid["fine_beta_nodes"]) == 2
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,7 +367,23 @@ def test_mitm_memory_estimate_covers_run_products(monkeypatch):
 
     monkeypatch.setattr(counting, "canonical_powersum_run", enumerate_anyway)
     p = SystemParams.with_coefficients([1, 2, 1], 2)
-    assert math.comb(101, 2) * 24 < 500_000 < 100 ** 2 * counting._row_bytes(2)
+    assert math.comb(101, 2) * 24 < 500_000 < 100 ** 2 * counting._row_bytes(2, np.int64)
     with pytest.raises(MemoryBudgetError) as ei:
         count_mitm(p, [4, 6], box=100, memory_budget_bytes=500_000)
     assert ei.value.work_done == 0
+
+
+def test_mitm_memory_estimate_prices_python_integer_rows():
+    # k = 8 keys pass int64, so every key cell is a pointer and an int
+    # object: the 2925 mirrored half rows peak near 700 bytes each, above
+    # the int64 price of 272 and within the Python-integer price
+    p = SystemParams.mixed_sign(3, 3, 8)
+    rows = math.comb(27, 3)
+    tracemalloc.start()
+    try:
+        res = count_mitm(p, [0] * 8, box=25, x_min=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.method == "mitm-bigint"
+    assert rows * counting._row_bytes(8, np.int64) < peak <= rows * counting._row_bytes(8, object)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hklab import densities
+from hklab import densities, expsums
 from hklab.core import SystemParams, target_scale
 from hklab.densities import (
     DensityEstimate,
@@ -53,6 +53,28 @@ def test_series_term_direct_agrees_with_dft():
         b = series_term_direct(q, n, P62)
         assert abs(a.value - b.value) < 1e-9, (q, n)
         assert a.n_primitive == b.n_primitive
+
+
+@pytest.mark.parametrize("q,k,n", [(6, 2, [3, 3]), (6, 2, [139, 4643]), (12, 2, [21, 91]),
+                                   (30, 2, [6, 14]), (6, 3, [59, 369, 2609])])
+def test_series_term_matches_direct_at_composite_moduli(q, k, n):
+    # the primitive cells of a composite modulus lie off the sub-grids of
+    # two or three primes at once
+    params = SystemParams.pure(6 if k == 2 else 12, k)
+    a = series_term(q, n, params)
+    b = series_term_direct(q, n, params)
+    gap = abs(complex(a.value, a.imag) - complex(b.value, b.imag))
+    assert gap <= 1e-13 * max(1.0, abs(b.value))
+    assert a.n_primitive == b.n_primitive
+
+
+def test_series_term_n_primitive_is_jordan_totient():
+    # J_k(q) = #{a mod q : gcd(q, a_1..a_k) = 1}, counted one tuple at a time
+    for k, q_max in ((1, 30), (2, 30), (3, 12)):
+        params = SystemParams.pure(2 * k, k)
+        for q in range(1, q_max + 1):
+            jordan = sum(math.gcd(q, *a) == 1 for a in itertools.product(range(q), repeat=k))
+            assert series_term(q, [1] * k, params).n_primitive == jordan, (k, q)
 
 
 def test_series_term_k1_vanishes():
@@ -438,11 +460,16 @@ def test_integral_halfspace_symmetry():
     assert abs(total.imag) < 1e-9
 
 
-def test_integral_k4_default_box_over_grid_cap():
-    # 48 folded beta_1 nodes and 56 on each other axis at the coarse pass:
-    # the gamma contraction, 480 x 48 x 56 x 56 cells, alone would pass the
-    # cell cap, so the quadrature stops before allocating
-    with pytest.raises(BudgetExceededError):
+def test_integral_k4_default_box_over_grid_cap(monkeypatch):
+    # the fine pass, 80 folded beta_1 nodes and 96 on each other axis, needs
+    # 80 x 96^3 (about 7.1e7) cells, past the cell cap; its coarse pass,
+    # 48 x 56^3 cells, would fit, so both grids are checked before either is
+    # built and no tensor is evaluated
+    def evaluate_anyway(*args):
+        raise AssertionError("a tensor was built although the fine grid is over the cap")
+
+    monkeypatch.setattr(expsums, "phase_tensor", evaluate_anyway)
+    with pytest.raises(BudgetExceededError, match=r"\[80, 96, 96, 96\]"):
         singular_integral_quadrature([40, 200, 1000, 5000], SystemParams.pure(20, 4))
 
 
@@ -459,19 +486,22 @@ def _fine_axes(mu, B, box=1.0):
 
 
 _X9 = [round(9 * i / 12) for i in range(1, 13)]
+_X16 = [1, 3, 4, 6, 7, 9, 10, 11, 13, 14, 15, 16]
 _GAMMA_CASES = [
     ([50], 2, 20.0),                                       # k = 1
     ([50], 2, 60.0),
     ([139, 4643], 6, 48.0),                                # seed-1 benchmark targets
     ([126, 3962], 6, 48.0),
     ([sum(v ** j for v in _X9) for j in (1, 2, 3)], 12, 6.0),  # k = 3, planted X = 9
+    ([sum(v ** j for v in _X16) for j in (1, 2, 3)], 12, 6.0),  # k = 3, generic X = 16
 ]
 
 
 @pytest.mark.parametrize("n,s,B", _GAMMA_CASES)
 def test_gamma_rule_matches_doubled_gamma_grid(n, s, B):
-    # one gamma panel per cycle of the largest local frequency B k(k+1)/2
-    # against twice that many panels, on the fine beta grid
+    # the graded rule against an independent uniform rule of twice
+    # B k(k+1)/2 panels (two per cycle of the largest local frequency), on
+    # the fine beta grid
     _, mu = target_scale(n)
     k = len(mu)
     axes = _fine_axes(mu, B)
@@ -479,6 +509,46 @@ def test_gamma_rule_matches_doubled_gamma_grid(n, s, B):
     doubled = gl_panels(0.0, 1.0, 2 * math.ceil(B * k * (k + 1) / 2))
     ref = tensor_integral(*doubled, axes, s, mu).real
     assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("k,B", [(1, 20.0), (1, 2.5), (2, 48.0), (2, 2.5), (3, 6.0),
+                                 (4, 6.0), (5, 1.3)])
+def test_gamma_rule_panels_span_at_most_one_cycle(k, B):
+    # Phi(g) = B (g + ... + g^k) bounds the phase built up on [0, g] for
+    # every |beta_j| <= B; the panel edges are its level sets (768, 144 and
+    # 192 nodes at k = 2, 3, 4 where one panel per cycle of B k(k+1)/2 took
+    # 1152, 288 and 480)
+    nodes, weights = densities.gamma_rule(k, B)
+    panels = max(8, math.ceil(B * k))
+    assert len(nodes) == len(weights) == 8 * panels
+    edges = np.concatenate([[0.0], np.cumsum(weights.reshape(panels, 8).sum(axis=1))])
+    phi = B * sum(edges ** j for j in range(1, k + 1))
+    assert np.all(np.diff(phi) <= 1 + 1e-12)
+    assert np.all(np.diff(nodes) > 0) and 0 < nodes[0] and nodes[-1] < 1
+    assert abs(edges[-1] - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("B", [2.5, 20.0, 60.0])
+def test_gamma_rule_k1_nodes_are_the_uniform_rule(B):
+    nodes, weights = densities.gamma_rule(1, B)
+    ref_nodes, ref_weights = gl_panels(0.0, 1.0, max(8, math.ceil(B)))
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
+def test_integral_fine_pass_holds_grid_plus_one_chunk():
+    # the k = 2 fine pass at the seed-1 benchmark target: a 576 x 736 grid
+    # over 768 gamma nodes; the points are taken a chunk at a time, so the
+    # peak is the grid, one chunk and under 1 MiB of rules, axes and weight
+    # rows (the unchunked evaluator held 768 x (576 + 736) phase cells more)
+    _, mu = target_scale([139, 4643])
+    tracemalloc.start()
+    try:
+        _, nodes = densities._integral_once(mu, 6, 48.0, 1.5, half_box=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nodes == [768, 576, 736]
+    assert peak <= 16 * (576 * 736 + expsums.TENSOR_CHUNK_CELLS) + (1 << 20)
 
 
 @pytest.mark.parametrize("n,s,B", [_GAMMA_CASES[0], _GAMMA_CASES[2], _GAMMA_CASES[4]])
@@ -495,10 +565,10 @@ def test_integral_half_box_is_a_slice_of_the_fine_grid(n, s, B):
 
 def test_integral_detail_records_both_grids():
     est = singular_integral_quadrature([139, 4643], P62)
-    # mu = (1, 0.24); gamma: 48 * 3 panels; beta: B (1 + |mu_j|) panels, 1.5
+    # mu = (1, 0.24); gamma: 48 * 2 panels; beta: B (1 + |mu_j|) panels, 1.5
     # times as many rounded up to a multiple of 4 on the fine grid, beta_1
     # folded to its positive half
-    assert est.detail["grid"] == {"gamma_nodes": 1152,
+    assert est.detail["grid"] == {"gamma_nodes": 768,
                                   "coarse_beta_nodes": [384, 480],
                                   "fine_beta_nodes": [576, 736]}
 

@@ -227,6 +227,28 @@ def test_phase_tensor_quadrature_matches_independent_references():
     assert abs((np.exp(-2j * np.pi * c / 8) * cell).imag) < 1e-12
 
 
+@pytest.mark.parametrize("points", [1, 7])
+def test_phase_tensor_chunks_match_one_chunk(monkeypatch, points):
+    # a quadrature and a Weyl grid summed over chunks of 1 or 7 points
+    # against one chunk holding every point; chunks of 1 point also add
+    # their share one row at a time
+    g, w = gl_panels(0.0, 1.0, 40)
+    X = 60
+    rng = np.random.default_rng(7)
+    cases = [(g, w, [np.array([0.0, 1.5, -2.25, 7.0]), gl_panels(-3.0, 3.0, 1)[0],
+                     np.array([0.0, 2.0])], 1e-13),
+             (np.arange(X + 1.0), np.ones(X + 1), [rng.random(3 + j) for j in range(3)], 1e-12)]
+    for pts, wts, axes, tol in cases:
+        sizes = [len(v) for v in axes]
+        assert expsums.tensor_chunk(len(pts), sizes)[0] == len(pts)
+        whole = phase_tensor(pts, wts, axes)
+        cells = 1 if points == 1 else 2 * points * (math.prod(sizes[:-1]) + sizes[-1])
+        monkeypatch.setattr(expsums, "TENSOR_CHUNK_CELLS", cells)
+        assert expsums.tensor_chunk(len(pts), sizes)[0] == points
+        assert np.max(np.abs(phase_tensor(pts, wts, axes) - whole)) <= tol
+        monkeypatch.undo()
+
+
 def test_phase_tensor_over_cap_raises_before_allocating():
     # the axes of lattice_representation_integral(6, h, 10, 3): 61 x 601 x 6001
     # cells, about 3.5 GB of complex128
