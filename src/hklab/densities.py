@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
-from .expsums import (TENSOR_CELLS_MAX, complete_sum, gl_edges, gl_panels,
+from .expsums import (TENSOR_CELLS_MAX, axis_nodes, complete_sum, gl_axis, gl_edges,
                       oscillatory_integral, power_contract, tensor_chunk, tensor_integral)
 from .kernels import conv_mod
 from .local import small_primes
@@ -317,15 +317,22 @@ def _half_mod(m, k, coeffs):
     The first two variables are seeded by a pair join: the cell keys of all
     ``m^2`` pairs of their shift tables, counted by one ``np.bincount``.
     Each further variable is one :func:`conv_mod`, so a half of ``c``
-    coefficients runs ``max(0, c - 2)`` of them.
+    coefficients runs ``max(0, c - 2)`` of them.  A variable's shift table
+    holds ``c x^j mod m`` for ``j = 1..k``, the powers by repeated
+    multiplication; equal coefficients share one table.
     """
     key = (m, k, tuple(coeffs))
     H = _HIST_CACHE.get(key)
     if H is not None:
         _HIST_CACHE.move_to_end(key)
         return H
-    shifts = [np.array([[(c * pow(x, j, m)) % m for j in range(1, k + 1)]
-                        for x in range(m)], dtype=np.int64) for c in coeffs]
+    x = np.arange(m, dtype=np.int64)
+    powers = np.empty((m, k), dtype=np.int64)
+    powers[:, 0] = x
+    for j in range(1, k):
+        powers[:, j] = powers[:, j - 1] * x % m  # products below m^2
+    tables = {c: c % m * powers % m for c in set(coeffs)}
+    shifts = [tables[c] for c in coeffs]
     # a missing table is the one zero row: a half of one variable pairs it
     # with zero, and an empty half (s = 1) is the one cell at zero
     a, b = (shifts + [np.zeros((1, k), dtype=np.int64)] * 2)[:2]
@@ -384,17 +391,31 @@ def singular_series_euler(n, params, p_max=13, tol=1e-9, modulus_cap=1024):
 
     Depth increases until the density stabilizes within ``tol`` or the
     modulus would exceed ``modulus_cap``; the omitted-prime tail is an
-    empirical power-law fit on ``|chi_p - 1|``.
+    empirical power-law fit on ``|chi_p - 1|``.  A modulus over the residue
+    budget raises ``BudgetExceededError`` with ``work_done`` the moduli
+    already counted.
     """
     n = _target_vector(n)
     product = 1.0
     per_prime = {}
     deviations = []
+    counted = 0
+
+    def density(p, h):
+        nonlocal counted
+        try:
+            chi = padic_density(p, h, n, params)
+        except BudgetExceededError as exc:
+            exc.work_done = counted
+            raise
+        counted += 1
+        return chi
+
     for p in small_primes(p_max):
-        prev = padic_density(p, 1, n, params)
+        prev = density(p, 1)
         h = 1
         while p ** (h + 1) <= modulus_cap:
-            nxt = padic_density(p, h + 1, n, params)
+            nxt = density(p, h + 1)
             h += 1
             if abs(float(nxt - prev)) < tol:
                 prev = nxt
@@ -466,25 +487,29 @@ def gamma_rule(k, B):
 
 
 def _beta_axes(mu, B, panel_scale, half_box=False):
-    """Folded beta axes ``(nodes, weights)`` of one pass of the box quadrature.
+    """Folded, factored beta axes ``((mids, offsets), weights)`` of one pass of the box quadrature.
 
-    With ``half_box`` every beta panel count is rounded up to a multiple of
-    4, so ``0`` and ``+-B/2`` are panel edges, and the weights are the pair
-    of rows (box, half box ``|beta_j| <= B/2``).  ``I(-beta) = conj I(beta)``
-    and every axis is symmetric with no node at 0, so the ``beta_1 < 0``
-    cells are the conjugates of the ``beta_1 > 0`` cells: the first axis
-    keeps its positive half with doubled weights.
+    Each axis is :func:`expsums.gl_axis` on ``[-B, B]``.  With ``half_box``
+    every beta panel count is rounded up to a multiple of 4, so ``0`` and
+    ``+-B/2`` are panel edges, and the weights are the pair of rows (box,
+    half box ``|beta_j| <= B/2``).  ``I(-beta) = conj I(beta)`` and every
+    axis is mirrored, so the ``beta_1 < 0`` panels are the conjugates of the
+    ``beta_1 > 0`` panels: the first axis keeps the panels with
+    ``mid >= 0``, with doubled weights except on a panel centred on 0, which
+    is its own mirror.
     """
     step = 4 if half_box else 1
     axes = []
     for m in mu:
         panels = max(4, math.ceil(panel_scale * B * (1.0 + abs(m))))
-        v, w = gl_panels(-B, B, -(-panels // step) * step)
+        axis, w = gl_axis(-B, B, -(-panels // step) * step)
         if half_box:
-            w = np.stack([w, np.where(np.abs(v) <= B / 2, w, 0.0)])
-        axes.append((v, w))
-    v1, w1 = axes[0]
-    axes[0] = (v1[v1 > 0], 2.0 * w1[..., v1 > 0])
+            w = np.stack([w, np.where(np.abs(axis_nodes(axis)) <= B / 2, w, 0.0)])
+        axes.append((axis, w))
+    (mids, offsets), w = axes[0]
+    keep = mids >= 0
+    fold = np.repeat(np.where(mids > 0, 2.0, 1.0), len(offsets))
+    axes[0] = ((mids[keep], offsets), (fold * w)[..., np.repeat(keep, len(offsets))])
     return axes
 
 
@@ -498,7 +523,7 @@ def _integral_once(mu, s, B, panel_scale, half_box=False):
     axes = _beta_axes(mu, B, panel_scale, half_box)
     gamma, gamma_weights = gamma_rule(len(mu), B)
     value = tensor_integral(gamma, gamma_weights, axes, s, mu).real
-    return value, [len(gamma)] + [len(v) for v, _ in axes]
+    return value, [len(gamma)] + [len(axis_nodes(v)) for v, _ in axes]
 
 
 def _l1_tail_bound(mu, s, B):
@@ -523,8 +548,8 @@ def _l1_tail_bound(mu, s, B):
 def singular_integral_quadrature(n, params, B=None):
     """Box-truncated tensor quadrature for the archimedean density.
 
-    Every pass evaluates only the ``beta_1 > 0`` half of its grid, with
-    doubled ``beta_1`` weights, and keeps the real part: the integrand at
+    Every pass evaluates only the ``beta_1 >= 0`` panels of its grid
+    (:func:`_beta_axes`) and keeps the real part: the integrand at
     ``-beta`` is the conjugate of the one at ``beta``, and the grid is
     symmetric under negation.  So the value is real by construction and
     ``imag_diagnostic`` is 0; the tests check the symmetry against the
@@ -550,7 +575,8 @@ def singular_integral_quadrature(n, params, B=None):
     _, mu = target_scale(n)
     gamma_nodes = len(gamma_rule(k, B)[0])
     for panel_scale, half_box in ((1.0, False), (1.5, True)):
-        tensor_chunk(gamma_nodes, [len(v) for v, _ in _beta_axes(mu, B, panel_scale, half_box)])
+        tensor_chunk(gamma_nodes,
+                     [len(axis_nodes(v)) for v, _ in _beta_axes(mu, B, panel_scale, half_box)])
     coarse, coarse_nodes = _integral_once(mu, s, B, panel_scale=1.0)
     (fine, half_box), fine_nodes = _integral_once(mu, s, B, panel_scale=1.5, half_box=True)
     quad_err = abs(fine - coarse)

@@ -122,17 +122,32 @@ TENSOR_CHUNK_CELLS = 1 << 18
 OSC_PANELS_MAX = 1 << 15  # panels of the finest rule a tolerance may ask for
 
 
+def _uniform_edges(lo, hi, panels):
+    edges = np.linspace(lo, hi, panels + 1)
+    if lo == -hi:
+        edges = 0.5 * (edges - edges[::-1])
+    return edges
+
+
 def gl_panels(lo, hi, panels):
     """Nodes and weights of the composite 8-node Gauss-Legendre rule on ``[lo, hi]``.
 
     On a symmetric interval (``lo == -hi``) the nodes are exactly mirrored,
-    ``nodes == -nodes[::-1]``, and so are the weights, which lets
-    :func:`phase_tensor` exponentiate half of such an axis.
+    ``nodes == -nodes[::-1]``, and so are the weights.
     """
-    edges = np.linspace(lo, hi, panels + 1)
-    if lo == -hi:
-        edges = 0.5 * (edges - edges[::-1])
-    return gl_edges(edges)
+    return gl_edges(_uniform_edges(lo, hi, panels))
+
+
+def gl_axis(lo, hi, panels):
+    """:func:`gl_panels` as a factored axis of :func:`phase_tensor`: ``((mids, offsets), weights)``.
+
+    Node ``8 p + i`` is ``mids[p] + offsets[i]``: the panel midpoints and the
+    8 offsets that the equal panels share (the nodes of :func:`gl_panels` to
+    rounding).  On a symmetric interval both are exactly mirrored.
+    """
+    edges = _uniform_edges(lo, hi, panels)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    return (mids, 0.5 * (hi - lo) / panels * _GL_NODES), gl_edges(edges)[1]
 
 
 def gl_edges(edges):
@@ -143,6 +158,15 @@ def gl_edges(edges):
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
+
+
+def axis_nodes(axis):
+    """Values of a :func:`phase_tensor` axis: a plain array as it is, a factored
+    axis ``(mids, offsets)`` as ``mids[p] + offsets[i]`` in panel order."""
+    if isinstance(axis, tuple):
+        mids, offsets = axis
+        return (mids[:, None] + offsets[None, :]).ravel()
+    return np.asarray(axis, dtype=np.float64)
 
 
 def tensor_chunk(n_points, sizes):
@@ -170,53 +194,112 @@ def tensor_chunk(n_points, sizes):
 def phase_tensor(points, weights, axis_values):
     """``T[i_1, ..., i_k] = sum_g w_g prod_j e(g^j v_j[i_j])`` on a tensor grid.
 
-    ``axis_values[j-1]`` holds the values ``v_j`` of axis ``j``.  Quadrature
-    nodes with their weights give ``I(beta; 1)`` on the grid; the integers
-    ``0..X`` with unit weights give the Weyl sum ``f``, their phases
-    ``x^j v`` reduced mod 1 exactly by ``kernels.mul_mod1`` (while
-    ``X^k < 2^53``).  The points are taken a chunk at a time
-    (:func:`tensor_chunk`): a chunk's phases against all axes but the last
-    are multiplied out, then contracted against the last axis into the grid
-    one block of rows at a time, so only the grid and one chunk are held.
-    Raises ``BudgetExceededError`` before allocating when those would pass
-    ``TENSOR_CELLS_MAX`` cells.
+    ``axis_values[j-1]`` is axis ``j``: a plain array of values ``v_j``, or a
+    factored axis ``(mids, offsets)`` whose values are ``mids[p] + offsets[i]``
+    (:func:`gl_axis`, :func:`axis_nodes`).  Quadrature nodes with their
+    weights give ``I(beta; 1)`` on the grid; the integers ``0..X`` with unit
+    weights give the Weyl sum ``f``, their phases ``x^j v`` reduced mod 1
+    exactly by ``kernels.mul_mod1`` (while ``X^k < 2^53``).
+
+    Phases are factored by panel, ``e(g^j v) = e(g^j mid_p) e(g^j off_i)``:
+    each point exponentiates the panel midpoints and the shared offsets and
+    multiplies them out, so a factored axis of ``8 P`` values costs ``P + 8``
+    complex ``exp`` per point (a plain axis is the one-offset case).  The
+    points are taken a chunk at a time (:func:`tensor_chunk`): a chunk's
+    phases against all axes but the last are multiplied out into the head
+    ``H``, then contracted against the last axis ``L`` into the grid one
+    block of rows at a time, so only the grid and one chunk are held.
+
+    On an even, exactly mirrored last axis (``v == -v[::-1]``) only its
+    non-negative half ``L`` is built, and the contraction is one real matrix
+    product ``[Hr Hi]^T [Lr Li]`` per row block, half the floating-point
+    work of the complex product with the whole axis.  Its blocks
+    ``P0 = Hr^T L`` and ``P1 = Hi^T L`` are summed over the chunks in the
+    grid's own memory; then ``T(., v) = P0 + i P1`` and
+    ``T(., -v) = conj(P0) + i conj(P1)`` are read off them in place.  Any
+    other last axis is contracted by the complex product.  Raises
+    ``BudgetExceededError`` before allocating when the grid and one chunk
+    would pass ``TENSOR_CELLS_MAX`` cells.
     """
-    sizes = [len(v) for v in axis_values]
+    axes = [a if isinstance(a, tuple) else (np.asarray(a, dtype=np.float64), np.zeros(1))
+            for a in axis_values]
+    sizes = [len(mids) * len(offsets) for mids, offsets in axes]
+    lead, last = math.prod(sizes[:-1]), sizes[-1]
     chunk, rows = tensor_chunk(len(points), sizes)
     exact = (np.array_equal(points, np.rint(points))
              and float(np.max(np.abs(points))) ** len(sizes) < 2.0 ** 53)
-    # an exactly mirrored axis has e(g^j (-v)) = conj e(g^j v): exponentiate
-    # its non-negative half and conjugate that into the mirror
-    mirrored = [len(v) // 2 if np.array_equal(v, -v[::-1]) else 0 for v in axis_values]
+    mids, offsets = axes[-1]
+    mirrored = (last % 2 == 0 and np.array_equal(mids, -mids[::-1])
+                and np.array_equal(offsets, -offsets[::-1]))
+    half = last // 2 if mirrored else 0  # values of the last axis read off the mirror
 
-    def phases(g, j):
-        v, m = axis_values[j - 1], mirrored[j - 1]
-        if exact:
-            power = (g.astype(np.int64) ** j).astype(np.float64)
-            theta = mul_mod1(v[None, m:], power[:, None])
-        else:
-            theta = np.outer(g ** j, v[m:])
-        mat = np.empty((len(g), len(v)), dtype=complex)
-        half = mat[:, m:]
-        np.multiply(theta, 2j * np.pi, out=half)
-        np.exp(half, out=half)
-        np.conjugate(mat[:, len(v) - m:][:, ::-1], out=mat[:, :m])
-        return mat
+    def phases(g, j, start=0):
+        """``e(g^j v)`` for the values ``v[start:]`` of axis ``j``, shape ``(len(g), .)``."""
+        mids, offsets = axes[j - 1]
+        first = start // len(offsets)
+        gj = (g.astype(np.int64) ** j).astype(np.float64) if exact else g ** j
+        mid, off = (np.exp(2j * np.pi * (mul_mod1(u[None, :], gj[:, None]) if exact
+                                         else np.outer(gj, u)))
+                    for u in (mids[first:], offsets))
+        return (mid[:, :, None] * off[:, None, :]).reshape(len(g), -1)[:, start - first * len(offsets):]
 
-    T = np.zeros((math.prod(sizes[:-1]), sizes[-1]), dtype=complex)
+    T = np.zeros((lead, last), dtype=complex)
     weights = np.asarray(weights)
     for start in range(0, len(points), chunk):
         g = points[start:start + chunk]
         # weights ride on the last axis: at k = 2 the first matrix is the head
-        head = np.ones((len(g), 1))
+        head = np.ones((len(g), 1), dtype=complex)
         for j in range(1, len(sizes)):
             mat = phases(g, j)
             head = mat if j == 1 else (head[:, :, None] * mat[:, None, :]).reshape(len(g), -1)
-        last = phases(g, len(sizes))
-        last *= weights[start:start + chunk, None]
-        for r in range(0, len(T), rows):
-            T[r:r + rows] += head[:, r:r + rows].T @ last
+        L = phases(g, len(sizes), half)
+        L *= weights[start:start + chunk, None]
+        for r in range(0, lead, rows):
+            n = min(rows, lead - r)
+            if mirrored:
+                # rows (a, re/im of H), columns (b, re/im of L): row a of the
+                # block is P0[a] then P1[a], complex, in T's row-a memory
+                acc = T[r:r + n].view(np.float64).reshape(2 * n, last)
+                acc += head.view(np.float64)[:, 2 * r:2 * (r + n)].T @ L.view(np.float64)
+            else:
+                T[r:r + n] += head[:, r:r + n].T @ L
+    if mirrored:
+        del head, L  # the last chunk, freed before the row-block buffer
+        P = np.empty((rows, 2, half), dtype=complex)
+        for r in range(0, lead, rows):
+            n = min(rows, lead - r)
+            P0, P1 = P[:n, 0], P[:n, 1]
+            P[:n] = T[r:r + n].reshape(n, 2, half)
+            P1 *= 1j
+            # T(v) = P0 + i P1 on the non-negative half; T(-v) = conj(P0 - i P1),
+            # written in reverse order onto the negative half
+            np.add(P0, P1, out=T[r:r + n, half:])
+            np.subtract(P0, P1, out=T[r:r + n, half - 1::-1])
+            np.conjugate(T[r:r + n, :half], out=T[r:r + n, :half])
     return T.reshape(sizes)
+
+
+def power_in_place(T, s):
+    """``T **= s`` for an integer ``s >= 1`` by binary squaring, one block of leading rows at a time.
+
+    Each block keeps a copy of its base and is squared and multiplied in
+    place, so the only array besides ``T`` is one block of at most
+    ``TENSOR_CHUNK_CELLS // 2`` cells.  At ``s = 6`` that is three complex
+    multiplies and one block copy per cell.  ``T`` may be any strided view.
+    """
+    T = T if T.ndim > 1 else T[:, None]
+    rows = max(1, (TENSOR_CHUNK_CELLS // 2) // math.prod(T.shape[1:]))
+    bits = bin(int(s))[3:]  # after the leading 1
+    base = np.empty_like(T[:rows]) if "1" in bits else None
+    for r in range(0, len(T), rows):
+        block = T[r:r + rows]
+        if base is not None:
+            base = base[:len(block)]
+            base[...] = block
+        for bit in bits:
+            block *= block
+            if bit == "1":
+                block *= base
 
 
 def power_contract(T, s, factors):
@@ -224,11 +307,11 @@ def power_contract(T, s, factors):
 
     ``factors[j-1]`` holds the rows of axis ``j``, shape ``(r, T.shape[j-1])``
     or ``(1, T.shape[j-1])`` broadcast against the others.  ``T`` is
-    overwritten by ``T^s`` and contracted one axis at a time, the last axis
-    against every row at once and then each row on its own, so ``T`` is the
-    only array of grid size.
+    overwritten by ``T^s`` (:func:`power_in_place`) and contracted one axis at
+    a time, the last axis against every row at once and then each row on its
+    own, so ``T`` is the only array of grid size.
     """
-    np.power(T, s, out=T)
+    power_in_place(T, s)
     n_rows = max(len(f) for f in factors)
     factors = [np.broadcast_to(f, (n_rows, f.shape[-1])) for f in factors]
     T = T @ factors[-1].T
@@ -240,14 +323,15 @@ def power_contract(T, s, factors):
 def tensor_integral(points, weights, axes, s, targets):
     """``sum_cells T^s prod_j w_j e(-t_j v_j)`` with ``T = phase_tensor(points, weights, v)``.
 
-    ``axes[j-1] = (v_j, w_j)`` are axis values and weights.  ``w_j`` may also
+    ``axes[j-1] = (v_j, w_j)`` are axis values, plain or factored
+    (:func:`axis_nodes`), and weights.  ``w_j`` may also
     be a stack of ``r`` weight rows, shape ``(r, len(v_j))``, broadcast
     against the other axes' weights: the result is then the array of the
     ``r`` sums, all contracted from one ``T^s`` (a sub-box is the weights
     zeroed outside it) by :func:`power_contract`.
     """
     T = phase_tensor(points, weights, [v for v, _ in axes])
-    factors = [np.atleast_2d(np.exp(-2j * np.pi * t * v) * np.asarray(w))
+    factors = [np.atleast_2d(np.exp(-2j * np.pi * t * axis_nodes(v)) * np.asarray(w))
                for (v, w), t in zip(axes, targets)]
     T = power_contract(T, s, factors)
     return T if any(np.ndim(w) > 1 for _, w in axes) else complex(T[0])

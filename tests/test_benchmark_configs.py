@@ -1,13 +1,17 @@
-"""The benchmark's experiment configs load, and every config key reaches its function.
+"""The benchmark's experiment configs load, every config key reaches its function,
+and every traced layer still exists.
 
 ``perfbench/workloads.py`` writes ``hk experiment`` configs, and each
 runner of ``cli._EXPERIMENTS`` passes a config to its experiment function
 as keyword arguments.  A key the registry rejects, or an allowed key the
 function does not take, would first show up as a failed benchmark run.
-``perfbench/`` is outside the default test paths; the file is read as it
-is, unmodified.
+``perfbench/spans.py`` wraps the functions of its ``LAYERS`` table by name
+and reads work counters from their bound arguments, so a renamed function
+or argument would first show up as a failed traced run.  ``perfbench/`` is
+outside the default test paths; its files are read as they are, unmodified.
 """
 
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
@@ -18,19 +22,19 @@ import pytest
 from hklab import cli
 from hklab.cli import _EXPERIMENTS, ExperimentConfig
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("part", sorted(set(_workloads().PARTS) & set(_EXPERIMENTS)))
+@pytest.mark.parametrize("part", sorted(set(_load("workloads").PARTS) & set(_EXPERIMENTS)))
 def test_benchmark_config_loads(part, tmp_path):
-    workloads = _workloads()
+    workloads = _load("workloads")
     inputs = workloads.PARTS[part].make(np.random.default_rng(1),
                                         workloads.SIZES["tiny"][part], tmp_path)
     assert ExperimentConfig.load(inputs["config"]).name == part
@@ -44,3 +48,20 @@ def test_experiment_keys_are_parameters_of_the_runner_function(name):
     [func] = [getattr(cli, g) for g in runner.__code__.co_names
               if g.endswith("_experiment")]
     assert keys <= set(inspect.signature(func).parameters), name
+
+
+def test_traced_layers_exist_and_bind_the_arguments_their_counters_read():
+    layers = _load("spans").LAYERS
+    read = set()
+    for mod, funcs in layers.items():
+        module = importlib.import_module(f"hklab.{mod}")
+        for name, work in funcs.items():
+            func = getattr(module, name, None)
+            assert callable(func), f"hklab.{mod}.{name}"
+            if work is None:
+                continue
+            # a counter reads its bound arguments by string subscript
+            names = {c for c in work.__code__.co_consts if isinstance(c, str)}
+            assert names <= set(inspect.signature(func).parameters), f"hklab.{mod}.{name}"
+            read |= names
+    assert read == {"H", "shifts", "coeffs", "u0", "u1", "alphas", "samples"}

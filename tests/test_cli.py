@@ -45,6 +45,15 @@ def test_count_budget_exit(capsys):
     assert code == EXIT_BUDGET and "budget" in err
 
 
+def test_densities_euler_refusal_prints_partial_work(capsys, monkeypatch):
+    # the Euler loop counts m = 2 and 4, then refuses m = 8
+    monkeypatch.setattr(densities, "RESIDUE_CELLS_MAX", 100)
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "139,4643",
+                           "--method", "euler")
+    assert code == EXIT_BUDGET
+    assert "modulus 8," in err and "(partial work: 2)" in err
+
+
 def test_count_bad_variant(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "3,3",
                            "--variant", "nonsense")

@@ -397,6 +397,16 @@ def test_euler_identity_small():
             assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("cap,counted", [(100, 2), (1000, 3)])
+def test_euler_refusal_reports_the_moduli_counted(monkeypatch, cap, counted):
+    # m^(k+1) > cap first at m = 8 (cap 100) or m = 16 (cap 1000), after
+    # m = 2, 4 (and 8) were counted
+    monkeypatch.setattr(densities, "RESIDUE_CELLS_MAX", cap)
+    with pytest.raises(BudgetExceededError, match=f"modulus {2 ** (counted + 1)},") as ei:
+        singular_series_euler([139, 4643], P62, tol=0.0)
+    assert ei.value.work_done == counted
+
+
 def test_euler_vanishing_prime():
     est = singular_series_euler([1, 2], P62)
     assert est.value == 0.0 and est.converged

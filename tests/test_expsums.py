@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from hklab import expsums
 from hklab.circle import lattice_representation_integral
-from hklab.densities import _integral_once, gamma_rule
+from hklab.densities import _integral_once, complete_sum_all, gamma_rule
 from hklab.errors import AliasingError, BudgetExceededError, ToleranceError
 from hklab.expsums import (
     ShiftPolynomials,
+    axis_nodes,
     complete_sum,
     direct_weyl_sum,
+    gl_axis,
     gl_panels,
     oscillatory_integral,
     phase_tensor,
+    power_in_place,
     tensor_integral,
     verify_binomial_transform,
     verify_resolution_identity,
@@ -181,15 +184,17 @@ def test_gl_panels_symmetric_interval_mirrors_exactly(B, panels):
 
 
 def test_phase_tensor_mirrored_axes_match_full_exponentials():
-    # both axes are exactly mirrored (even and odd length), so only their
-    # non-negative halves are exponentiated; the reference exponentiates all
+    # both plain axes are exactly mirrored; as the last axis, the even one is
+    # contracted in real arithmetic with its negative half read off the
+    # mirror, and the odd one (a node at 0) by the complex product
     g, w = gl_panels(0.0, 1.0, 12)
     v1 = gl_panels(-3.0, 3.0, 4)[0]
     v2 = np.concatenate([v1[:5], [0.0], v1[-5:]])
-    grid = phase_tensor(g, w, [v1, v2])
-    ref = np.einsum("g,gi,gj->ij", w, np.exp(2j * np.pi * np.outer(g, v1)),
-                    np.exp(2j * np.pi * np.outer(g ** 2, v2)))
-    assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for a, b in [(v1, v2), (v2, v1)]:
+        grid = phase_tensor(g, w, [a, b])
+        ref = np.einsum("g,gi,gj->ij", w, np.exp(2j * np.pi * np.outer(g, a)),
+                        np.exp(2j * np.pi * np.outer(g ** 2, b)))
+        assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -249,6 +254,83 @@ def test_phase_tensor_chunks_match_one_chunk(monkeypatch, points):
         monkeypatch.undo()
 
 
+def _folded(axis):
+    # the first axis of the singular integral: the panels with mid >= 0
+    mids, offsets = axis
+    return mids[mids >= 0], offsets
+
+
+# Factored axes of odd and even panel counts.  gl_axis(-3, 3, 5) and
+# gl_axis(-2, 2, 3) have a panel centred on 0, which the fold keeps whole and
+# the mirrored last axis splits: its first 4 offsets are read off the mirror.
+_FACTORED_AXES = {
+    1: [[gl_axis(-2.0, 2.0, 3)[0]], [gl_axis(-1.5, 2.5, 3)[0]], [gl_axis(-4.0, 4.0, 4)[0]]],
+    2: [[_folded(gl_axis(-3.0, 3.0, 5)[0]), gl_axis(-2.0, 2.0, 3)[0]],
+        [gl_axis(-3.0, 3.0, 4)[0], gl_axis(-2.0, 2.0, 2)[0]],
+        [_folded(gl_axis(-3.0, 3.0, 4)[0]), gl_axis(0.5, 2.0, 3)[0]],
+        [gl_axis(-1.0, 1.0, 3)[0], np.array([-1.5, -0.5, 0.0, 0.5, 1.5])]],
+    3: [[_folded(gl_axis(-2.0, 2.0, 3)[0]), gl_axis(-2.0, 2.0, 2)[0], gl_axis(-1.0, 1.0, 3)[0]],
+        [gl_axis(-1.0, 1.0, 2)[0], np.array([0.25, -0.75]), gl_axis(-1.0, 1.0, 4)[0]]],
+}
+
+
+@pytest.mark.parametrize("k,case", [(k, i) for k, cases in _FACTORED_AXES.items()
+                                    for i in range(len(cases))])
+def test_phase_tensor_factored_axes_match_full_exponentials(k, case):
+    # panel-factored phases and the real, mirror-aware contraction against
+    # the complex grid built from e(g^j v) of every node value, on
+    # quadrature points
+    axes = _FACTORED_AXES[k][case]
+    g, w = gl_panels(0.0, 1.0, 12)
+    grid = phase_tensor(g, w, axes)
+    values = [axis_nodes(a) for a in axes]
+    mats = [np.exp(2j * np.pi * np.outer(g ** j, v)) for j, v in enumerate(values, start=1)]
+    ref = np.einsum("g," + ",".join(f"g{c}" for c in "ijl"[:k]) + "->" + "ijl"[:k], w, *mats)
+    assert grid.shape == ref.shape
+    assert np.max(np.abs(grid - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_phase_tensor_factored_weyl_grid_matches_batch(k):
+    # integer points: a factored axis reduces each of its midpoint and
+    # offset phases mod 1 exactly, and every cell is still the Weyl sum at
+    # its node value
+    X = {1: 512, 2: 200, 3: 40}[k]
+    axes = _FACTORED_AXES[k][0]
+    grid = phase_tensor(np.arange(X + 1.0), np.ones(X + 1), axes)
+    points = np.array(list(itertools.product(*[axis_nodes(a) for a in axes])))
+    ref = weyl_sum_batch(points, X).reshape(grid.shape)
+    assert np.max(np.abs(grid - ref)) < 1e-9
+
+
+def test_gl_axis_nodes_are_the_gl_panels_rule():
+    for lo, hi, panels in [(-48.0, 48.0, 96), (-48.0, 48.0, 215), (-3.0, 3.0, 5), (0.5, 2.0, 3)]:
+        (mids, offsets), weights = gl_axis(lo, hi, panels)
+        nodes, ref_weights = gl_panels(lo, hi, panels)
+        assert np.array_equal(weights, ref_weights)
+        assert np.max(np.abs(axis_nodes((mids, offsets)) - nodes)) <= 1e-14 * max(abs(lo), hi)
+        if lo == -hi:
+            assert np.array_equal(mids, -mids[::-1]) and np.array_equal(offsets, -offsets[::-1])
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_power_in_place_matches_np_power(monkeypatch, block):
+    # on the complete-sum grid of series_term, a transposed view of the DFT
+    # rows, on a C-ordered k = 3 grid and on a 1-D grid; block = 40
+    # cells splits each grid into several row blocks
+    if block:
+        monkeypatch.setattr(expsums, "TENSOR_CHUNK_CELLS", 2 * block)
+    rng = np.random.default_rng(5)
+    for s in range(1, 14):
+        grids = [complete_sum_all(13, 2), complete_sum_all(7, 3),
+                 rng.standard_normal(50) + 1j * rng.standard_normal(50)]
+        assert not grids[0].flags.c_contiguous
+        for T in grids:
+            ref = np.power(T, s)
+            power_in_place(T, s)
+            assert np.all(np.abs(T - ref) <= 1e-14 * s * np.abs(ref))
+
+
 def test_phase_tensor_over_cap_raises_before_allocating():
     # the axes of lattice_representation_integral(6, h, 10, 3): 61 x 601 x 6001
     # cells, about 3.5 GB of complex128
@@ -275,6 +357,8 @@ def _planted_mu(u, k):
     (_planted_mu([0.3, 0.8], 1), 2, 20.0),
     (_planted_mu([0.1, 0.3, 0.45, 0.6, 0.8, 0.9], 2), 6, 12.0),
     (_planted_mu([round(9 * i / 12) / 9 for i in range(1, 13)], 3), 12, 2.0),
+    # 59 beta_1 panels: the fold keeps the panel centred on 0 whole
+    (_planted_mu([0.1, 0.3, 0.45, 0.6, 0.8, 0.9], 2), 6, 14.0),
 ])
 def test_integral_fold_matches_full_beta_grid(mu, s, B):
     # the full grid of densities._integral_once at panel_scale 1
