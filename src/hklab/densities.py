@@ -9,8 +9,13 @@ The series has two independent computational routes:
   small-q evaluator as the oracle), at
   prime powers only: composite terms are products, by multiplicativity;
 * ``singular_series_euler`` multiplies p-adic solution densities
-  ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting
-  (convolution powers of residue histograms).
+  ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting:
+  each half of the variables is a residue histogram built on its
+  translation slab (the cells with ``v_1 < gcd(C, m)``, ``C`` the half's
+  coefficient sum, which fix the rest by ``H(T_t v) = H(v)``; Vaughan,
+  *The Hardy-Littlewood Method*, ch. 4), one ``conv_mod`` step of
+  ``gcd(C, m) m^k`` integer gathers per added variable, and the two halves
+  are joined.
 
 The integral likewise has a tensor-quadrature route cross-checked against a
 Monte-Carlo volume oracle.  Truncation tails are empirical fits and labeled
@@ -28,7 +33,7 @@ from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
 from .expsums import (TENSOR_CELLS_MAX, axis_nodes, complete_sum, gl_axis, gl_edges,
                       oscillatory_integral, power_contract, tensor_chunk, tensor_integral)
-from .kernels import conv_mod
+from .kernels import conv_mod, expand_slab
 from .local import small_primes
 from .streams import substream
 
@@ -314,12 +319,13 @@ def _half_mod(m, k, coeffs):
     ``sum_i c_i x_i^j = v_j mod m`` for every ``j``.  int64 while the total
     mass ``m^len(coeffs)`` fits, Python ints otherwise.
 
-    The first two variables are seeded by a pair join: the cell keys of all
-    ``m^2`` pairs of their shift tables, counted by one ``np.bincount``.
-    Each further variable is one :func:`conv_mod`, so a half of ``c``
-    coefficients runs ``max(0, c - 2)`` of them.  A variable's shift table
-    holds ``c x^j mod m`` for ``j = 1..k``, the powers by repeated
-    multiplication; equal coefficients share one table.
+    The half is built on its translation slab (see :mod:`hklab.kernels`):
+    the cells with ``v_1 < gcd(C, m)``, ``C`` the sum of the coefficients so
+    far.  The first variable seeds it, each further variable is one
+    :func:`conv_mod`, so a half of ``c`` coefficients runs ``max(0, c - 1)``
+    of them, and the finished slab is expanded once to the full grid.  A
+    variable's shift table holds ``c x^j mod m`` for ``j = 1..k``, the
+    powers by repeated multiplication; equal coefficients share one table.
     """
     key = (m, k, tuple(coeffs))
     H = _HIST_CACHE.get(key)
@@ -332,25 +338,24 @@ def _half_mod(m, k, coeffs):
     for j in range(1, k):
         powers[:, j] = powers[:, j - 1] * x % m  # products below m^2
     tables = {c: c % m * powers % m for c in set(coeffs)}
-    shifts = [tables[c] for c in coeffs]
-    # a missing table is the one zero row: a half of one variable pairs it
-    # with zero, and an empty half (s = 1) is the one cell at zero
-    a, b = (shifts + [np.zeros((1, k), dtype=np.int64)] * 2)[:2]
-    # keys built in place and freed before the convolutions, which then
-    # reuse their memory: transient m^2 temporaries raised peak RSS
-    cells = np.zeros((len(a), len(b)), dtype=np.int64)
-    v = np.empty_like(cells)
-    for j in range(k):
-        cells *= m
-        np.add(a[:, j, None], b[:, j], out=v)
-        v %= m
-        cells += v
-    H = np.bincount(cells.ravel(), minlength=m ** k).reshape((m,) * k)
-    del cells, v
+    # the seed: the first variable's x with c x = 0 mod m, the only ones on
+    # the slab; an empty half (s = 1) is the one cell at zero, a slab of g = m
+    C = coeffs[0] % m if coeffs else 0
+    seed = tables[coeffs[0]] if coeffs else np.zeros((1, k), dtype=np.int64)
+    seed = seed[seed[:, 0] == 0, 1:] @ (m ** np.arange(k - 2, -1, -1))
+    H = np.bincount(seed, minlength=math.gcd(C, m) * m ** (k - 1))
+    H = H.reshape((-1,) + (m,) * (k - 1))
     if m ** len(coeffs) >= INT64_SAFE:
         H = H.astype(object)
-    for sh in shifts[2:]:
-        H = conv_mod(H, sh)
+    # a step costs gcd(C + c, m) m^k gathers, so each next variable is one
+    # that keeps C + c off the multiples of large divisors of m when it can
+    rest = list(coeffs[1:])
+    while rest:
+        c = min(rest, key=lambda c: math.gcd((C + c) % m, m))
+        rest.remove(c)
+        H = conv_mod(H, tables[c], C, c)
+        C = (C + c) % m
+    H = expand_slab(H, m, C)
     H.flags.writeable = False
     if H.nbytes <= _HIST_CACHE_BYTES:
         _HIST_CACHE[key] = H

@@ -2,11 +2,16 @@
 
 All kernels are numpy only.
 
-Modular convolution (``conv_mod``) is an FFT cyclic convolution made exact
-by a certificate: the rounded result is kept only when an a-priori bound on
-the floating-point error, computed from the input norms, is below 1/2, the
-total mass is exact and no cell is negative.  Otherwise, and for
-object-integer histograms, the ``np.roll`` loop runs.
+The modular convolution step (``conv_mod``) works on a translation slab.
+Moving every variable of a half by ``t`` maps its residue key ``v`` to
+``(T_t v)_j = sum_{l<=j} C(j,l) t^(j-l) v_l`` with ``v_0 = C``, the sum of
+the half's coefficients (Vaughan, *The Hardy-Littlewood Method*, ch. 4), so
+the half's histogram satisfies ``H(T_t v) = H(v)`` for every ``t mod m``.
+As ``(T_t v)_1 = v_1 + C t``, every cell has a translate with
+``v_1 < g = gcd(C, m)`` (``g = m`` when ``C = 0 mod m``); the half is held
+as that slab of ``g m^(k-1)`` cells.  Adding a variable is ``g' m^k`` exact
+integer gathers, ``g'`` the new ``gcd``, for int64 and object (Python int)
+cells alike; ``expand_slab`` rebuilds the full ``m^k`` grid.
 
 Phase sums use a blocked Taylor-shift engine.  The range is cut into blocks
 of ``B`` terms (``B = 32`` up to ``k = 3``, ``16`` at ``k = 4`` and
@@ -40,7 +45,7 @@ from .core import INT64_SAFE
 # ---------------------------------------------------------------------------
 
 _LIMB_BITS = 53      # an integer below 2^53 is an exact float64
-_TILE = 1 << 14      # (rows x blocks) elements per tile; keeps temporaries in cache
+_TILE = 1 << 14      # elements per phase tile or slab-step block; keeps temporaries in cache
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
 
@@ -277,76 +282,85 @@ def canonical_powersum_run(t, lo, hi, k, coeff=1, key_min=None, key_max=None):
 
 
 # ---------------------------------------------------------------------------
-# modular convolution step for counting solutions mod m
+# translation slabs of residue histograms, for counting solutions mod m
 # ---------------------------------------------------------------------------
 
-# Brent & Zimmermann (Modern Computer Arithmetic, 2010, section 3.3) bound
-# the error of a convolution by a length-2^n complex floating-point FFT by
-# |x| |y| ((1+eps)^(3n) (1+eps sqrt5)^(3n+1) (1+mu)^(3n) - 1), Euclidean
-# norms, twiddle factors off by at most mu.  pocketfft runs real-input,
-# mixed-radix and (for lengths with a large prime factor, such as 251)
-# Bluestein transforms, which the theorem does not cover as stated; the
-# bound is multiplied by _FFT_SAFETY for them and for the float64 rounding
-# of the norms.  At m = 251 Bluestein runs two transforms of a smooth length
-# >= 2m - 1 plus chirp products, about 2.5 times the levels of the radix-2
-# case.  Measured on m = 2..256, k = 1..3, the largest error was 0.07 of
-# the unscaled bound (at m = 251).
-_EPS = 2.0 ** -53
-_FFT_SAFETY = 16.0
+def _slab_gather(windows, m, C, u1, d):
+    """``H(u1[p], w_2 - d[p, 1], ..., w_k - d[p, k-1])`` for every ``p`` and ``w``.
 
-
-def _fft_error_bound(shape, norm_x, norm_y):
-    """A-priori bound on ``max |FFT convolution - exact convolution|``."""
-    n = sum(math.ceil(math.log2(m)) for m in shape)  # levels; mu = eps
-    growth = math.expm1(6 * n * math.log1p(_EPS)
-                        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5.0)))
-    return _FFT_SAFETY * norm_x * norm_y * growth
-
-
-def _conv_mod_fft(H, shifts):
-    """FFT cyclic convolution of ``H`` with the shift histogram.
-
-    The rounded result is returned only when the error bound is below 1/2
-    (so rounding gives the exact integers), the total mass is the exact
-    ``H.sum() * len(shifts)`` and no cell is negative; otherwise ``None``.
+    ``H`` is the histogram of a half whose coefficients sum to ``C`` and
+    ``windows`` is :func:`_windows` of its slab; ``d`` is ``(P, k)``.  Each
+    ``u`` is read at the translate ``T_t u`` whose first key ``u1 + C t`` is
+    the slab row ``r = u1 mod g``, ``g = gcd(C, m)`` (``m`` when
+    ``C = 0 mod m``; ``t`` is unique mod ``m / g``).  For ``j >= 2``,
+    ``(T_t u)_j = sum_{l<=j} C(j,l) t^(j-l) u_l`` with ``u_0 = C`` is
+    ``sum_{2<=l<=j} C(j,l) t^(j-l) w_l`` plus a part ``beta_j`` fixed by
+    ``p``.  That map is built once per ``p``; its last coordinate is a
+    cyclic shift of ``w_k``, read as one window, so a cell costs one gather.
+    Returns shape ``(P,) + (m,) * (k - 1)``.
     """
-    idx = np.ravel_multi_index(tuple(shifts.T), H.shape)
-    G = np.bincount(idx, minlength=H.size).reshape(H.shape).astype(np.float64)
-    h = H.astype(np.float64)
-    if _fft_error_bound(H.shape, math.sqrt(np.vdot(h, h)),
-                        math.sqrt(np.vdot(G, G))) >= 0.5:
-        return None
-    axes = tuple(range(H.ndim))
-    out = np.fft.irfftn(np.fft.rfftn(h, axes=axes) * np.fft.rfftn(G, axes=axes),
-                        s=H.shape, axes=axes)
-    out = np.rint(out).astype(np.int64)
-    if int(out.sum()) != int(H.sum()) * len(shifts) or out.min() < 0:
-        return None
-    return out
+    k = d.shape[1]
+    C %= m
+    g = math.gcd(C, m)
+    r = u1 % g
+    t = (r - u1) // g * pow(C // g, -1, m // g) % (m // g)
+    tp = [np.ones_like(t)]  # t^i mod m
+    for _ in range(k):
+        tp.append(tp[-1] * t % m)
+    grid = (1,) * (k - 2)
+    col = lambda a: a.reshape(a.shape + grid)
+    w = [np.arange(m).reshape([m if i == l else 1 for i in range(k - 2)])
+         for l in range(k - 2)]  # w_2 .. w_(k-1), without the pair axis
+    index = [col(r)]
+    for j in range(2, k + 1):
+        beta = (C * tp[j] + j * tp[j - 1] % m * u1) % m
+        T = 0
+        for l in range(2, j + 1):
+            a = math.comb(j, l) * tp[j - l] % m
+            beta -= a * d[:, l - 1] % m
+            if l < k:  # w_k is the window axis
+                T = T + col(a) * w[l - 2]
+        index.append((T + col(beta % m)) % m)
+    return windows[tuple(index)]
 
 
-def _conv_mod_numpy(H, sh):
-    """Integer reference: one ``np.roll`` per shift (int64 or object cells)."""
-    out = np.zeros_like(H)
-    axes = tuple(range(H.ndim))
-    for row in sh:
-        out += np.roll(H, tuple(int(v) for v in row), axis=axes)
-    return out
+def _windows(S, m):
+    """``W[..., i, :]`` is ``S`` rolled by ``-i`` along its last axis: a view
+    of ``S`` with that axis doubled.  At ``k = 1`` the slab is read as it is."""
+    if S.ndim == 1:
+        return S
+    doubled = np.concatenate([S, S[..., :m - 1]], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(doubled, m, axis=-1)
 
 
-def conv_mod(H, shifts):
-    """One convolution step: ``out[(v + shift) mod m] += H[v]`` over all shifts.
+def expand_slab(S, m, C):
+    """The full ``(m,) * k`` histogram of a half whose coefficients sum to ``C``, from its slab."""
+    return _slab_gather(_windows(S, m), m, C, np.arange(m),
+                        np.zeros((m, S.ndim), dtype=np.int64))
 
-    ``H`` is an array of non-negative integer counts, int64 or object
-    (Python ints), any number of dims, each axis with its own modulus;
-    ``shifts`` is ``(n, ndim)`` with entries reduced mod the axis sizes.
-    int64 input goes through the certified FFT (O(m^k log m)); when the
-    certificate fails, and for object input, the exact ``np.roll`` loop
-    (O(n m^k)) runs instead.
+
+def conv_mod(H, shifts, C, c):
+    """One slab step: the slab of a half after adding a variable of coefficient ``c``.
+
+    ``H`` is the slab of a half whose coefficients sum to ``C``: the cells
+    of its residue histogram with first key in ``[0, g)``, ``g = gcd(C, m)``
+    (``m`` when ``C = 0 mod m``), shape ``(g,) + (m,) * (k - 1)``, int64 or
+    object (Python ints).  ``shifts`` holds ``c (x, ..., x^k) mod m`` for
+    every ``x`` in ``[0, m)``.  Returns the slab of the half with the new
+    variable, ``out[w] = sum_x H[w - shifts[x]]`` for ``w_1 < gcd(C + c, m)``:
+    ``gcd(C + c, m) m^k`` exact integer gathers, taken in blocks of ``x`` of
+    about ``_TILE`` cells.
     """
     shifts = np.ascontiguousarray(shifts, dtype=np.int64)
-    if np.asarray(H).dtype == object:
-        return _conv_mod_numpy(H, shifts)
-    H = np.ascontiguousarray(H, dtype=np.int64)
-    out = _conv_mod_fft(H, shifts)
-    return _conv_mod_numpy(H, shifts) if out is None else out
+    m, k = shifts.shape
+    g = math.gcd((C + c) % m, m)
+    out = np.zeros((g,) + (m,) * (k - 1), dtype=H.dtype)
+    w1 = np.arange(g)
+    windows = _windows(H, m)
+    step = max(1, _TILE // out.size)
+    for x0 in range(0, m, step):
+        sh = shifts[x0:x0 + step]
+        u1 = ((w1 - sh[:, :1]) % m).ravel()  # x-major pairs (x, w_1)
+        part = _slab_gather(windows, m, C, u1, np.repeat(sh, g, axis=0))
+        out += part.reshape((len(sh),) + out.shape).sum(axis=0)
+    return out

@@ -65,3 +65,23 @@ def test_traced_layers_exist_and_bind_the_arguments_their_counters_read():
             assert names <= set(inspect.signature(func).parameters), f"hklab.{mod}.{name}"
             read |= names
     assert read == {"H", "shifts", "coeffs", "u0", "u1", "alphas", "samples"}
+
+
+def test_traced_reuse_ratio_reads_a_cold_cache_as_no_reuse(monkeypatch):
+    # every half of pure(4, 2) has two coefficients and runs one conv_mod
+    # step when fresh, so a cold cache reads no reuse
+    from hklab import densities
+    from hklab.core import SystemParams
+
+    spans = _load("spans")
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        densities.singular_series_euler([10, 30], SystemParams.pure(4, 2),
+                                        p_max=13, modulus_cap=64)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["densities.solution_count_mod.calls"] > 0
+    assert metrics["densities.solution_count_mod.reuse_ratio"] == 0.0

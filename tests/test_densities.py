@@ -369,16 +369,37 @@ def test_object_route_halves_match_brute_force(monkeypatch):
     _check_cached_halves(monkeypatch)
 
 
-def test_fresh_half_seeds_from_pair_join(monkeypatch):
+def test_fresh_half_runs_one_step_per_added_variable(monkeypatch):
+    # the first coefficient seeds the slab; a half of one coefficient (s <= 2)
+    # or none runs no step
     monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
     calls = []
     conv = densities.conv_mod
-    monkeypatch.setattr(densities, "conv_mod",
-                        lambda H, shifts: calls.append(1) or conv(H, shifts))
-    for coeffs in ((), (1,), (1, 1), (1, -1, 2), (2, 1, 1, 3)):
+    monkeypatch.setattr(densities, "conv_mod", lambda *a: calls.append(1) or conv(*a))
+    for coeffs in ((), (1,), (1, 1), (1, -1), (1, -1, 2), (2, 1, 1, 3)):
         calls.clear()
-        densities._half_mod(11, 2, coeffs)
-        assert len(calls) == max(0, len(coeffs) - 2), coeffs
+        H = densities._half_mod(11, 2, coeffs)
+        assert len(calls) == max(0, len(coeffs) - 1), coeffs
+        assert np.array_equal(H, _half_brute_force(11, 2, coeffs)), coeffs
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 9])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_histogram_is_translation_invariant(m, k):
+    # x_i -> x_i + t moves the key v of a half with coefficient sum C to
+    # (T_t v)_j = sum_{l <= j} C(j,l) t^(j-l) v_l, v_0 = C, so H(T_t v) = H(v);
+    # (T_t v)_1 = v_1 + C t reaches v_1 mod gcd(C, m) and nothing else
+    v = np.indices((m,) * k).reshape(k, -1)
+    for coeffs in ((1,), (2,), (1, 1), (1, -1), (1, 2), (2, 2), (1, 1, 1), (1, -1, 3)):
+        H = _half_brute_force(m, k, coeffs)
+        C = sum(coeffs)
+        u = [np.full(v.shape[1], C)] + list(v)
+        for t in range(m):
+            Tv = tuple(sum(math.comb(j, l) * t ** (j - l) * u[l] for l in range(j + 1)) % m
+                       for j in range(1, k + 1))
+            assert np.array_equal(H[Tv], H.reshape(-1)), (coeffs, t)
+        g = math.gcd(C, m)
+        assert all(min((v1 + C * t) % m for t in range(m)) == v1 % g for v1 in range(m))
 
 
 def test_padic_density_is_exact_rational():

@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hklab import kernels
 from hklab.kernels import (
-    _conv_mod_numpy,
     canonical_powersum_run,
     conv_mod,
+    expand_slab,
     phase_poly_sums,
     tuple_multiplicities,
 )
@@ -158,78 +157,91 @@ def test_canonical_run_empty_tuple():
     assert keys.shape == (1, 3) and keys.sum() == 0 and mult[0] == 1
 
 
+def _power_shifts(m, k, rows, c=1):
+    """Rows ``c (x, x^2, ..., x^k) mod m``; ``rows`` may repeat an ``x``."""
+    return np.array([[c * pow(int(x), j, m) % m for j in range(1, k + 1)] for x in rows],
+                    dtype=np.int64).reshape(len(rows), k)
+
+
+def _roll_conv(H, shifts):
+    """Oracle: ``out[(v + shift) mod m] += H[v]``, one ``np.roll`` per shift row."""
+    out = np.zeros_like(H)
+    axes = tuple(range(H.ndim))
+    for row in shifts:
+        out += np.roll(H, tuple(int(v) for v in row), axis=axes)
+    return out
+
+
+def _roll_half(m, k, coeffs, dtype=np.int64):
+    """Residue histogram of ``sum_i c_i (x_i, ..., x_i^k)`` by roll convolutions."""
+    H = np.zeros((m,) * k, dtype=dtype)
+    H[(0,) * k] = 1
+    for c in coeffs:
+        H = _roll_conv(H, _power_shifts(m, k, range(m), c))
+    return H
+
+
 def test_conv_mod_matches_reference():
-    rng = np.random.default_rng(4)
-    H = rng.integers(0, 5, size=(7, 7)).astype(np.int64)
-    shifts = rng.integers(0, 7, size=(11, 2)).astype(np.int64)
-    got = conv_mod(H, shifts)
+    # a half of coefficients (1, 2) mod 7 by direct enumeration, one step of
+    # coefficient 3, against the cell-by-cell convolution
+    m, C = 7, 3
+    H = np.zeros((m, m), dtype=np.int64)
+    for x, y in itertools.product(range(m), repeat=2):
+        H[(x + 2 * y) % m, (x * x + 2 * y * y) % m] += 1
+    shifts = _power_shifts(m, 2, range(m), 3)
     want = np.zeros_like(H)
     for a, b in shifts:
-        for i in range(7):
-            for j in range(7):
-                want[(i + a) % 7, (j + b) % 7] += H[i, j]
-    assert np.array_equal(got, want)
-
-
-def _power_shifts(m, k, rows):
-    """Rows ``(x, x^2, ..., x^k) mod m``; ``rows`` may repeat an ``x``."""
-    return np.array([[pow(int(x), j, m) for j in range(1, k + 1)] for x in rows],
-                    dtype=np.int64).reshape(len(rows), k)
+        for i in range(m):
+            for j in range(m):
+                want[(i + a) % m, (j + b) % m] += H[i, j]
+    got = conv_mod(H[:1], shifts, C, 3)  # gcd(3, 7) = 1, then gcd(6, 7) = 1
+    assert got.shape == (1, m) and np.array_equal(got, want[:1])
+    assert np.array_equal(expand_slab(got, m, C + 3), want)
 
 
 CONV_CASES = ([(m, k) for k in (1, 2) for m in (2, 3, 4, 7, 16, 81, 121, 243, 251, 256)]
               + [(m, 3) for m in (2, 3, 4, 7, 16)])
+# (half so far, coefficient added): the coefficient sums run through units,
+# 2, 3 and 4 (p | C at powers of 2 and 3) and 0 mod m (the slab is the grid)
+STEPS = [((1,), 1), ((1, 1), 1), ((1,), -1), ((1, -1), 2), ((3, 1), -4)]
 
 
 @pytest.mark.parametrize("m,k", CONV_CASES)
 def test_conv_mod_fft_matches_roll_loop(m, k):
-    rng = np.random.default_rng(m * 10 + k)
-    H = rng.integers(0, m ** 2, size=(m,) * k).astype(np.int64)
-    # power-residue shifts with repeats, plus random repeated shifts
-    rows = np.concatenate([np.arange(m), rng.integers(0, m, size=m // 2 + 3)])
-    shifts = np.concatenate([_power_shifts(m, k, rows),
-                             np.repeat(rng.integers(0, m, size=(3, k)), 2, axis=0)])
-    want = _conv_mod_numpy(H, shifts)
-    got = conv_mod(H, shifts)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, want)
-    # the certificate accepts these sizes, and its bound covers the raw error
-    assert np.array_equal(kernels._conv_mod_fft(H, shifts), want)
-    G = np.zeros(H.shape)
-    np.add.at(G, tuple(shifts.T), 1.0)
-    raw = np.fft.irfftn(np.fft.rfftn(H.astype(float), axes=range(k))
-                        * np.fft.rfftn(G, axes=range(k)), s=H.shape, axes=range(k))
-    bound = kernels._fft_error_bound(H.shape, np.linalg.norm(H.astype(float)),
-                                     np.linalg.norm(G))
-    assert np.abs(raw - want).max() <= bound < 0.5
+    halves = {}
+    for prefix, c in STEPS:
+        if prefix not in halves:
+            halves[prefix] = _roll_half(m, k, prefix)
+        H = halves[prefix]
+        C, C2 = sum(prefix) % m, (sum(prefix) + c) % m
+        g, g2 = math.gcd(C, m), math.gcd(C2, m)
+        shifts = _power_shifts(m, k, range(m), c)
+        want = _roll_conv(H, shifts)
+        assert np.array_equal(expand_slab(H[:g], m, C), H), prefix
+        got = conv_mod(H[:g], shifts, C, c)
+        assert got.dtype == np.int64 and got.shape == (g2,) + (m,) * (k - 1)
+        assert np.array_equal(got, want[:g2]), (prefix, c)
+        assert np.array_equal(expand_slab(got, m, C2), want), (prefix, c)
 
 
-def test_conv_mod_falls_back_when_certificate_fails(monkeypatch):
-    # masses near 2^60 put the FFT error bound far above 1/2: the bound
-    # rejects before any transform runs, and the roll loop answers
-    rng = np.random.default_rng(6)
-    H = rng.integers(2 ** 59, 2 ** 60, size=(7, 7)).astype(np.int64)
-    shifts = _power_shifts(7, 2, [0, 1, 3])
-
-    def no_transform(*args, **kwargs):
-        raise AssertionError("FFT ran although the error bound failed")
-    monkeypatch.setattr(np.fft, "rfftn", no_transform)
-    assert kernels._conv_mod_fft(H, shifts) is None
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return _conv_mod_numpy(*args)
-    monkeypatch.setattr(kernels, "_conv_mod_numpy", counted)
-    got = conv_mod(H, shifts)
-    assert calls == [1]
-    want = np.zeros((7, 7), dtype=object)
-    for a, b in shifts:
-        want += np.roll(H.astype(object), (a, b), axis=(0, 1))
-    assert np.array_equal(got.astype(object), want)
+def test_conv_mod_int64_cells_near_2_60_stay_exact():
+    # a real half scaled by 2^52: every sum of the step is exact in int64
+    m, k = 7, 2
+    H = _roll_half(m, k, (1, 2)) * 2 ** 52
+    shifts = _power_shifts(m, k, range(m), 3)
+    got = conv_mod(H[:1], shifts, 3, 3)
+    want = _roll_conv(H.astype(object), shifts)
+    assert int(want.sum()) == m ** 3 * 2 ** 52 > 2 ** 60
+    assert np.array_equal(got.astype(object), want[:1])
+    assert np.array_equal(expand_slab(got, m, 6).astype(object), want)
 
 
 def test_conv_mod_object_cells_stay_exact():
+    # a constant histogram is invariant under every translation; at C = 0
+    # its slab is the whole grid
     H = np.full((3, 3), 2 ** 70, dtype=object)
-    got = conv_mod(H, _power_shifts(3, 2, [0, 1, 2]))
-    assert got.dtype == object and all(v == 3 * 2 ** 70 for v in got.ravel())
+    got = conv_mod(H, _power_shifts(3, 2, [0, 1, 2]), 0, 1)
+    assert got.dtype == object and got.shape == (1, 3)
+    assert all(v == 3 * 2 ** 70 for v in got.ravel())
+    full = expand_slab(got, 3, 1)
+    assert full.dtype == object and all(v == 3 * 2 ** 70 for v in full.ravel())
