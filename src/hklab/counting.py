@@ -230,27 +230,28 @@ def _int64_safe(params, lo, hi):
     return params.s * per_var < INT64_SAFE
 
 
-def _encode_keys(*key_arrays):
-    """Mixed-radix encode rows of k-column keys into scalars, one array each.
-
-    Encodings are int64 for int64 keys whose radix product stays below
-    ``INT64_SAFE``, and Python integers (object) otherwise.
-    """
+def _column_bounds(*key_arrays):
+    """Per-column ``(lo, hi)`` of k-column keys over all the arrays."""
     k = key_arrays[0].shape[1]
-    lo = [min(int(a[:, j].min()) for a in key_arrays) for j in range(k)]
-    radix = [max(int(a[:, j].max()) for a in key_arrays) - lo[j] + 1 for j in range(k)]
-    wide = math.prod(radix) >= INT64_SAFE
-    out = []
-    for a in key_arrays:
-        if wide:
-            a = a.astype(object)
-        enc = np.zeros(len(a), dtype=a.dtype)
-        stride = 1
-        for j in range(k):
-            enc += (a[:, j] - lo[j]) * stride
-            stride *= radix[j]
-        out.append(enc)
-    return out
+    return ([min(int(a[:, j].min()) for a in key_arrays) for j in range(k)],
+            [max(int(a[:, j].max()) for a in key_arrays) for j in range(k)])
+
+
+def _encode_keys(keys, lo, hi):
+    """Mixed-radix encoding of rows of k-column keys with ``lo_j <= keys[:, j] <= hi_j``.
+
+    Returns the encodings and the strides: ``enc = sum_j (key_j - lo_j)
+    stride_j``.  Encodings are int64 for int64 keys whose radix product
+    stays below ``INT64_SAFE``, and Python integers (object) otherwise.
+    """
+    radix = [h - l + 1 for l, h in zip(lo, hi)]
+    if math.prod(radix) >= INT64_SAFE:
+        keys = keys.astype(object)
+    enc = np.zeros(len(keys), dtype=keys.dtype)
+    strides = [math.prod(radix[:j]) for j in range(len(radix))]
+    for j, stride in enumerate(strides):
+        enc += (keys[:, j] - lo[j]) * stride
+    return enc, strides
 
 
 def _unique_sum(enc, mult):
@@ -335,15 +336,29 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
             lo2, hi2 = [-v for v in hi2], [-v for v in lo2]
         k1, m1 = _half_histogram(c_first, lo, box, k, list(map(min, lo1, lo2)),
                                  list(map(max, hi1, hi2)), dtype)
-        k2, m2 = (k1 if sign > 0 else -k1), m1
+        if not len(k1):
+            return CountResult(0, "mitm", work, time.perf_counter() - t0)
+        # K is encoded once, with a radix that also holds its image n - sign K,
+        # and sorted once: enc(n - sign K) = delta - sign enc(K), so the
+        # image's sorted keys are delta - u1 reversed (sign 1) or u1 + delta
+        klo, khi = _column_bounds(k1)
+        ends = [(nj - sign * a, nj - sign * b) for nj, a, b in zip(n, klo, khi)]
+        klo = [min(a, *e) for a, e in zip(klo, ends)]
+        khi = [max(b, *e) for b, e in zip(khi, ends)]
+        e1, strides = _encode_keys(k1, klo, khi)
+        u1, c1 = _unique_sum(e1, m1)
+        delta = sum((nj - (1 + sign) * a) * st for nj, a, st in zip(n, klo, strides))
+        u2, c2 = (delta - u1[::-1], c1[::-1]) if sign > 0 else (u1 + delta, c1)
     else:
         k1, m1 = _half_histogram(c_first, lo, box, k, lo1, hi1, dtype)
         k2, m2 = _half_histogram(c_second, lo, box, k, lo2, hi2, dtype)
-    if not (len(k1) and len(k2)):
-        return CountResult(0, "mitm", work, time.perf_counter() - t0)
-    e1, e2 = _encode_keys(k1, np.asarray(n, dtype=dtype)[None, :] - k2)
-    u1, c1 = _unique_sum(e1, m1)
-    u2, c2 = _unique_sum(e2, m2)
+        if not (len(k1) and len(k2)):
+            return CountResult(0, "mitm", work, time.perf_counter() - t0)
+        k2 = np.asarray(n, dtype=dtype)[None, :] - k2
+        bounds = _column_bounds(k1, k2)
+        (e1, _), (e2, _) = _encode_keys(k1, *bounds), _encode_keys(k2, *bounds)
+        u1, c1 = _unique_sum(e1, m1)
+        u2, c2 = _unique_sum(e2, m2)
     pos = np.minimum(np.searchsorted(u1, u2), len(u1) - 1)
     hit = u1[pos] == u2
     total = _certified_dot(c1[pos[hit]], c2[hit])
@@ -368,7 +383,7 @@ def powersum_histogram(t, k, hi, x_min=1):
     keys, mult = canonical_powersum_run(t, x_min, hi, k)
     if (hi - x_min + 1) ** t >= INT64_SAFE:
         mult = mult.astype(object)
-    return _unique_sum(_encode_keys(keys)[0], mult)
+    return _unique_sum(_encode_keys(keys, *_column_bounds(keys))[0], mult)
 
 
 def vinogradov_count(t, k, X, x_min=1, budget=50_000_000):

@@ -2,12 +2,16 @@
 
 The series has two independent computational routes:
 
-* ``singular_series_qsum`` sums modulus terms ``A(q)`` built from complete
-  exponential sums over residues (the moment curve ``r -> (r, ..., r^k)``
-  with exact residue phases, a length-``q`` DFT along ``r`` for the
-  linear coefficient on the shift representatives only, and a direct
-  small-q evaluator as the oracle), at
-  prime powers only: composite terms are products, by multiplicativity;
+* ``singular_series_qsum`` sums modulus terms ``A(q)`` at prime powers
+  only (composite terms are products, by multiplicativity).  A term sums
+  ``S(q, a)^s e_q(-a.n)`` over the orbits of the translation ``r -> r + t``
+  on the numerators ``a`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
+  ch. 4): where ``k a_k`` is a unit an orbit's ``q`` terms sum to one
+  complete sum, so a term costs about ``q^(k-2) u + q^(k-1) (q - u)`` cells,
+  ``u`` the unit residues ``k a_k``, not ``q^k`` (:func:`series_term`).
+  The complete sums have exact residue phases and a length-``q`` DFT along
+  ``r`` on the shift representatives only; a direct small-q evaluator is
+  the oracle;
 * ``singular_series_euler`` multiplies p-adic solution densities
   ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting:
   each half of the variables is a residue histogram built on its
@@ -32,7 +36,7 @@ import numpy as np
 from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
 from .expsums import (TENSOR_CELLS_MAX, axis_nodes, complete_sum, gl_axis, gl_edges,
-                      oscillatory_integral, power_contract, tensor_chunk, tensor_integral)
+                      oscillatory_integral, power_in_place, tensor_chunk, tensor_integral)
 from .kernels import conv_mod, expand_slab
 from .local import small_primes
 from .streams import substream
@@ -125,20 +129,31 @@ def _check_shift_table(q, k):
         raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
 
 
+def _units(q, k):
+    """``u = #{a mod q : k a is a unit}``: ``phi(q)`` when ``gcd(k, q) = 1``, else 0."""
+    if math.gcd(k, q) != 1:
+        return 0
+    return math.prod(pe - pe // p for p, pe in prime_power_factors(q))
+
+
 def _representative_rows(q, k):
     """DFT rows of :func:`_shift_tables`: ``q^(k-3) u + q^(k-2) (q - u)`` at ``k >= 3``.
 
-    ``u`` counts the units among ``k a``: a row is its own representative
-    when ``k a_k`` is not a unit, or when it is and ``a_(k-1) = 0``.
+    ``u`` counts the units among ``k a`` (:func:`_units`): a row is its own
+    representative when ``k a_k`` is not a unit, or when it is and
+    ``a_(k-1) = 0``.
     """
     if k <= 2:
         return q ** (k - 1)
-    u = sum(math.gcd(k * a, q) == 1 for a in range(q))
+    u = _units(q, k)
     return q ** (k - 3) * u + q ** (k - 2) * (q - u)
 
 
 def complete_sum_all(q, k):
     """``S(q, a)`` for every ``a`` in ``[0, q)^k``, a DFT on representative rows only.
+
+    The whole grid is the tests' oracle for :func:`series_term` and the
+    minor-arc tables; nothing in ``src/`` calls it.
 
     ``S(q, a) = sum_r e_q(f(r))`` over ``r mod q`` with
     ``f(r) = a_1 r + ... + a_k r^k``.  The shift ``r -> r + t`` gives
@@ -175,14 +190,110 @@ def _primitive_mask(q, k):
     return mask
 
 
-def series_term(q, n, params):
-    """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)`` (bulk path).
+def _series_cells(q, k):
+    """Cells of the DFT rows that :func:`series_term` builds, ``q`` to a row.
 
-    The cells with ``gcd(q, a) > 1`` are those on the ``[::p]`` sub-grid of
-    every axis for some prime ``p | q``; they are zeroed in place, and ``S^s``
-    is contracted one axis at a time against ``e_q(-a_j n_j)``
-    (``expsums.power_contract``).  The primitive cells number Jordan's
-    totient ``J_k(q) = q^k prod_{p | q} (1 - p^-k)``.
+    At ``k >= 3`` these are the representative rows of :func:`_shift_tables`
+    (:func:`_representative_rows`), at ``k = 2`` the ``q - u`` rows with
+    ``2 a_2`` not a unit and the one DFT of the squares' histogram, and at
+    ``k = 1`` the one plain row.
+    """
+    if k == 2:
+        return (q - _units(q, 2) + 1) * q
+    return _representative_rows(q, k) * q
+
+
+def _quadratic_orbits(q, n, s, E):
+    """``k = 2`` tables of :func:`series_term`: ``(orbit sum, plain rows, their DFT rows)``.
+
+    ``W[b] = S(q, (0, b))`` for every ``b`` is one DFT of the histogram of
+    ``r^2 mod q``.  The orbit cells are ``a = (0, a_2)`` with ``2 a_2`` a
+    unit; their ``b = -c(a) = (-2 n_1 a_2, -s a_2)``.  When ``2 s`` is a
+    unit, ``2 b_2`` is one, and ``S(q, b) = e_q(b_1 t + b_2 t^2) W[b_2]`` at
+    ``t = -b_1 (2 b_2)^-1 = -n_1 s^-1``, the same ``t`` for every ``a_2``;
+    otherwise ``b_2`` is not a unit and ``S(q, b)`` is read off its DFT row.
+    """
+    r = np.arange(q, dtype=np.int64)
+    sq = r * r % q
+    W = np.fft.ifft(np.bincount(sq, minlength=q).astype(np.complex128), norm="forward")
+    unit = np.gcd(2 * r, q) == 1
+    plain = r[~unit]
+    D = E[plain[:, None] * sq % q]
+    np.fft.ifft(D, axis=-1, norm="forward", out=D)  # D[i, a_1] = S(q, (a_1, plain[i]))
+    a2 = r[unit]
+    b1, b2 = -2 * n[1] * a2 % q, -s * a2 % q
+    if math.gcd(2 * s, q) == 1:
+        t = -n[1] * pow(s, -1, q) % q
+        Sb = E[(b1 * t + b2 * (t * t % q)) % q] * W[b2]
+    else:
+        Sb = D[(np.cumsum(~unit) - 1)[b2], b1]
+    Sa = W[unit]
+    power_in_place(Sa, s)
+    orbit = np.dot(Sa * E[-n[2] * a2 % q], Sb)
+    return orbit, plain[None, :], D
+
+
+def _shifted_orbits(q, k, n, s, E):
+    """``k != 2`` tables of :func:`series_term`: ``(orbit sum, plain rows, their DFT rows)``.
+
+    The DFT rows are :func:`_shift_tables`' ``D``; the unit rows among them
+    (``a_(k-1) = 0``, ``k a_k`` a unit, ``k >= 3``) hold the orbit cells over
+    every ``a_1``.  ``b = -c(a)`` is affine in ``a_1`` through ``b_1`` only,
+    so each unit row looks up the shift ``(rep, t, c, d)`` of its row
+    ``(b_2..b_k)`` once and reads ``S(q, b)`` for every ``a_1`` from it.
+    The plain rows returned are ``D`` itself with the unit rows zeroed, so
+    no second table of its size is held.
+    """
+    D, rep, t, c, d = _shift_tables(q, k)
+    ids = np.flatnonzero(t == 0)  # D's rows (a_2..a_k) in C order
+    rows = ids // q ** np.arange(k - 2, -1, -1)[:, None] % q
+    if k < 3:
+        return 0j, rows, D
+    unit = np.gcd(k * rows[-1], q) == 1
+    a = rows[:, unit]  # a_2..a_k, a_(k-1) = 0
+    a1 = np.arange(q, dtype=np.int64)
+    nn = [s % q] + n[1:]  # n_0 = s
+    # b_m = -c_m(a) = -sum_{j=m..k} C(j, m) a_j n_(j-m), its a_1 term s a_1 at m = 1
+    b = [-sum(math.comb(j, m) * nn[j - m] % q * a[j - 2] for j in range(max(m, 2), k + 1)) % q
+         for m in range(1, k + 1)]
+    row = np.ravel_multi_index(tuple(b[1:]), (q,) * (k - 1))
+    b1 = (b[0][:, None] - s * a1) % q
+    phase = (b1 * t[row, None] + d[row, None]
+             - n[1] * a1 - (np.array(n[2:], dtype=np.int64) @ a)[:, None]) % q
+    Sb = D[rep[row, None], (b1 + c[row, None]) % q]
+    Sb *= E[phase]
+    Sa = D[unit]
+    power_in_place(Sa, s)
+    D[unit] = 0
+    return np.dot(Sa.ravel(), Sb.ravel()), rows, D
+
+
+def series_term(q, n, params):
+    """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)``, summed over translation orbits.
+
+    The shift ``r -> r + t`` maps ``a`` to ``tau_t a``,
+    ``(tau_t a)_l = sum_{j>=l} C(j, l) t^(j-l) a_j``, a permutation of the
+    primitive ``a`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
+    ch. 4).  It takes ``F(a) = S(q,a)^s e_q(-a.n)`` to
+    ``S(q,a)^s e_q(-sum_j a_j N_j(t))``,
+    ``N_j(t) = sum_{l<=j} C(j, l) n_l t^(j-l)`` with ``n_0 = s``.  Where
+    ``k a_k`` is a unit (``k >= 2``), an orbit has ``q`` elements and one
+    with ``a_(k-1) = 0``, and its ``q`` terms sum to one complete sum::
+
+        A(q) q^s = sum_{a_(k-1) = 0, k a_k unit} S(q,a)^s e_q(-a.n) S(q, -c(a))
+                 + sum_{a primitive, k a_k not a unit} S(q,a)^s e_q(-a.n),
+
+    ``c_m(a) = sum_{j=m..k} C(j, m) a_j n_(j-m)`` for ``m = 1..k``.  The
+    second sum runs over plain DFT rows: non-primitive cells (``p | q``
+    dividing every ``a_j``) are zeroed, ``S^s`` is taken in place and
+    contracted against ``e_q(-a.n)``.  So a term costs about
+    ``q^(k-2) u + q^(k-1) (q - u)`` cells, ``u`` the residues with
+    ``k a_k`` a unit: ``2 q^(k-1)`` at a prime ``q`` not dividing ``k``
+    (:func:`_shifted_orbits` at ``k >= 3``, :func:`_quadratic_orbits` at
+    ``k = 2``; ``k = 1`` has no orbit axis and keeps its one row).  The
+    cells (:func:`_series_cells`) are checked against
+    ``SERIES_GRID_CELLS_MAX`` before any table is built.  The primitive
+    cells number Jordan's totient ``J_k(q) = q^k prod_{p | q} (1 - p^-k)``.
     """
     q = int(q)
     if q < 1:
@@ -191,22 +302,26 @@ def series_term(q, n, params):
     k = params.k
     if len(n) != k:
         raise ValidationError("target length must equal k")
-    if q ** k > SERIES_GRID_CELLS_MAX:
+    if (cells := _series_cells(q, k)) > SERIES_GRID_CELLS_MAX:
         raise BudgetExceededError(
-            f"series term at q={q}, k={k} exceeds the numerator-grid budget")
+            f"series term at q={q}, k={k}: {cells} table cells exceed the budget")
     if q == 1:
         return SeriesTerm(1, 1.0, 0.0, 1)
     if not params.is_pure:
         raise ValidationError("series terms are defined for the pure system")
-    S = complete_sum_all(q, k)
+    s = params.s
+    n = [None] + [v % q for v in n]  # n[j] = n_j mod q
+    E = np.exp(2j * np.pi * np.arange(q) / q)
+    orbit, rows, D = (_quadratic_orbits(q, n, s, E) if k == 2
+                      else _shifted_orbits(q, k, n, s, E))
+    a1 = np.arange(q)
     n_primitive = q ** k
     for p, _ in prime_power_factors(q):
-        S[(slice(None, None, p),) * k] = 0
+        D[np.ix_(np.all(rows % p == 0, axis=0), a1 % p == 0)] = 0
         n_primitive = n_primitive // p ** k * (p ** k - 1)
-    a = np.arange(q, dtype=np.int64)
-    table = np.exp(2j * np.pi * a / q)
-    factors = [table[None, (-(nj % q)) * a % q] for nj in n]
-    total = power_contract(S, params.s, factors)[0] / q ** params.s
+    power_in_place(D, s)
+    plain = E[-(np.array(n[2:], dtype=np.int64) @ rows) % q] @ (D @ E[-n[1] * a1 % q])
+    total = (orbit + plain) / q ** s
     return SeriesTerm(q, float(total.real), float(total.imag), n_primitive)
 
 
@@ -366,20 +481,28 @@ def _half_mod(m, k, coeffs):
 
 
 def solution_count_mod(m, n, params):
-    """Exact ``M(m) = #{x in [0,m)^s : sum_i c_i x_i^j = n_j mod m, all j}``."""
+    """Exact ``M(m) = #{x in [0,m)^s : sum_i c_i x_i^j = n_j mod m, all j}``.
+
+    ``M(m) = sum_v H1(v) H2(n - v)`` over the halves' histograms
+    (:func:`_half_mod`); a second half with the first's coefficients is the
+    first.  ``H2(n - v)`` is ``H2`` flipped on every axis and rolled by
+    ``n + 1``, one copy, and the pairing is one integer dot: int64 while
+    ``m^s`` fits, else in Python integers one ``v_1`` slice at a time.
+    """
     n = _target_vector(n)
     k = params.k
     if m ** (k + 1) > RESIDUE_CELLS_MAX:
         raise BudgetExceededError(
             f"residue convolution at modulus {m}, k={k} exceeds the budget")
     s1 = (params.s + 1) // 2
-    H1 = _half_mod(m, k, params.coeffs[:s1])
-    H2 = _half_mod(m, k, params.coeffs[s1:])
-    idxs = [((n[j] % m) - np.arange(m)) % m for j in range(k)]
-    H2c = H2[np.ix_(*idxs)]
-    if m ** params.s < INT64_SAFE:  # M(m) <= m^s: the int64 pairing is exact
-        return int((H1 * H2c).sum())
-    return int((H1.astype(object) * H2c.astype(object)).sum())
+    c1, c2 = params.coeffs[:s1], params.coeffs[s1:]
+    H1 = _half_mod(m, k, c1)
+    H2 = H1 if c2 == c1 else _half_mod(m, k, c2)
+    H2 = np.roll(np.flip(H2), [nj % m + 1 for nj in n], axis=tuple(range(k)))
+    if m ** params.s < INT64_SAFE:
+        return int(np.dot(H1.ravel(), H2.ravel()))
+    return sum(int(np.dot(a.astype(object), b.astype(object)))
+               for a, b in zip(H1.reshape(m, -1), H2.reshape(m, -1)))
 
 
 def padic_density(p, h, n, params):

@@ -333,6 +333,40 @@ def test_mitm_enumerates_mirrored_half_once(monkeypatch, params, n, box, x_min):
     assert len(calls) == 1
 
 
+# mirrored halves: sign 1 (pure, even s) and sign -1 (mixed_sign), at zero
+# and at nonzero planted targets
+MIRRORED = [
+    (SystemParams.pure(4, 2), [14, 62], None, None),             # (1, 3, 4, 6)
+    (SystemParams.pure(4, 2), [0, 0], 5, 0),
+    (SystemParams.pure(6, 3), [20, 92, 512], None, None),       # (1, 2, 2, 3, 5, 7)
+    (SystemParams.mixed_sign(2, 2, 2), [0, 0], 8, 1),
+    (SystemParams.mixed_sign(2, 2, 2), [8, 56], 8, 1),           # (5, 6 | 1, 2)
+    (SystemParams.mixed_sign(3, 3, 2), [0, 0], 7, 1),
+    (SystemParams.mixed_sign(3, 3, 2), [6, 52], 7, 1),           # (2, 5, 7 | 1, 3, 4)
+    (SystemParams.mixed_sign(2, 2, 3), [7, 47, 271], 7, 1),      # (4, 6 | 1, 2)
+]
+
+
+@pytest.mark.parametrize("bigint", [False, True])
+@pytest.mark.parametrize("params,n,box,x_min", MIRRORED)
+def test_mirrored_join_sorts_once_and_matches_naive(monkeypatch, params, n, box, x_min,
+                                                     bigint):
+    # the image n - sign K of the one enumeration is read off K's sorted
+    # keys, so the join sorts once; with INT64_SAFE lowered every key,
+    # encoding and multiplicity is a Python integer (the mitm-bigint route)
+    want = count_naive(params, n, box=box, x_min=x_min).count
+    assert want > 0
+    if bigint:
+        monkeypatch.setattr(counting, "INT64_SAFE", 4)
+    sorts = []
+    unique_sum = counting._unique_sum
+    monkeypatch.setattr(counting, "_unique_sum", lambda *a: sorts.append(1) or unique_sum(*a))
+    res = count_mitm(params, n, box=box, x_min=x_min)
+    assert res.count == want
+    assert res.method == ("mitm-bigint" if bigint else "mitm")
+    assert len(sorts) == 1
+
+
 def test_mitm_work_counts_the_enumerated_half_once():
     # one canonical enumeration serves both mirrored halves
     p = SystemParams.pure(8, 2)

@@ -68,6 +68,78 @@ def test_series_term_matches_direct_at_composite_moduli(q, k, n):
     assert a.n_primitive == b.n_primitive
 
 
+def _grid_term(q, n, params):
+    """``A(q)`` on the whole ``q^k`` grid: ``complete_sum_all`` with the
+    non-primitive cells zeroed, raised to the power ``s`` and contracted
+    against ``e_q(-a.n)`` cell by cell."""
+    k = params.k
+    S = complete_sum_all(q, k)
+    S[~densities._primitive_mask(q, k)] = 0
+    a = np.indices((q,) * k)
+    phase = sum(a[j] * (n[j] % q) for j in range(k)) % q
+    return (S ** params.s * np.exp(-2j * np.pi * phase / q)).sum() / q ** params.s
+
+
+# prime powers with p | k and p | s, and composite moduli; s = 6, 12 and 8
+# share the primes 2 and 3 with k, s = 5, 10 and 9 add 5 and 3
+ORBIT_CASES = [(1, s, q) for s in (2, 3) for q in (2, 3, 4, 5, 9, 6, 12, 15, 30)] + [
+    (2, s, q) for s in (6, 5) for q in (2, 4, 8, 16, 3, 9, 27, 5, 25, 7, 49, 6, 12, 15, 30)] + [
+    (3, s, q) for s in (12, 10) for q in (2, 4, 8, 3, 9, 27, 5, 25, 7, 6, 12, 15, 30)] + [
+    (4, s, q) for s in (8, 9) for q in (2, 4, 8, 16, 3, 9, 5, 6, 12, 15)]
+
+
+@pytest.mark.parametrize("k, s, q", ORBIT_CASES)
+def test_orbit_term_matches_grid_and_direct(k, s, q):
+    # the translation-orbit sum against the q^k grid contraction, and against
+    # the explicit loop over primitive tuples where it is small
+    params = SystemParams.pure(s, k)
+    n = [int(v) for v in np.random.default_rng(1000 * k + q).integers(0, 10 ** 4, size=k)]
+    t = series_term(q, n, params)
+    got = complex(t.value, t.imag)
+    want = _grid_term(q, n, params)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
+    if q ** k <= 1000:
+        d = series_term_direct(q, n, params)
+        assert abs(got - complex(d.value, d.imag)) <= 1e-13 * max(1.0, abs(want))
+        assert t.n_primitive == d.n_primitive
+
+
+def test_series_term_k3_runs_past_the_old_grid_cap():
+    # q = 211 > 200 has 211^3 > SERIES_GRID_CELLS_MAX numerator cells but
+    # 421 DFT rows; 1 + A(p) = p^(k - s) M(p) holds for every s, and at
+    # s = k = 3 the count M(p) is a direct O(p^2) loop over (x, y); the
+    # target is planted at (3, 7, 12), so M(p) >= 6
+    p, n = 211, [22, 202, 2098]
+    assert p ** 3 > densities.SERIES_GRID_CELLS_MAX
+    assert densities._series_cells(p, 3) == (210 + 211) * 211
+    t = series_term(p, n, SystemParams.pure(3, 3))
+    x, y = np.indices((p, p))
+    z = (n[0] - x - y) % p
+    M = np.count_nonzero(((x * x + y * y + z * z - n[1]) % p == 0)
+                         & ((x ** 3 + y ** 3 + z ** 3 - n[2]) % p == 0))
+    assert M > 0 and abs(1.0 + t.value - M) <= 1e-13 * M
+    assert abs(t.imag) <= 1e-13 and t.n_primitive == p ** 3 - 1
+
+
+def test_series_term_refuses_over_budget_before_building(monkeypatch):
+    # at q = 243, k = 3 no 3 a_3 is a unit, so every row is a plain DFT row:
+    # 243^2 rows of 243 cells, over the cap, refused before any table
+    def refuse(*args, **kw):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(np, "indices", refuse)
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    assert densities._series_cells(243, 3) == 243 ** 3 > densities.SERIES_GRID_CELLS_MAX
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="q=243, k=3"):
+            series_term(243, [59, 369, 2609], SystemParams.pure(12, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_series_term_n_primitive_is_jordan_totient():
     # J_k(q) = #{a mod q : gcd(q, a_1..a_k) = 1}, counted one tuple at a time
     for k, q_max in ((1, 30), (2, 30), (3, 12)):
@@ -210,13 +282,13 @@ def test_prime_power_factors():
 
 
 def test_qsum_assembles_terms_from_prime_powers(monkeypatch):
-    # A(q) for composite q is the product of prime-power terms; the grid is
-    # built only at the 70 prime powers up to 256
+    # A(q) for composite q is the product of prime-power terms; the tables
+    # are built only at the 70 prime powers up to 256
     n = [139, 4643]
     calls = []
-    grid = densities.complete_sum_all
-    monkeypatch.setattr(densities, "complete_sum_all",
-                        lambda q, k: calls.append(q) or grid(q, k))
+    tables = densities._quadratic_orbits
+    monkeypatch.setattr(densities, "_quadratic_orbits",
+                        lambda q, *args: calls.append(q) or tables(q, *args))
     est = singular_series_qsum(n, P62, Q_max=256)
     assert len(calls) == 70
     assert sorted(calls) == sorted(p ** e for p in small_primes(256)
@@ -381,6 +453,30 @@ def test_fresh_half_runs_one_step_per_added_variable(monkeypatch):
         H = densities._half_mod(11, 2, coeffs)
         assert len(calls) == max(0, len(coeffs) - 1), coeffs
         assert np.array_equal(H, _half_brute_force(11, 2, coeffs)), coeffs
+
+
+def test_join_reuses_an_equal_half_and_holds_two_grids(monkeypatch):
+    # with the cache bound below one grid nothing is cached: the second half
+    # of pure(6, 3) is the first, so one half is built, and the join holds
+    # that half and its flipped, rolled copy, not the index gather and the
+    # product of the halves as well (4 grids)
+    m, k, n = 32, 3, [59, 369, 2609]
+    grid = 8 * m ** k
+    H = _half_brute_force(m, k, (1, 1, 1))
+    want = int((H * H[np.ix_(*[(nj - np.arange(m)) % m for nj in n])]).sum())
+    monkeypatch.setattr(densities, "_HIST_CACHE", densities.OrderedDict())
+    monkeypatch.setattr(densities, "_HIST_CACHE_BYTES", grid - 1)
+    built = []
+    expand = densities.expand_slab
+    monkeypatch.setattr(densities, "expand_slab", lambda *a: built.append(a[1]) or expand(*a))
+    tracemalloc.start()
+    try:
+        got = solution_count_mod(m, n, SystemParams.pure(6, k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want and built == [m] and not densities._HIST_CACHE
+    assert peak < 2.25 * grid
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 9])
