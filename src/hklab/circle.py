@@ -23,9 +23,8 @@ from . import expsums
 from .core import SystemParams, target_scale
 from .counting import count_mitm
 from .densities import (
-    _check_shift_table,
     _primitive_mask,
-    _shift_tables,
+    first_near_max_cells,
     main_term,
     prime_power_factors,
     series_terms,
@@ -393,38 +392,22 @@ def _minor_sup_candidates(Q_min, Q_max, k):
     ``S(q, a) = prod_i S(q_i, (a_j (q/q_i)^(j-1))_j)``, which maps primitive
     ``a`` one-to-one onto tuples of primitive factor vectors, so the maximum
     is the product of the factor maxima.  Each factor's maximizer ``b_i`` is
-    found exactly from its shift tables, and the CRT combination
+    the first primitive cell in C order within a relative ``1e-9`` of the
+    maximum (exact ties are common, so it is not whichever rounding
+    favours), read off the complete-sum tables by
+    :func:`densities.first_near_max_cells`.  The CRT combination
     ``a_j = sum_i b_ij (q/q_i) mod q`` reaches the product, since
     ``r -> (q/q_i) r`` permutes the residues mod ``q_i``.  One shared
     deterministic pool keeps the per-Q sups nested: the major-arc mask
-    removes the small denominators as Q grows.  As ``|S(q, a)| = |S(q, b(t))|``
-    under ``r -> r + t`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
-    ch. 4; ``complete_sum_all``), only the shift representatives get a DFT
-    (``2q - 1`` of ``q^2`` rows at a prime ``q > 3``, ``k = 3``); they are
-    grid cells and the shift keeps primitivity, so their primitive maximum
-    is the grid's.  Exactly tied maxima are common, so the maximizer is the
-    first primitive cell in C order (``a_1`` slabs read through the tables)
-    within a relative ``1e-9`` of the maximum, not whichever rounding favours.
-    Every table is checked against the cell cap before the first is built.
+    removes the small denominators as Q grows.  Every table is checked
+    against the cell cap before the first is built.
     """
     factors = {q: prime_power_factors(q) for q in range(int(Q_min) + 1, 2 * int(Q_max) + 1)}
-    for pe in sorted({pe for f in factors.values() for _, pe in f}):
-        _check_shift_table(pe, k)
-    best = {}  # prime power -> first primitive near-maximizer of |S|
+    best = first_near_max_cells(sorted({pe for f in factors.values() for _, pe in f}), k)
     cands = []
     for q, f in factors.items():
         a = np.zeros(k, dtype=np.int64)
-        for p, pe in f:
-            if pe not in best:
-                D, rep, _, c, _ = _shift_tables(pe, k)
-                S = np.abs(D)  # drop p | a: rows with p | (a_2..a_k) have t = 0
-                S[rep[~(np.indices((pe,) * (k - 1)) % p).any(axis=0).ravel()], ::p] = -1.0
-                top = (1.0 - 1e-9) * S.max()
-                for a1 in range(pe):
-                    hits = np.flatnonzero(S[rep, (a1 + c) % pe] >= top)
-                    if hits.size:
-                        best[pe] = np.array((a1, *np.unravel_index(hits[0], (pe,) * (k - 1))))
-                        break
+        for _, pe in f:
             a += best[pe] * (q // pe)
         a %= q
         if a[-1] == 0:

@@ -369,6 +369,9 @@ def cmd_densities(args):
     if args.integral and not params.is_pure:
         raise ValidationError("--integral needs the pure system (--variant pure)")
     out = {"n": n, "s": args.s, "k": args.k}
+    # the quadrature is priced against its cell cap in a millisecond, so an
+    # integral over the cap is refused before any series work
+    quad = singular_integral_quadrature(n, params) if args.integral else None
     series = None  # the Euler product when both routes ran
     if args.method in ("qsum", "both"):
         series = singular_series_qsum(n, params, **_given(Q_max=args.qmax, tol=args.tol))
@@ -381,7 +384,6 @@ def cmd_densities(args):
         series = singular_series_euler(n, params, **_given(p_max=args.pmax, tol=args.tol))
         out["series_euler"] = asdict(series)
     if args.integral:
-        quad = singular_integral_quadrature(n, params)
         out["integral"] = asdict(quad)
         if args.mc:
             out["integral_mc"] = asdict(mc_volume_oracle(

@@ -9,9 +9,12 @@ The series has two independent computational routes:
   ch. 4): where ``k a_k`` is a unit an orbit's ``q`` terms sum to one
   complete sum, so a term costs about ``q^(k-2) u + q^(k-1) (q - u)`` cells,
   ``u`` the unit residues ``k a_k``, not ``q^k`` (:func:`series_term`).
-  The complete sums have exact residue phases and a length-``q`` DFT along
-  ``r`` on the shift representatives only; a direct small-q evaluator is
-  the oracle;
+  Every ``k >= 2`` reads its complete sums off two tables
+  (:func:`_shift_tables`): a unit table, one DFT of the histogram of
+  ``(r, ..., r^(k-2), r^k) mod q``, and the plain rows, one length-``q``
+  DFT along ``r`` of exact residue phases each.  The whole DFT grid
+  (:func:`complete_sum_all`) and a direct small-q evaluator are the
+  oracles;
 * ``singular_series_euler`` multiplies p-adic solution densities
   ``chi_p(h) = p^{-h(s-k)} M_p(h)`` obtained by pure integer counting:
   each half of the variables is a residue histogram built on its
@@ -60,7 +63,7 @@ class SeriesTerm:
     n_primitive: int
 
 
-SERIES_GRID_CELLS_MAX = 8_000_000  # numerator cells q^k of one series term
+SERIES_GRID_CELLS_MAX = 8_000_000  # table cells of one series term (_table_cells)
 RESIDUE_CELLS_MAX = 3_000_000_000  # residue cells m^(k+1) of one count mod m
 QUADRATURE_TOL = 5e-3  # error estimate below which the quadrature converges
 FIT_FLOOR = 1e-12  # |A(q)| at or below this is rounding noise, not fitted
@@ -86,49 +89,6 @@ def prime_power_factors(q):
     return out
 
 
-def _shift_tables(q, k):
-    """``(D, rep, t, c, d)`` with ``S(q, a) = e_q(a_1 t + d) D[rep, (a_1 + c) mod q]``.
-
-    ``D`` holds the DFT rows of the representatives (``complete_sum_all``);
-    ``rep``, ``t``, ``c = b_1 - a_1`` and ``d = f(t) - a_1 t`` are given for
-    every row ``(a_2..a_k)`` in C order.  Phases are exact int32 residues
-    summed in place from ``(rows, q)`` products.  Raises
-    ``BudgetExceededError`` before any allocation when the table is over the
-    cap (:func:`_check_shift_table`).
-    """
-    _check_shift_table(q, k)
-    rows = q ** (k - 1)
-    A = np.indices((q,) * (k - 1)).reshape(k - 1, rows)  # a_2..a_k, int64
-    t, rep = np.zeros(rows, dtype=np.int64), np.arange(rows)
-    B = np.vstack([t, t, A])  # d, c, b_2..b_k: the a_(j>=2) parts of b_l at t = 0
-    if k >= 3:
-        inv = np.array([pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)])
-        t = -A[-2] * inv[k * A[-1] % q] % q  # 0 where k a_k is not a unit
-        for j in range(2, k + 1):  # b_l = sum_j a_j C(j, l) t^(j-l), t^(j-l) < q^k
-            for l in range(j):
-                B[l] = (B[l] + A[j - 2] * (math.comb(j, l) % q) % q * (t ** (j - l) % q)) % q
-        rep = (np.cumsum(t == 0) - 1)[np.ravel_multi_index(tuple(B[2:]), (q,) * (k - 1))]
-    sel = t == 0  # the representatives
-    r = np.arange(q, dtype=np.int64)
-    idx = np.zeros((np.count_nonzero(sel), q), dtype=np.int32)
-    rj = r
-    for j in range(k - 1):
-        rj = rj * r % q  # r^(j + 2) mod q, products below q^2
-        idx += A[j, sel, None] * rj % q
-    idx %= q  # the k - 1 terms sum to below k q
-    D = np.exp(2j * np.pi * r / q)[idx]
-    del idx
-    np.fft.ifft(D, axis=-1, norm="forward", out=D)  # in place: numpy >= 2.0
-    return D, rep, t, B[1], B[0]
-
-
-def _check_shift_table(q, k):
-    """Raise ``BudgetExceededError`` when the DFT rows of :func:`_shift_tables`
-    (:func:`_representative_rows`) would pass ``TENSOR_CELLS_MAX`` cells."""
-    if (cells := _representative_rows(q, k) * q) > TENSOR_CELLS_MAX:
-        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
-
-
 def _units(q, k):
     """``u = #{a mod q : k a is a unit}``: ``phi(q)`` when ``gcd(k, q) = 1``, else 0."""
     if math.gcd(k, q) != 1:
@@ -136,46 +96,85 @@ def _units(q, k):
     return math.prod(pe - pe // p for p, pe in prime_power_factors(q))
 
 
-def _representative_rows(q, k):
-    """DFT rows of :func:`_shift_tables`: ``q^(k-3) u + q^(k-2) (q - u)`` at ``k >= 3``.
+def _table_cells(q, k):
+    """Cells of :func:`_shift_tables`: ``q^(k-1) (q - u + 1)`` at ``k >= 2``, ``q`` at ``k = 1``.
 
-    ``u`` counts the units among ``k a`` (:func:`_units`): a row is its own
-    representative when ``k a_k`` is not a unit, or when it is and
-    ``a_(k-1) = 0``.
+    The unit table has ``q^(k-1)`` cells and the plain rows, those whose
+    ``k a_k`` is not one of the ``u`` units (:func:`_units`), are
+    ``q^(k-2) (q - u)`` rows of ``q`` cells.
     """
-    if k <= 2:
-        return q ** (k - 1)
-    u = _units(q, k)
-    return q ** (k - 3) * u + q ** (k - 2) * (q - u)
+    if k == 1:
+        return q
+    return q ** (k - 1) * (q - _units(q, k) + 1)
+
+
+def _check_shift_table(q, k):
+    """Raise ``BudgetExceededError`` when :func:`_shift_tables` would pass
+    ``TENSOR_CELLS_MAX`` cells (:func:`_table_cells`)."""
+    if (cells := _table_cells(q, k)) > TENSOR_CELLS_MAX:
+        raise BudgetExceededError(f"complete-sum table at q={q}, k={k}: {cells} cells")
+
+
+def _shift_tables(q, k):
+    """``(U, D, plain)``: every complete sum ``S(q, a)`` in two tables read through the shift.
+
+    ``S(q, a) = sum_r e_q(f(r))`` with ``f(r) = a_1 r + ... + a_k r^k``.  The
+    shift ``r -> r + t`` gives ``S(q, a) = e_q(f(t)) S(q, tau_t a)``,
+    ``(tau_t a)_l = sum_{j>=l} C(j, l) t^(j-l) a_j`` the coefficients of
+    ``f(r + t) - f(t)`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
+    ch. 4).  Where ``k a_k`` is a unit, ``t = -a_(k-1) (k a_k)^-1`` clears
+    ``a_(k-1)``, and ``U[a_1..a_(k-2), a_k]`` is ``S(q, a)`` at
+    ``a_(k-1) = 0``: one ``(k-1)``-dimensional DFT of the histogram of
+    ``(r, ..., r^(k-2), r^k) mod q``, so ``|S|`` of a unit cell ``b`` is
+    that of the ``q`` cells ``tau_t b``.  Every other cell lies on a plain
+    row ``(a_2..a_k)``, ``k a_k`` not a unit:
+    ``D[a_2..a_(k-1), i, a_1] = S(q, a)`` at ``a_k = plain[i]``, one
+    length-``q`` DFT along ``r`` of exact residue phases per row.  ``k = 1``
+    has no unit table (``U`` is None) and one row, ``plain = [0]``.  Raises
+    ``BudgetExceededError`` before any allocation when the tables are over
+    the cap (:func:`_check_shift_table`).
+    """
+    _check_shift_table(q, k)
+    r = np.arange(q, dtype=np.int64)
+    rj = [r]  # r^j mod q, j = 1..k, products below q^2
+    for _ in range(k - 1):
+        rj.append(rj[-1] * r % q)
+    U = None
+    if k >= 2:
+        key = np.ravel_multi_index(rj[:k - 2] + rj[-1:], (q,) * (k - 1))
+        U = np.bincount(key, minlength=q ** (k - 1)).reshape((q,) * (k - 1)).astype(complex)
+        for axis in range(k - 1):
+            np.fft.ifft(U, axis=axis, norm="forward", out=U)
+    plain = np.zeros(q, dtype=bool)  # k a_k is not a unit: a prime p | q divides k or a_k
+    for p, _ in prime_power_factors(q):
+        plain[::1 if k % p == 0 else p] = True
+    plain = np.flatnonzero(plain) if k >= 2 else r[:1]
+    idx = plain[:, None] * rj[-1] % q  # a_k r^k on the rows (i, r)
+    for j in range(k - 1, 1, -1):  # a_j r^j mod q on a new leading axis
+        idx = (r[:, None] * rj[j - 1] % q).reshape((q,) + (1,) * (idx.ndim - 1) + (q,)) + idx
+    E = np.exp(2j * np.pi * r / q)
+    D = (np.tile(E, k - 1) if k > 2 else E)[idx]  # k - 1 residues sum to below (k - 1) q
+    del idx
+    np.fft.ifft(D, axis=-1, norm="forward", out=D)  # in place: numpy >= 2.0
+    return U, D, plain
 
 
 def complete_sum_all(q, k):
-    """``S(q, a)`` for every ``a`` in ``[0, q)^k``, a DFT on representative rows only.
+    """``S(q, a)`` for every ``a`` in ``[0, q)^k``: one length-``q`` DFT along ``r`` on every row.
 
-    The whole grid is the tests' oracle for :func:`series_term` and the
-    minor-arc tables; nothing in ``src/`` calls it.
-
-    ``S(q, a) = sum_r e_q(f(r))`` over ``r mod q`` with
-    ``f(r) = a_1 r + ... + a_k r^k``.  The shift ``r -> r + t`` gives
-    ``S(q, a) = e_q(f(t)) S(q, b(t))``, ``b_l(t) = sum_{j>=l} a_j C(j, l) t^(j-l)``
-    the coefficients of ``f(r + t) - f(t)`` (Vaughan, *The Hardy-Littlewood
-    Method*, 2nd ed., ch. 4).  For ``k >= 3`` and ``k a_k`` a unit,
-    ``t = -a_(k-1) (k a_k)^-1`` sets ``b_(k-1) = 0``; other rows keep
-    ``t = 0``.  So a length-``q`` DFT along ``r`` runs only on the rows
-    ``(a_2..a_k)`` with ``a_(k-1) = 0`` and ``k a_k`` a unit or with ``k a_k``
-    not a unit (``2q - 1`` of ``q^2`` at a prime ``q > 3`` and ``k = 3``, 385
-    of 2401 at ``q = 49``), and the other rows are gathered one ``a_1`` slab
-    at a time.  With no row reduced (``k <= 2``, or ``p | k`` at ``q = p^e``)
-    this is the plain DFT grid.
+    ``S(q, a) = sum_r e_q(a_1 r + ... + a_k r^k)``: the phases of
+    ``a_2 r^2 + ... + a_k r^k`` are exact residues on every row
+    ``(a_2..a_k)`` and the DFT supplies ``a_1``.  It is the tests' grid
+    oracle for :func:`_shift_tables`, :func:`series_term` and the minor-arc
+    candidates, and shares no code with them; nothing in ``src/`` calls it.
     """
-    D, rep, t, c, d = _shift_tables(q, k)
-    if len(D) == q ** (k - 1):
-        return np.moveaxis(D.reshape((q,) * k), -1, 0)
-    table = np.exp(2j * np.pi * np.arange(q) / q)
-    S = np.empty((q,) * k, dtype=np.complex128)
-    for a1, slab in enumerate(S.reshape(q, -1)):
-        np.multiply(table[(a1 * t + d) % q], D[rep, (a1 + c) % q], out=slab)
-    return S
+    r = np.arange(q, dtype=np.int64)
+    idx, rj = np.zeros(q, dtype=np.int64), r
+    for _ in range(k - 1):  # axes (a_2..a_j, r)
+        rj = rj * r % q
+        idx = (idx[..., None, :] + r[:, None] * rj) % q
+    S = np.fft.ifft(np.exp(2j * np.pi * r / q)[idx], axis=-1, norm="forward")
+    return np.moveaxis(S, -1, 0)
 
 
 def _primitive_mask(q, k):
@@ -190,91 +189,108 @@ def _primitive_mask(q, k):
     return mask
 
 
-def _series_cells(q, k):
-    """Cells of the DFT rows that :func:`series_term` builds, ``q`` to a row.
+def _non_primitive(k, plain, p):
+    """Index of the cells of :func:`_shift_tables`' ``D`` with ``p`` dividing every ``a_j``."""
+    every = slice(None, None, p)
+    return (every,) * (k - 2) + (np.flatnonzero(plain % p == 0), every)
 
-    At ``k >= 3`` these are the representative rows of :func:`_shift_tables`
-    (:func:`_representative_rows`), at ``k = 2`` the ``q - u`` rows with
-    ``2 a_2`` not a unit and the one DFT of the squares' histogram, and at
-    ``k = 1`` the one plain row.
+
+def first_near_max_cells(moduli, k):
+    """``{q: a}``, ``a`` the first primitive cell in C order with ``|S(q, a)| >= (1 - 1e-9) max``.
+
+    The maximum is over the primitive cells of ``[0, q)^k``.  ``|S|`` is
+    the same on every cell that a table cell of :func:`_shift_tables`
+    stands for: the ``q`` cells ``tau_t b`` of a unit cell ``b``, and a
+    plain cell itself.  The shift keeps primitivity, and a unit cell
+    (``k b_k`` a unit) is primitive.  So the search takes the maximum over
+    the two tables, then the first cell in C order among the cells of the
+    entries within ``1e-9`` of it, so exact ties do not fall to whichever
+    rounding favours.  Every table is checked against the cell cap before
+    the first is built.
     """
-    if k == 2:
-        return (q - _units(q, 2) + 1) * q
-    return _representative_rows(q, k) * q
+    for q in moduli:
+        _check_shift_table(q, k)
+    return {q: _first_near_max(q, k) for q in moduli}
 
 
-def _quadratic_orbits(q, n, s, E):
-    """``k = 2`` tables of :func:`series_term`: ``(orbit sum, plain rows, their DFT rows)``.
-
-    ``W[b] = S(q, (0, b))`` for every ``b`` is one DFT of the histogram of
-    ``r^2 mod q``.  The orbit cells are ``a = (0, a_2)`` with ``2 a_2`` a
-    unit; their ``b = -c(a) = (-2 n_1 a_2, -s a_2)``.  When ``2 s`` is a
-    unit, ``2 b_2`` is one, and ``S(q, b) = e_q(b_1 t + b_2 t^2) W[b_2]`` at
-    ``t = -b_1 (2 b_2)^-1 = -n_1 s^-1``, the same ``t`` for every ``a_2``;
-    otherwise ``b_2`` is not a unit and ``S(q, b)`` is read off its DFT row.
-    """
+def _first_near_max(q, k):
+    """The cell of :func:`first_near_max_cells` at one modulus ``q``."""
+    U, D, plain = _shift_tables(q, k)
     r = np.arange(q, dtype=np.int64)
-    sq = r * r % q
-    W = np.fft.ifft(np.bincount(sq, minlength=q).astype(np.complex128), norm="forward")
-    unit = np.gcd(2 * r, q) == 1
-    plain = r[~unit]
-    D = E[plain[:, None] * sq % q]
-    np.fft.ifft(D, axis=-1, norm="forward", out=D)  # D[i, a_1] = S(q, (a_1, plain[i]))
-    a2 = r[unit]
-    b1, b2 = -2 * n[1] * a2 % q, -s * a2 % q
-    if math.gcd(2 * s, q) == 1:
-        t = -n[1] * pow(s, -1, q) % q
-        Sb = E[(b1 * t + b2 * (t * t % q)) % q] * W[b2]
-    else:
-        Sb = D[(np.cumsum(~unit) - 1)[b2], b1]
-    Sa = W[unit]
-    power_in_place(Sa, s)
-    orbit = np.dot(Sa * E[-n[2] * a2 % q], Sb)
-    return orbit, plain[None, :], D
+    S = np.abs(D)
+    del D
+    for p, _ in prime_power_factors(q):
+        S[_non_primitive(k, plain, p)] = -1.0
+    top = S.max()
+    if U is not None:
+        U = np.abs(U)
+        U[..., plain] = -1.0  # those cells lie on plain rows
+        top = max(top, U.max())
+    top *= 1.0 - 1e-9
+    hits = np.nonzero(S >= top)  # (a_2..a_(k-1), i, a_1)
+    cells = [(hits[-1], *hits[:-2], plain[hits[-2]])[:k]]  # a_1..a_k; a_1 alone at k = 1
+    if U is not None:
+        *b, bk = np.nonzero(U >= top)
+        b = [x[:, None] for x in b] + [0, bk[:, None]]  # b_(k-1) = 0
+        tp = [np.ones(q, dtype=np.int64), r]  # t^m mod q
+        for _ in range(k - 2):
+            tp.append(tp[-1] * r % q)
+        # the q cells tau_t b of each unit entry, one row of t per entry
+        cells.append([sum(math.comb(m, l) * b[m - 1] % q * tp[m - l] for m in range(l, k + 1)) % q
+                      for l in range(1, k + 1)])
+    flat = np.concatenate([np.ravel_multi_index(tuple(np.broadcast_arrays(*c)), (q,) * k).ravel()
+                           for c in cells])
+    return np.array(np.unravel_index(flat.min(), (q,) * k))
 
 
-def _shifted_orbits(q, k, n, s, E):
-    """``k != 2`` tables of :func:`series_term`: ``(orbit sum, plain rows, their DFT rows)``.
+def _orbit_sum(q, k, n, s, E, U, D, plain):
+    """``sum S(q, a)^s e_q(-a.n) S(q, -c(a))`` over the orbit cells, for :func:`series_term`.
 
-    The DFT rows are :func:`_shift_tables`' ``D``; the unit rows among them
-    (``a_(k-1) = 0``, ``k a_k`` a unit, ``k >= 3``) hold the orbit cells over
-    every ``a_1``.  ``b = -c(a)`` is affine in ``a_1`` through ``b_1`` only,
-    so each unit row looks up the shift ``(rep, t, c, d)`` of its row
-    ``(b_2..b_k)`` once and reads ``S(q, b)`` for every ``a_1`` from it.
-    The plain rows returned are ``D`` itself with the unit rows zeroed, so
-    no second table of its size is held.
+    The orbit cells ``a`` are the cells of ``U`` with ``k a_k`` a unit
+    (``a_(k-1) = 0``).  Their ``b = -c(a)`` has ``b_k = -s a_k`` and
+    ``b_(k-1) = -k a_k n_1``.  When ``s`` is a unit, ``k b_k`` is one, and
+    the one shift ``t = -n_1 s^-1`` clears every ``b_(k-1)``:
+    ``S(q, b) = e_q(f_b(t)) U[tau_t b]``.  Otherwise ``k b_k`` is not a
+    unit either and ``S(q, b)`` is read off its plain row of ``D``
+    (``t = 0``).  As ``C(m, l) C(j, m) = C(j, l) C(j - l, m - l)``,
+    ``tau_t b`` is ``-c(a)`` with every ``n_j`` replaced by ``N_j(t)``, and
+    ``f_b(t) - a.n = -sum_j a_j N_j(t)``: integer rows on the orbit cells'
+    open mesh.
     """
-    D, rep, t, c, d = _shift_tables(q, k)
-    ids = np.flatnonzero(t == 0)  # D's rows (a_2..a_k) in C order
-    rows = ids // q ** np.arange(k - 2, -1, -1)[:, None] % q
-    if k < 3:
-        return 0j, rows, D
-    unit = np.gcd(k * rows[-1], q) == 1
-    a = rows[:, unit]  # a_2..a_k, a_(k-1) = 0
-    a1 = np.arange(q, dtype=np.int64)
-    nn = [s % q] + n[1:]  # n_0 = s
-    # b_m = -c_m(a) = -sum_{j=m..k} C(j, m) a_j n_(j-m), its a_1 term s a_1 at m = 1
-    b = [-sum(math.comb(j, m) * nn[j - m] % q * a[j - 2] for j in range(max(m, 2), k + 1)) % q
-         for m in range(1, k + 1)]
-    row = np.ravel_multi_index(tuple(b[1:]), (q,) * (k - 1))
-    b1 = (b[0][:, None] - s * a1) % q
-    phase = (b1 * t[row, None] + d[row, None]
-             - n[1] * a1 - (np.array(n[2:], dtype=np.int64) @ a)[:, None]) % q
-    Sb = D[rep[row, None], (b1 + c[row, None]) % q]
-    Sb *= E[phase]
-    Sa = D[unit]
+    if len(plain) == q:  # no k a_k is a unit
+        return 0j
+    r = np.arange(q, dtype=np.int64)
+    unit = np.ones(q, dtype=bool)
+    unit[plain] = False
+    shift = math.gcd(s, q) == 1
+    t = -n[1] * pow(s, -1, q) % q if shift else 0
+    nn = [s] + n[1:]  # n_0 = s
+    N = [sum(math.comb(d, i) * nn[i] * t ** (d - i) for i in range(d + 1)) % q
+         for d in range(k + 1)]
+    J = [*range(1, k - 1), k]  # the coordinates of an orbit cell
+    mesh = [r.reshape((q,) + (1,) * (k - 2 - i)) for i in range(k - 2)] + [r[unit]]
+
+    def row(l):
+        """``(tau_t b)_l = -sum_j C(j, l) N_(j-l)(t) a_j``; the phase at ``l = 0``."""
+        return sum(-math.comb(j, l) * N[j - l] * x for j, x in zip(J, mesh)) % q
+
+    if shift:
+        Sb = U[tuple(row(l) for l in J)]
+    else:
+        pos = np.cumsum(~unit) - 1  # the plain row of each a_k that is not a unit
+        Sb = D[tuple(row(l) for l in range(2, k)) + (pos[row(k)], row(1))]
+    Sb *= E[row(0)]
+    Sa = U[..., unit].ravel()
     power_in_place(Sa, s)
-    D[unit] = 0
-    return np.dot(Sa.ravel(), Sb.ravel()), rows, D
+    return np.dot(Sa, Sb.ravel())
 
 
 def series_term(q, n, params):
     """``A(q) = q^{-s} sum_{primitive a mod q} S(q,a)^s e_q(-a.n)``, summed over translation orbits.
 
-    The shift ``r -> r + t`` maps ``a`` to ``tau_t a``,
-    ``(tau_t a)_l = sum_{j>=l} C(j, l) t^(j-l) a_j``, a permutation of the
-    primitive ``a`` (Vaughan, *The Hardy-Littlewood Method*, 2nd ed.,
-    ch. 4).  It takes ``F(a) = S(q,a)^s e_q(-a.n)`` to
+    The shift ``r -> r + t`` maps ``a`` to ``tau_t a`` (:func:`_shift_tables`),
+    a permutation of the primitive ``a`` (Vaughan, *The Hardy-Littlewood
+    Method*, 2nd ed., ch. 4).  It takes ``F(a) = S(q,a)^s e_q(-a.n)`` to
     ``S(q,a)^s e_q(-sum_j a_j N_j(t))``,
     ``N_j(t) = sum_{l<=j} C(j, l) n_l t^(j-l)`` with ``n_0 = s``.  Where
     ``k a_k`` is a unit (``k >= 2``), an orbit has ``q`` elements and one
@@ -284,16 +300,15 @@ def series_term(q, n, params):
                  + sum_{a primitive, k a_k not a unit} S(q,a)^s e_q(-a.n),
 
     ``c_m(a) = sum_{j=m..k} C(j, m) a_j n_(j-m)`` for ``m = 1..k``.  The
-    second sum runs over plain DFT rows: non-primitive cells (``p | q``
-    dividing every ``a_j``) are zeroed, ``S^s`` is taken in place and
-    contracted against ``e_q(-a.n)``.  So a term costs about
-    ``q^(k-2) u + q^(k-1) (q - u)`` cells, ``u`` the residues with
-    ``k a_k`` a unit: ``2 q^(k-1)`` at a prime ``q`` not dividing ``k``
-    (:func:`_shifted_orbits` at ``k >= 3``, :func:`_quadratic_orbits` at
-    ``k = 2``; ``k = 1`` has no orbit axis and keeps its one row).  The
-    cells (:func:`_series_cells`) are checked against
-    ``SERIES_GRID_CELLS_MAX`` before any table is built.  The primitive
-    cells number Jordan's totient ``J_k(q) = q^k prod_{p | q} (1 - p^-k)``.
+    first sum runs over the unit table (:func:`_orbit_sum`), the second
+    over the plain rows: non-primitive cells (``p | q`` dividing every
+    ``a_j``) are zeroed, ``S^s`` is taken in place and contracted against
+    ``e_q(-a.n)`` one axis at a time.  ``k = 1`` has no orbit axis and
+    keeps its one row.  The table cells, ``q^(k-1) (q - u + 1)`` with ``u``
+    the residues whose ``k a_k`` is a unit (:func:`_table_cells`), are
+    checked against ``SERIES_GRID_CELLS_MAX`` before any table is built.
+    The primitive cells number Jordan's totient
+    ``J_k(q) = q^k prod_{p | q} (1 - p^-k)``.
     """
     q = int(q)
     if q < 1:
@@ -302,7 +317,7 @@ def series_term(q, n, params):
     k = params.k
     if len(n) != k:
         raise ValidationError("target length must equal k")
-    if (cells := _series_cells(q, k)) > SERIES_GRID_CELLS_MAX:
+    if (cells := _table_cells(q, k)) > SERIES_GRID_CELLS_MAX:
         raise BudgetExceededError(
             f"series term at q={q}, k={k}: {cells} table cells exceed the budget")
     if q == 1:
@@ -312,16 +327,18 @@ def series_term(q, n, params):
     s = params.s
     n = [None] + [v % q for v in n]  # n[j] = n_j mod q
     E = np.exp(2j * np.pi * np.arange(q) / q)
-    orbit, rows, D = (_quadratic_orbits(q, n, s, E) if k == 2
-                      else _shifted_orbits(q, k, n, s, E))
-    a1 = np.arange(q)
+    U, D, plain = _shift_tables(q, k)
+    orbit = _orbit_sum(q, k, n, s, E, U, D, plain) if k >= 2 else 0j
     n_primitive = q ** k
     for p, _ in prime_power_factors(q):
-        D[np.ix_(np.all(rows % p == 0, axis=0), a1 % p == 0)] = 0
+        D[_non_primitive(k, plain, p)] = 0
         n_primitive = n_primitive // p ** k * (p ** k - 1)
     power_in_place(D, s)
-    plain = E[-(np.array(n[2:], dtype=np.int64) @ rows) % q] @ (D @ E[-n[1] * a1 % q])
-    total = (orbit + plain) / q ** s
+    r = np.arange(q, dtype=np.int64)
+    T = D @ E[-n[1] * r % q]
+    for j, x in zip(range(k, 1, -1), [plain] + [r] * (k - 2)):  # a_k, then a_(k-1)..a_2
+        T = T @ E[-n[j] * x % q]
+    total = (orbit + T.sum()) / q ** s
     return SeriesTerm(q, float(total.real), float(total.imag), n_primitive)
 
 

@@ -302,24 +302,6 @@ def power_in_place(T, s):
                 block *= base
 
 
-def power_contract(T, s, factors):
-    """``sum_cells T^s prod_j f_j[r, i_j]`` for every row ``r`` of the factor stacks.
-
-    ``factors[j-1]`` holds the rows of axis ``j``, shape ``(r, T.shape[j-1])``
-    or ``(1, T.shape[j-1])`` broadcast against the others.  ``T`` is
-    overwritten by ``T^s`` (:func:`power_in_place`) and contracted one axis at
-    a time, the last axis against every row at once and then each row on its
-    own, so ``T`` is the only array of grid size.
-    """
-    power_in_place(T, s)
-    n_rows = max(len(f) for f in factors)
-    factors = [np.broadcast_to(f, (n_rows, f.shape[-1])) for f in factors]
-    T = T @ factors[-1].T
-    for f in reversed(factors[:-1]):
-        T = np.einsum("...ir,ri->...r", T, f)
-    return T
-
-
 def tensor_integral(points, weights, axes, s, targets):
     """``sum_cells T^s prod_j w_j e(-t_j v_j)`` with ``T = phase_tensor(points, weights, v)``.
 
@@ -328,12 +310,20 @@ def tensor_integral(points, weights, axes, s, targets):
     be a stack of ``r`` weight rows, shape ``(r, len(v_j))``, broadcast
     against the other axes' weights: the result is then the array of the
     ``r`` sums, all contracted from one ``T^s`` (a sub-box is the weights
-    zeroed outside it) by :func:`power_contract`.
+    zeroed outside it).  ``T`` is overwritten by ``T^s``
+    (:func:`power_in_place`) and contracted one axis at a time, the last
+    axis against every row at once and then each row on its own, so ``T``
+    is the only array of grid size.
     """
     T = phase_tensor(points, weights, [v for v, _ in axes])
     factors = [np.atleast_2d(np.exp(-2j * np.pi * t * axis_nodes(v)) * np.asarray(w))
                for (v, w), t in zip(axes, targets)]
-    T = power_contract(T, s, factors)
+    n_rows = max(len(f) for f in factors)
+    factors = [np.broadcast_to(f, (n_rows, f.shape[-1])) for f in factors]
+    power_in_place(T, s)
+    T = T @ factors[-1].T
+    for f in reversed(factors[:-1]):
+        T = np.einsum("...ir,ri->...r", T, f)
     return T if any(np.ndim(w) > 1 for _, w in axes) else complex(T[0])
 
 

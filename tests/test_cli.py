@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hklab import circle, cli, densities, expsums
+from hklab import cli, densities, expsums
 from hklab.circle import (
     DissectionParams,
     classify_direct,
@@ -52,6 +52,19 @@ def test_densities_euler_refusal_prints_partial_work(capsys, monkeypatch):
                            "--method", "euler")
     assert code == EXIT_BUDGET
     assert "modulus 8," in err and "(partial work: 2)" in err
+
+
+def test_densities_integral_over_cap_exits_3_before_series_work(capsys, monkeypatch):
+    # the k = 4 box grid needs about 7.2e7 cells against a cap of 3.4e7; the
+    # refusal comes before the q-sum terms and the Euler counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("series work ran before the integral was priced")
+
+    for name in ("series_term", "solution_count_mod"):
+        monkeypatch.setattr(densities, name, refuse)
+    code, _, err = run_cli(capsys, "densities", "--s", "20", "--k", "4",
+                           "--n", "40,200,1000,5000", "--integral")
+    assert code == EXIT_BUDGET and "tensor grid" in err
 
 
 def test_count_bad_variant(capsys):
@@ -353,7 +366,8 @@ def test_experiment_rejects_budget_key(tmp_path, capsys, monkeypatch):
 
 def test_experiment_over_budget_table_exits_3(tmp_path, capsys, monkeypatch):
     # a small cell cap stands in for the 1.1 GB table of q = 512 at k = 3:
-    # the sup candidates' table at q = 8 has 36 representative rows of 8 cells
+    # the sup candidates' tables at q = 8, k = 3 hold 320 cells: the 8^2 unit
+    # table and 8 x 4 plain rows of 8 cells
     monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 100)
     cfg = tmp_path / "decay.json"
@@ -362,7 +376,7 @@ def test_experiment_over_budget_table_exits_3(tmp_path, capsys, monkeypatch):
         "Q_list": [3, 6, 12], "samples": 10, "seed": 5}))
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
                            "--out", str(tmp_path / "r.json"))
-    assert code == EXIT_BUDGET and "complete-sum table at q=8, k=3: 288 cells" in err
+    assert code == EXIT_BUDGET and "complete-sum table at q=8, k=3: 320 cells" in err
     assert json.loads((tmp_path / "r.json").read_text())["partial"] is True
 
 
@@ -379,7 +393,7 @@ def test_minor_decay_refuses_before_table_work(tmp_path, capsys, monkeypatch,
         raise AssertionError("a shift table was built for a refused config")
 
     monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setattr(circle, "_shift_tables", build_anyway)
+    monkeypatch.setattr(densities, "_shift_tables", build_anyway)
     cfg = tmp_path / "decay.json"
     cfg.write_text(json.dumps({"name": "minor-decay", **config}))
     got, _, err = run_cli(capsys, "experiment", "--config", str(cfg),

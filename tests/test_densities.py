@@ -12,8 +12,8 @@ from hklab.core import SystemParams, target_scale
 from hklab.densities import (
     DensityEstimate,
     _irwin_hall_cdf,
-    _representative_rows,
     _shift_tables,
+    _table_cells,
     complete_sum_all,
     main_term,
     mc_volume_oracle,
@@ -106,12 +106,13 @@ def test_orbit_term_matches_grid_and_direct(k, s, q):
 
 def test_series_term_k3_runs_past_the_old_grid_cap():
     # q = 211 > 200 has 211^3 > SERIES_GRID_CELLS_MAX numerator cells but
-    # 421 DFT rows; 1 + A(p) = p^(k - s) M(p) holds for every s, and at
+    # 2 x 211^2 table cells (the unit table and the rows with a_3 = 0);
+    # 1 + A(p) = p^(k - s) M(p) holds for every s, and at
     # s = k = 3 the count M(p) is a direct O(p^2) loop over (x, y); the
     # target is planted at (3, 7, 12), so M(p) >= 6
     p, n = 211, [22, 202, 2098]
     assert p ** 3 > densities.SERIES_GRID_CELLS_MAX
-    assert densities._series_cells(p, 3) == (210 + 211) * 211
+    assert _table_cells(p, 3) == 2 * 211 ** 2
     t = series_term(p, n, SystemParams.pure(3, 3))
     x, y = np.indices((p, p))
     z = (n[0] - x - y) % p
@@ -123,13 +124,14 @@ def test_series_term_k3_runs_past_the_old_grid_cap():
 
 def test_series_term_refuses_over_budget_before_building(monkeypatch):
     # at q = 243, k = 3 no 3 a_3 is a unit, so every row is a plain DFT row:
-    # 243^2 rows of 243 cells, over the cap, refused before any table
+    # 243^2 rows of 243 cells and the 243^2 unit table, over the cap,
+    # refused before any table
     def refuse(*args, **kw):
         raise AssertionError("table built before the budget check")
 
-    monkeypatch.setattr(np, "indices", refuse)
+    monkeypatch.setattr(np, "bincount", refuse)
     monkeypatch.setattr(np.fft, "ifft", refuse)
-    assert densities._series_cells(243, 3) == 243 ** 3 > densities.SERIES_GRID_CELLS_MAX
+    assert _table_cells(243, 3) == 243 ** 2 * 244 > densities.SERIES_GRID_CELLS_MAX
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="q=243, k=3"):
@@ -171,74 +173,91 @@ def test_complete_sum_all_matches_pointwise():
             assert abs(S[a] - complete_sum(q, a)) < 1e-10, (q, a)
 
 
-def _plain_dft_grid(q, k):
-    """``S(q, a)`` on every cell: one length-``q`` DFT along ``r`` on every row."""
-    r = np.arange(q, dtype=np.int64)
-    rows = np.array(list(itertools.product(range(q), repeat=k - 1)), dtype=np.int64)
-    phases = rows @ np.stack([r ** j % q for j in range(2, k + 1)]) % q  # exact
-    P = np.exp(2j * np.pi * np.arange(q) / q)[phases]
-    return np.moveaxis(np.fft.ifft(P, axis=-1, norm="forward").reshape((q,) * k), -1, 0)
+def _read_through_shift(q, k):
+    """``S(q, a)`` on every cell read off :func:`_shift_tables`: a cell with
+    ``k a_k`` a unit from ``U`` at ``tau_t a``, ``t = -a_(k-1) (k a_k)^-1``,
+    times ``e_q(f_a(t))``; any other cell from its plain row of ``D``."""
+    U, D, plain = _shift_tables(q, k)
+    a = np.indices((q,) * k).reshape(k, -1)
+    unit = np.gcd(k * a[-1], q) == 1
+    assert np.array_equal(plain, np.flatnonzero(np.gcd(k * np.arange(q), q) != 1))
+    assert U.shape == (q,) * (k - 1) and D.shape == (q,) * (k - 2) + (len(plain), q)
+    S = np.empty(a.shape[1], dtype=complex)
+    au = a[:, unit]
+    inv = np.array([pow(int(v), -1, q) for v in k * au[-1] % q], dtype=np.int64)
+    t = -au[-2] * inv % q
+    tpow = [np.ones_like(t)]
+    for _ in range(k):
+        tpow.append(tpow[-1] * t % q)
+    b = [sum(math.comb(j, l) * au[j - 1] % q * tpow[j - l] for j in range(l, k + 1)) % q
+         for l in range(1, k + 1)]
+    assert not b[k - 2].any()  # the shift clears a_(k-1)
+    f = sum(au[j - 1] * tpow[j] for j in range(1, k + 1)) % q
+    S[unit] = np.exp(2j * np.pi * f / q) * U[tuple(b[:k - 2]) + (b[-1],)]
+    ap = a[:, ~unit]
+    row = np.searchsorted(plain, ap[-1])
+    S[~unit] = D[tuple(ap[1:k - 1]) + (row, ap[0])]
+    return S.reshape((q,) * k)
 
 
 def test_shift_reduced_grid_matches_plain_dft():
-    # k = 3 covers unit and non-unit rows (25, 49), p | k (27) and 2-powers
-    # with half the rows reduced (64); k = 2 reduces no row
+    # every cell of the grid read off the unit table through tau_t or off
+    # its plain row, against the plain DFT grid: k = 3 covers unit and
+    # non-unit rows (25, 49), p | k (27) and 2-powers with half the rows
+    # plain (64)
     for k, qs in ((2, range(1, 70)), (3, range(1, 82)), (4, range(1, 22))):
         for q in qs:
-            S, ref = complete_sum_all(q, k), _plain_dft_grid(q, k)
+            S, ref = _read_through_shift(q, k), complete_sum_all(q, k)
             assert S.shape == ref.shape
-            if k == 2:
-                assert np.array_equal(S, ref), q
-            else:
-                assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), (q, k)
+            assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), (q, k)
 
 
 def test_shift_tables_transform_only_representative_rows(monkeypatch):
-    rows = []
+    # the unit histogram's DFT along both of its axes, then one DFT along r
+    # on the rows whose 3 a_3 is not a unit
+    calls = []
     ifft = np.fft.ifft
-    monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: rows.append(len(a))
-                        or ifft(a, *args, **kw))
-    for q, want in [(p, 2 * p - 1) for p in (5, 7, 11, 13, 31, 79)] + [
-            (27, 27 ** 2), (49, 385), (9, 81)]:
-        rows.clear()
-        complete_sum_all(q, 3)
-        assert rows == [want], q
+    monkeypatch.setattr(np.fft, "ifft", lambda a, *args, **kw: calls.append(
+        (np.shape(a), kw.get("axis"))) or ifft(a, *args, **kw))
+    for q, plain in [(p, 1) for p in (5, 7, 11, 13, 31, 79)] + [(27, 27), (49, 7), (9, 9)]:
+        calls.clear()
+        _shift_tables(q, 3)
+        assert calls == [((q, q), 0), ((q, q), 1), ((q, plain, q), -1)], q
 
 
 def test_shift_tables_refuse_over_budget_before_allocating(monkeypatch):
-    # 385 representative rows of length 49 at q = 49, k = 3: the cap counts
-    # them before the phase indices or the DFT rows are allocated
-    tables = []
-    np_zeros = np.zeros
-
-    def zeros(shape, *args, **kw):
-        if np.ndim(shape):
-            tables.append(shape)
-        return np_zeros(shape, *args, **kw)
-
-    monkeypatch.setattr(np, "zeros", zeros)
-    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 385 * 49 - 1)
-    with pytest.raises(BudgetExceededError, match="q=49, k=3: 18865 cells"):
-        _shift_tables(49, 3)
-    assert tables == []
-    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 385 * 49)
-    assert len(_shift_tables(49, 3)[0]) == 385 and tables == [(385, 49)]
+    # q = 49, k = 3: the 49^2 unit table and 49 x 7 plain rows of length 49;
+    # the cap counts them before any table is allocated
+    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 49 ** 2 * 8 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="q=49, k=3: 19208 cells"):
+            _shift_tables(49, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    monkeypatch.setattr(densities, "TENSOR_CELLS_MAX", 49 ** 2 * 8)
+    U, D, plain = _shift_tables(49, 3)
+    assert U.shape == (49, 49) and D.shape == (49, 7, 49)
 
 
 @pytest.mark.parametrize("k, q_max", [(1, 12), (2, 30), (3, 60), (4, 16)])
 def test_representative_rows_closed_form(k, q_max):
+    # the cells priced are the cells allocated
     for q in range(1, q_max + 1):
-        assert _representative_rows(q, k) == len(_shift_tables(q, k)[0]), (q, k)
+        U, D, _ = _shift_tables(q, k)
+        assert _table_cells(q, k) == (0 if U is None else U.size) + D.size, (q, k)
 
 
 def test_shift_tables_count_rows_before_building_them(monkeypatch):
-    # q = 499, k = 4 has 499^3 rows (3 GB of int64 indices) and about 5e5
-    # representatives; the closed-form count refuses the table before the
-    # row indices are built, which the patched np.indices would report
+    # q = 499, k = 4 has a 499^3 unit table (2 GB of complex cells); the
+    # closed-form count refuses it before anything is built, which the
+    # patched np.arange would report
     def refuse(*args, **kw):
-        raise AssertionError("row indices built before the budget check")
+        raise AssertionError("tables built before the budget check")
 
-    monkeypatch.setattr(np, "indices", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="q=499, k=4"):
@@ -286,8 +305,8 @@ def test_qsum_assembles_terms_from_prime_powers(monkeypatch):
     # are built only at the 70 prime powers up to 256
     n = [139, 4643]
     calls = []
-    tables = densities._quadratic_orbits
-    monkeypatch.setattr(densities, "_quadratic_orbits",
+    tables = densities._shift_tables
+    monkeypatch.setattr(densities, "_shift_tables",
                         lambda q, *args: calls.append(q) or tables(q, *args))
     est = singular_series_qsum(n, P62, Q_max=256)
     assert len(calls) == 70
