@@ -39,6 +39,7 @@ from .streams import substream
 EPS_SLACK = 0.05  # fixed report-time slack for exponent comparisons
 CF_STEPS = 64        # continued-fraction steps of the 1-d witness scan
 STRATA = 32          # final-coordinate strata of the restricted Monte Carlo
+CONTAINMENT_SAMPLES = 10_000  # minor points drawn by dilation_containment_check
 
 
 def sigma(k):
@@ -507,7 +508,7 @@ def moment_majorant_experiment(s, k, X, Q_list, h, samples=60000, seed=0):
     return {"s": s, "k": k, "X": X, "rows": rows}
 
 
-def dilation_containment_check(s, Q, X, k, samples=10000, seed=0):
+def dilation_containment_check(s, Q, X, k, seed=0):
     """Sampled check that s-dilated minor points stay minor at cutoff Q/s.
 
     Nothing is drawn when the major arcs at Q cover the torus (no minor
@@ -521,9 +522,9 @@ def dilation_containment_check(s, Q, X, k, samples=10000, seed=0):
     minor_Qs = MinorArcs1D(Q / s, X, k) if Q >= s else None
     checked = 0
     passed = 0
-    while checked < samples:
-        vals = rng.random(4 * samples)
-        vals = vals[minor_Q.mask(vals)][: samples - checked]
+    while checked < CONTAINMENT_SAMPLES:
+        vals = rng.random(4 * CONTAINMENT_SAMPLES)
+        vals = vals[minor_Q.mask(vals)][: CONTAINMENT_SAMPLES - checked]
         checked += len(vals)
         passed += int(minor_Qs.mask((s * vals) % 1.0).sum()) if minor_Qs else len(vals)
     return {"checked": checked, "passed": passed, "all_pass": passed == checked}

@@ -148,11 +148,9 @@ def code_version():
 class ResultCache:
     """Content-addressed blob store keyed by (operation, inputs, code version)."""
 
-    def __init__(self, root=None):
-        if root is None:
-            root = os.environ.get("HK_CACHE_DIR",
-                                  os.path.join(Path.home(), ".cache", "hklab"))
-        self.root = Path(root)
+    def __init__(self):
+        self.root = Path(os.environ.get("HK_CACHE_DIR",
+                                        os.path.join(Path.home(), ".cache", "hklab")))
 
     def key(self, op, inputs):
         canon = json.dumps({"op": op, "inputs": inputs, "version": code_version()},
@@ -299,6 +297,8 @@ def cmd_vinogradov(args):
 
 def cmd_sums(args):
     if args.grid or args.csv:
+        if args.kind != "weyl":
+            raise ValidationError(f"--grid and --csv evaluate Weyl sums, not '{args.kind}'")
         k = args.k
         if args.csv:
             mesh = np.loadtxt(args.csv, delimiter=",", ndmin=2)[:, :k]
@@ -379,7 +379,6 @@ def cmd_densities(args):
         if args.csv:
             _write_csv(args.csv, ["q", "A_q"],
                        [[q, v] for q, v in series.detail["terms"]])
-        out["series_qsum"]["detail"].pop("partials", None)
     if args.method in ("euler", "both"):
         series = singular_series_euler(n, params, **_given(p_max=args.pmax, tol=args.tol))
         out["series_euler"] = asdict(series)
@@ -399,6 +398,8 @@ def cmd_densities(args):
 
 
 def cmd_arcs(args):
+    if args.Q is not None and args.l_exponent is not None:
+        raise ValidationError("--l-exponent sets the dissection, which --Q replaces")
     d = DissectionParams.from_scale(args.X, args.k, l_exponent=args.l_exponent)
     if args.csv:
         data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
@@ -408,6 +409,8 @@ def cmd_arcs(args):
     else:
         rng = substream(args.seed, 0)
         pts = rng.random((args.points, args.k))
+    if not np.isfinite(pts).all():
+        raise ValidationError("non-finite frequency")
     if args.Q is not None:
         # 1-d membership mode: test the final coordinate at an explicit cutoff
         q, a = major_1d_witness(pts[:, -1], args.Q, args.X, args.k)
@@ -415,6 +418,9 @@ def cmd_arcs(args):
             for v, qv, av in zip(pts[:, -1], q, a):
                 print(f"{float(v):.6f} -> "
                       + (f"major (q={qv}, a={av})" if qv else "minor"))
+        if args.out:  # q and a empty at a minor point, as in the classify rows
+            qa = [np.where(q > 0, v.astype(str), "").tolist() for v in (q, a)]
+            _write_csv(args.out, [f"alpha_{args.k}", "q", "a"], zip(pts[:, -1].tolist(), *qa))
         print(f"major: {int(np.count_nonzero(q))}/{len(pts)} "
               f"at Q={args.Q}, X={args.X}, k={args.k}")
         return EXIT_OK

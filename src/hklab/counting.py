@@ -35,6 +35,8 @@ from .core import INT64_SAFE, _target_vector
 from .errors import BudgetExceededError, MemoryBudgetError, ValidationError
 from .kernels import _key_bounds, canonical_powersum_run
 
+MEMORY_BUDGET_BYTES = 2_000_000_000  # peak bytes of count_mitm's unpruned half rows (_row_bytes)
+
 
 @dataclass
 class CountResult:
@@ -287,8 +289,7 @@ def _row_bytes(k, dtype):
     return (24 if dtype == object else 8) * (3 * k + 10)
 
 
-def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
-               memory_budget_bytes=2_000_000_000):
+def count_mitm(params, n, box=None, x_min=None, budget=50_000_000):
     """Ordered solution count via half-split histogram join."""
     n = _target_vector(n)
     if len(n) != params.k:
@@ -312,10 +313,9 @@ def count_mitm(params, n, box=None, x_min=None, budget=50_000_000,
     rows = sum(math.prod(math.comb(box - lo + t, t) for _, t in _coeff_runs(half))
                for half in halves)
     dtype = np.int64 if _int64_safe(params, lo, box) else object
-    if rows * _row_bytes(k, dtype) > memory_budget_bytes:
+    if rows * _row_bytes(k, dtype) > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
-            "half histogram would exceed the memory budget; "
-            "use a smaller box or a larger memory_budget_bytes",
+            "half histogram would exceed the memory budget; use a smaller box",
             work_done=0,
         )
     # canonical tuples of the halves enumerated
@@ -399,15 +399,12 @@ def vinogradov_count(t, k, X, x_min=1, budget=50_000_000):
     return _certified_dot(counts, counts)
 
 
-def mvt_scaling_experiment(t, k, X_list, x_min=1, budget=50_000_000):
+def mvt_scaling_experiment(t, k, X_list, budget=50_000_000):
     """Fit the log-log growth of the mean value over a list of scales."""
     X_list = list(X_list)
     if len(X_list) < 3:
         raise ValidationError("need at least 3 scales for a slope fit")
-    rows = []
-    for X in X_list:
-        J = vinogradov_count(t, k, X, x_min=x_min, budget=budget)
-        rows.append({"X": X, "J": J})
+    rows = [{"X": X, "J": vinogradov_count(t, k, X, budget=budget)} for X in X_list]
     logx = np.log([r["X"] for r in rows])
     logj = np.log([float(r["J"]) for r in rows])
     slope, intercept = np.polyfit(logx, logj, 1)

@@ -39,7 +39,7 @@ import numpy as np
 from .core import INT64_SAFE, _target_vector, target_scale
 from .errors import BudgetExceededError, NonConvergedError, ValidationError
 from .expsums import (TENSOR_CELLS_MAX, axis_nodes, complete_sum, gl_axis, gl_edges,
-                      oscillatory_integral, power_in_place, tensor_chunk, tensor_integral)
+                      power_in_place, tensor_chunk, tensor_integral)
 from .kernels import conv_mod, expand_slab
 from .local import small_primes
 from .streams import substream
@@ -66,6 +66,7 @@ class SeriesTerm:
 SERIES_GRID_CELLS_MAX = 8_000_000  # table cells of one series term (_table_cells)
 RESIDUE_CELLS_MAX = 3_000_000_000  # residue cells m^(k+1) of one count mod m
 QUADRATURE_TOL = 5e-3  # error estimate below which the quadrature converges
+QUADRATURE_BOX = (48.0, 6.0)  # half-width B of the quadrature's beta box: k <= 2, k >= 3
 FIT_FLOOR = 1e-12  # |A(q)| at or below this is rounding noise, not fitted
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,14 @@ def _table_cells(q, k):
     if k == 1:
         return q
     return q ** (k - 1) * (q - _units(q, k) + 1)
+
+
+def _check_series_term(q, k):
+    """Raise ``BudgetExceededError`` when :func:`series_term` at ``q`` would
+    pass ``SERIES_GRID_CELLS_MAX`` table cells (:func:`_table_cells`)."""
+    if (cells := _table_cells(q, k)) > SERIES_GRID_CELLS_MAX:
+        raise BudgetExceededError(
+            f"series term at q={q}, k={k}: {cells} table cells exceed the budget")
 
 
 def _check_shift_table(q, k):
@@ -317,9 +326,7 @@ def series_term(q, n, params):
     k = params.k
     if len(n) != k:
         raise ValidationError("target length must equal k")
-    if (cells := _table_cells(q, k)) > SERIES_GRID_CELLS_MAX:
-        raise BudgetExceededError(
-            f"series term at q={q}, k={k}: {cells} table cells exceed the budget")
+    _check_series_term(q, k)
     if q == 1:
         return SeriesTerm(1, 1.0, 0.0, 1)
     if not params.is_pure:
@@ -382,10 +389,14 @@ def series_terms(n, params, Q_max):
     ``A`` is multiplicative over coprime moduli (acceptance 05 checks it
     against :func:`series_term` at composite ``q``), so only prime powers
     build a numerator grid; a composite term is the complex product of its
-    factors' terms.
+    factors' terms.  Every prime power up to ``Q_max`` is checked against
+    the table budget before the first term is built.
     """
     if Q_max < 1:
         raise ValidationError("Q_max must be at least 1")
+    for q in range(2, Q_max + 1):
+        if len(prime_power_factors(q)) == 1:
+            _check_series_term(q, params.k)
     by_pe = {}
     terms = []
     for q in range(1, Q_max + 1):
@@ -411,10 +422,8 @@ def singular_series_qsum(n, params, Q_max=None, tol=0.02):
         Q_max = 100 if params.k == 2 else 30
     terms = series_terms(n, params, Q_max)
     value = 0.0
-    partials = []
     for t in terms:
         value += t.value
-        partials.append(value)
     fitted = [t for t in terms if t.q > max(4, Q_max // 4) and abs(t.value) > FIT_FLOOR]
     qs = [t.q for t in fitted]
     amps = [abs(t.value) for t in fitted]
@@ -427,8 +436,7 @@ def singular_series_qsum(n, params, Q_max=None, tol=0.02):
         error_estimate=tail,
         converged=bool((threshold_ok or tail < 1e-12) and tail < tol),
         imag_diagnostic=imag,
-        detail={"terms": [(t.q, t.value) for t in terms],
-                "partials": partials, "tail_fit": fit,
+        detail={"terms": [(t.q, t.value) for t in terms], "tail_fit": fit,
                 "convergence_threshold_ok": threshold_ok},
     )
 
@@ -671,26 +679,7 @@ def _integral_once(mu, s, B, panel_scale, half_box=False):
     return value, [len(gamma)] + [len(axis_nodes(v)) for v, _ in axes]
 
 
-def _l1_tail_bound(mu, s, B):
-    """Union-bound tail of the absolutely-converging integrand outside the box.
-
-    Provably valid but very pessimistic (it ignores oscillation); reported as
-    a reference in the detail dict, not used as the error estimate.
-    """
-    k = len(mu)
-    a = s / k
-    if a <= k:
-        return math.inf
-    probe = [np.eye(k)[j] * B for j in range(k)] + [np.full(k, B)]
-    Cfit = 0.0
-    for beta in probe:
-        Iv = oscillatory_integral(beta, 1.0).value
-        Cfit = max(Cfit, abs(Iv) ** s * (1.0 + np.sum(np.abs(beta))) ** a)
-    return (Cfit * k * 2 ** k * math.gamma(a - k + 1) / math.gamma(a)
-            * (1.0 + B) ** (k - a) / (a - k))
-
-
-def singular_integral_quadrature(n, params, B=None):
+def singular_integral_quadrature(n, params):
     """Box-truncated tensor quadrature for the archimedean density.
 
     Every pass evaluates only the ``beta_1 >= 0`` panels of its grid
@@ -700,23 +689,22 @@ def singular_integral_quadrature(n, params, B=None):
     ``imag_diagnostic`` is 0; the tests check the symmetry against the
     full grid.
 
-    Two grids per call share one gamma rule (:func:`gamma_rule`): a coarse
-    grid of ``B (1 + |mu_j|)`` beta panels per axis and a fine grid of 1.5
-    times as many, rounded up to a multiple of 4.  The value is the fine
-    grid's; the half-box estimate is a slice of the fine grid.
+    Two grids per call on the box ``|beta_j| <= B = QUADRATURE_BOX[k > 2]``
+    share one gamma rule (:func:`gamma_rule`): a coarse grid of
+    ``B (1 + |mu_j|)`` beta panels per axis and a fine grid of 1.5 times as
+    many, rounded up to a multiple of 4.  The value is the fine grid's; the
+    half-box estimate is a slice of the fine grid.
 
     Error estimate = panel-refinement difference (coarse against fine) +
     box-halving difference (fine against its half box), both empirical; the
-    provable union-bound tail goes to ``detail``, and so do the node counts
-    of both grids.  Converged when the estimate is below ``QUADRATURE_TOL``
-    or 5% of the value.  Both grids are checked against the cell cap
-    (``expsums.tensor_chunk``) before either is built.
+    node counts of both grids go to ``detail``.  Converged when the estimate
+    is below ``QUADRATURE_TOL`` or 5% of the value.  Both grids are checked
+    against the cell cap (``expsums.tensor_chunk``) before either is built.
     """
     if not params.is_pure:
         raise ValidationError("singular integral is defined for the pure system")
     s, k = params.s, params.k
-    if B is None:
-        B = 48.0 if k <= 2 else 6.0
+    B = QUADRATURE_BOX[k > 2]
     _, mu = target_scale(n)
     gamma_nodes = len(gamma_rule(k, B)[0])
     for panel_scale, half_box in ((1.0, False), (1.5, True)):
@@ -734,7 +722,6 @@ def singular_integral_quadrature(n, params, B=None):
         error_estimate=float(err),
         converged=bool(converged),
         detail={"quad_err": float(quad_err), "box_err": float(box_err),
-                "l1_tail_bound": float(_l1_tail_bound(mu, s, B)),
                 "B": B, "scale": "raw",
                 "grid": {"gamma_nodes": coarse_nodes[0],
                          "coarse_beta_nodes": coarse_nodes[1:],

@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from .core import INT64_SAFE
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def phase_poly_sums(coeffs, u0, u1):
     if coeffs.ndim != 2:
         raise ValueError("coeffs must be 2-d (batch, degree)")
     if not np.all(np.isfinite(coeffs)):
-        raise ValueError("non-finite frequency")
+        raise ValidationError("non-finite frequency")
     u0, u1 = int(u0), int(u1)
     m, k = coeffs.shape
     out = np.zeros(m, dtype=np.complex128)

@@ -250,7 +250,7 @@ def test_criterion_10_subconvexity_trend():
     ratios = [row["ratio"] for row in thm["rows"]]
     band_ok = (all(np.isfinite(ratios))
                and max(ratios) / min(ratios) <= 10.0)
-    cont = dilation_containment_check(6, 32, 512.0, 2, samples=10_000, seed=2)
+    cont = dilation_containment_check(6, 32, 512.0, 2, seed=2)
     _report(10, decay_ok and band_ok and cont["all_pass"],
             f"minor sup strictly decreasing {[round(s) for s in sups]} "
             f"(slope {decay['sup_slope']:.3f}); bound-ratio band "

@@ -587,7 +587,7 @@ def test_moment_majorant_empty_region_zeroes():
 
 
 def test_dilation_containment():
-    c = dilation_containment_check(6, 16, 512.0, 2, samples=3000, seed=4)
+    c = dilation_containment_check(6, 16, 512.0, 2, seed=4)
     assert c["all_pass"]
     with pytest.raises(ValidationError):
         dilation_containment_check(6, 0.5, 512.0, 2)

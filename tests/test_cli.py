@@ -67,6 +67,17 @@ def test_densities_integral_over_cap_exits_3_before_series_work(capsys, monkeypa
     assert code == EXIT_BUDGET and "tensor grid" in err
 
 
+def test_densities_qsum_over_budget_exits_3_before_any_term(capsys, monkeypatch):
+    # q = 243 is over the table budget at k = 3, priced before the first term
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series table was built before the q-sum was priced")
+
+    monkeypatch.setattr(densities, "_shift_tables", refuse)
+    code, _, err = run_cli(capsys, "densities", "--s", "12", "--k", "3",
+                           "--n", "59,369,2609", "--method", "qsum", "--qmax", "250")
+    assert code == EXIT_BUDGET and "q=243" in err and "(partial work: 0)" in err
+
+
 def test_count_bad_variant(capsys):
     code, _, err = run_cli(capsys, "count", "--s", "2", "--k", "2", "--n", "3,3",
                            "--variant", "nonsense")
@@ -134,6 +145,26 @@ def test_sums_csv_input_batch(tmp_path, capsys):
     assert abs(complex(re0, im0) - (3 + 2j)) < 1e-9
 
 
+@pytest.mark.parametrize("kind, flags", [
+    ("complete", ["--q", "5", "--a", "1,1"]),
+    ("integral", ["--beta", "0,1"]),
+])
+def test_sums_batch_needs_kind_weyl(tmp_path, capsys, kind, flags):
+    # --grid and --csv evaluate Weyl sums, so another kind is refused, not ignored
+    out_path = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, "sums", kind, *flags, "--grid", "2", "--out", str(out_path))
+    assert code == EXIT_VALIDATION and "weyl" in err.lower()
+    assert not out_path.exists()
+
+
+def test_sums_csv_non_finite_row_is_validation_error(tmp_path, capsys):
+    in_path = tmp_path / "alphas.csv"
+    in_path.write_text("0.5,0.25\nnan,0.1\n")
+    code, _, err = run_cli(capsys, "sums", "weyl", "--k", "2", "--csv", str(in_path),
+                           "--out", str(tmp_path / "vals.csv"))
+    assert code == EXIT_VALIDATION and "non-finite" in err
+
+
 def test_arcs_membership_mode(capsys):
     code, out, _ = run_cli(capsys, "arcs", "--k", "2", "--X", "100",
                            "--Q", "5", "--alpha", "0.5,0.5")
@@ -141,6 +172,32 @@ def test_arcs_membership_mode(capsys):
     code, out, _ = run_cli(capsys, "arcs", "--k", "2", "--X", "100",
                            "--Q", "5", "--alpha", "0.5,0.6180339887")
     assert code == EXIT_OK and "minor" in out
+
+
+def test_arcs_membership_mode_writes_out(tmp_path, capsys):
+    out_path = tmp_path / "a.csv"
+    code, _, _ = run_cli(capsys, "arcs", "--k", "2", "--X", "100", "--Q", "5",
+                         "--alpha", "0.5,0.5", "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_text().splitlines() == ["alpha_2,q,a", "0.5,2,1"]
+    code, _, _ = run_cli(capsys, "arcs", "--k", "2", "--X", "100", "--Q", "5",
+                         "--alpha", "0.5,0.6180339887", "--out", str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_text().splitlines() == ["alpha_2,q,a", "0.6180339887,,"]
+
+
+def test_arcs_membership_mode_rejects_l_exponent(capsys):
+    # --Q replaces the dissection that --l-exponent would set
+    code, _, err = run_cli(capsys, "arcs", "--k", "2", "--X", "100", "--Q", "5",
+                           "--l-exponent", "0.3", "--alpha", "0.5,0.5")
+    assert code == EXIT_VALIDATION and "--l-exponent" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--Q", "5"]])
+def test_arcs_non_finite_point_is_validation_error(capsys, mode):
+    code, out, err = run_cli(capsys, "arcs", "--k", "2", "--X", "100", *mode,
+                             "--alpha", "0.5,nan")
+    assert code == EXIT_VALIDATION and "non-finite" in err and "W1" not in out
 
 
 def test_local_json(tmp_path, capsys):

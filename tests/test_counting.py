@@ -402,8 +402,9 @@ def test_mitm_memory_estimate_covers_run_products(monkeypatch):
     monkeypatch.setattr(counting, "canonical_powersum_run", enumerate_anyway)
     p = SystemParams.with_coefficients([1, 2, 1], 2)
     assert math.comb(101, 2) * 24 < 500_000 < 100 ** 2 * counting._row_bytes(2, np.int64)
+    monkeypatch.setattr(counting, "MEMORY_BUDGET_BYTES", 500_000)
     with pytest.raises(MemoryBudgetError) as ei:
-        count_mitm(p, [4, 6], box=100, memory_budget_bytes=500_000)
+        count_mitm(p, [4, 6], box=100)
     assert ei.value.work_done == 0
 
 

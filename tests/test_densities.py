@@ -142,6 +142,45 @@ def test_series_term_refuses_over_budget_before_building(monkeypatch):
     assert peak < 1 << 16
 
 
+def test_qsum_prices_every_prime_power_before_the_first_term(monkeypatch):
+    # at k = 3 the prime powers below 243 fit the table budget and q = 243
+    # does not; the refusal comes before any table is built
+    def refuse(*args, **kw):
+        raise AssertionError("table built before the q-sum was priced")
+
+    monkeypatch.setattr(densities, "_shift_tables", refuse)
+    with pytest.raises(BudgetExceededError, match="q=243") as ei:
+        singular_series_qsum([59, 369, 2609], SystemParams.pure(12, 3), Q_max=250)
+    assert ei.value.work_done == 0
+
+
+def _legendre(a, p):
+    """``(a | p)`` for an odd prime ``p`` not dividing ``a``."""
+    return 1 if pow(a % p, (p - 1) // 2, p) == 1 else -1
+
+
+@pytest.mark.parametrize("s", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [[96, 1934], [100, 2530], [70, 1836], [139, 4643]])
+def test_series_term_k2_matches_closed_form(s, n):
+    # for an odd prime p not dividing 2 s D, D = s n_2 - n_1^2, the sum of s
+    # squares has A(p) = p^(1 - s/2) ((-1)^((s+2)/2) D | p) at even s,
+    # A(p) = -p^((1-s)/2) (-1 | p)^((s+1)/2) (-s | p) at odd s, and A(p^2) = 0
+    params = SystemParams.pure(s, 2)
+    D = s * n[1] - n[0] ** 2
+    for p in small_primes(59)[1:]:
+        if (2 * s * D) % p == 0:
+            continue
+        if s % 2 == 0:
+            want = p ** (1 - s / 2) * _legendre((-1) ** ((s + 2) // 2) * D, p)
+        else:
+            want = -p ** ((1 - s) / 2) * _legendre(-1, p) ** ((s + 1) // 2) * _legendre(-s, p)
+        t = series_term(p, n, params)
+        assert abs(t.value - want) <= 1e-13 and abs(t.imag) <= 1e-13, (p, t, want)
+        if p <= 13:
+            t = series_term(p * p, n, params)
+            assert abs(t.value) <= 1e-13 and abs(t.imag) <= 1e-13, (p, t)
+
+
 def test_series_term_n_primitive_is_jordan_totient():
     # J_k(q) = #{a mod q : gcd(q, a_1..a_k) = 1}, counted one tuple at a time
     for k, q_max in ((1, 30), (2, 30), (3, 12)):
@@ -568,7 +607,7 @@ def test_qsum_partial_sums_settle():
     x = np.array([3, 8, 14, 20, 27, 35])
     n = [int((x ** j).sum()) for j in (1, 2)]
     est = singular_series_qsum(n, P62, Q_max=80)
-    partials = est.detail["partials"]
+    partials = np.cumsum([v for _, v in est.detail["terms"]])
     late = partials[40:]
     fluctuation = max(late) - min(late)
     assert fluctuation <= max(4 * est.error_estimate, 5e-3)
@@ -576,7 +615,7 @@ def test_qsum_partial_sums_settle():
 
 def test_integral_k1_closed_forms():
     p21 = SystemParams(2, 1)
-    est = singular_integral_quadrature([50], p21, B=60.0)
+    est = singular_integral_quadrature([50], p21)
     assert abs(est.value - 1.0) < 5e-3                     # peak of the hat
     assert est.imag_diagnostic < 1e-9
 
@@ -873,7 +912,7 @@ def test_main_term_k1_ratio():
     p21 = SystemParams(2, 1)
     m = 60
     series = singular_series_qsum([m], p21, Q_max=10)
-    integral = singular_integral_quadrature([m], p21, B=60.0)
+    integral = singular_integral_quadrature([m], p21)
     mt = main_term([m], p21, series, integral)
     exact = m + 1                                          # pairs summing to m
     assert abs(mt["value"] / exact - 1.0) < 0.05
