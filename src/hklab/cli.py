@@ -295,13 +295,45 @@ def cmd_vinogradov(args):
     return EXIT_OK
 
 
+# the values each kind of sum reads, and those of them it cannot do without
+_SUM_READS = {"weyl": ("alpha",), "complete": ("q", "a"), "integral": ("beta", "tol")}
+_SUM_NEEDS = {"weyl": ("alpha",), "complete": ("q", "a"), "integral": ("beta",)}
+
+
+def _check_sum_flags(args):
+    """Refuse a value the kind does not read, and a missing one it needs."""
+    for name in ("alpha", "beta", "q", "a", "tol"):
+        if getattr(args, name) is not None and name not in _SUM_READS[args.kind]:
+            raise ValidationError(f"--{name} is not read by 'sums {args.kind}'")
+    if args.grid is None and args.csv is None:
+        for name in _SUM_NEEDS[args.kind]:
+            if getattr(args, name) is None:
+                raise ValidationError(f"'sums {args.kind}' needs --{name}")
+        return
+    if args.kind != "weyl":
+        raise ValidationError(f"--grid and --csv evaluate Weyl sums, not '{args.kind}'")
+    if args.alpha is not None:
+        raise ValidationError("--alpha is one point; --grid and --csv give the points")
+    if args.grid is not None and args.csv is not None:
+        raise ValidationError("--grid and --csv both give the points; give one")
+    if args.grid is not None and args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, not {args.grid}")
+
+
+def _csv_points(path, k):
+    """The first ``k`` columns of the CSV's rows; fewer than ``k`` is refused."""
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.shape[1] < k:
+        raise ValidationError(f"--csv has {data.shape[1]} columns but --k is {k}")
+    return data[:, :k]
+
+
 def cmd_sums(args):
-    if args.grid or args.csv:
-        if args.kind != "weyl":
-            raise ValidationError(f"--grid and --csv evaluate Weyl sums, not '{args.kind}'")
+    _check_sum_flags(args)
+    if args.grid is not None or args.csv is not None:
         k = args.k
-        if args.csv:
-            mesh = np.loadtxt(args.csv, delimiter=",", ndmin=2)[:, :k]
+        if args.csv is not None:
+            mesh = _csv_points(args.csv, k)
         else:
             N = args.grid
             axes = [np.arange(N) / N for _ in range(k)]
@@ -320,13 +352,11 @@ def cmd_sums(args):
     elif args.kind == "complete":
         v = complete_sum(args.q, _parse_intlist(args.a))
         print(f"{v.real:.12g} {v.imag:+.12g}i  |S|={abs(v):.12g}")
-    elif args.kind == "integral":
+    else:
         r = oscillatory_integral(_parse_floatlist(args.beta), args.X,
                                  tol=args.tol)
         print(f"{r.value.real:.12g} {r.value.imag:+.12g}i  "
               f"err~{r.error_estimate:.3g} panels={r.panels}")
-    else:
-        raise ValidationError(f"unknown sum kind '{args.kind}'")
     return EXIT_OK
 
 
@@ -402,8 +432,7 @@ def cmd_arcs(args):
         raise ValidationError("--l-exponent sets the dissection, which --Q replaces")
     d = DissectionParams.from_scale(args.X, args.k, l_exponent=args.l_exponent)
     if args.csv:
-        data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
-        pts = data[:, : args.k]
+        pts = _csv_points(args.csv, args.k)
     elif args.alpha:
         pts = np.array([_parse_floatlist(args.alpha)])
     else:

@@ -13,9 +13,12 @@ as that slab of ``g m^(k-1)`` cells.  Adding a variable is ``g' m^k`` exact
 integer gathers, ``g'`` the new ``gcd``, for int64 and object (Python int)
 cells alike; ``expand_slab`` rebuilds the full ``m^k`` grid.
 
-Phase sums use a blocked Taylor-shift engine.  The range is cut into blocks
-of ``B`` terms (``B = 32`` up to ``k = 3``, ``16`` at ``k = 4`` and
-``B^k <= 2^16`` beyond).  For a block starting at ``b`` the phase is
+Phase sums use a blocked Taylor-shift engine.  The range of ``n`` terms is
+cut into as few blocks of equal length ``B`` as ``B^k <= 2^15`` and
+``B <= 256`` allow (the last block may fall short), and never fewer than
+two: numpy's in-place complex product rounds a one-element array unlike its
+vector loop, and one block per row would make a one-row call differ from
+its batch in the last bits.  For a block starting at ``b`` the phase is
 ``p(b + v) = sum_l d_l(b) v^l`` with ``d_l(b) = sum_j c_j C(j,l) b^(j-l)``;
 since ``v`` is an integer only ``d_l mod 1`` matters.  Each product of
 ``c_j`` with the integer ``C(j,l) b^(j-l)`` is reduced mod 1 by ``mul_mod1``
@@ -27,9 +30,10 @@ arises.  Inside a block a multiplicative difference engine advances
 in-block index and ``k`` complex exponentials per block (``Delta^k p`` is
 the same in every block).  A term's
 phase error is at most a small multiple of ``B^k eps`` (about 1e-11), so a
-sum over ``n`` terms is off by at most about ``1e-11 n``; against an exact
-rational reference the error is below 1e-9 for ``k <= 4`` and
-``n <= 10^4``.
+sum over ``n`` terms is off by at most about ``1e-11 n``.  Against an exact
+rational reference at random points the error stayed below 7e-10 for
+``k <= 4`` and ``n <= 10^4``; near a rational with small denominator, where
+``|f|`` is of order ``n``, it reached 5e-9 (a relative 1e-12).
 """
 
 import functools
@@ -50,9 +54,15 @@ _TILE = 1 << 14      # elements per phase tile or slab-step block; keeps tempora
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
 
-def _block_length(k):
-    """Terms per block: at most 32, and ``B^k <= 2^16`` so rounding stays small."""
-    return min(32, max(2, int(2.0 ** (16.0 / k))))
+def _blocks(k, n):
+    """Block length ``B`` and block count for ``n >= 1`` terms of degree ``k``.
+
+    As few balanced blocks as ``B^k <= 2^15`` (rounding stays small) and
+    ``B <= 256`` allow, and at least two, so that a one-row call matches its
+    batch bit for bit (see the module docstring).
+    """
+    nb = max(min(n, 2), -(-n // min(256, max(2, int(2.0 ** (15.0 / k))))))
+    return -(-n // nb), nb
 
 
 def _centred(x):
@@ -168,8 +178,7 @@ def phase_poly_sums(coeffs, u0, u1):
     if k == 0:
         return out + n
     c = _centred(coeffs)
-    B = min(_block_length(k), n)
-    nb = -(-n // B)
+    B, nb = _blocks(k, n)
     span = min(nb, _TILE)
     rows = max(1, _TILE // span)
     for i0 in range(0, nb, span):

@@ -157,6 +157,79 @@ def test_sums_batch_needs_kind_weyl(tmp_path, capsys, kind, flags):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["weyl", "--k", "2", "--X", "4"], "--alpha"),
+    (["complete", "--a", "1,1"], "--q"),
+    (["complete", "--q", "5"], "--a"),
+    (["integral", "--X", "1"], "--beta"),
+])
+def test_sums_missing_value_exits_2(capsys, argv, flag):
+    code, _, err = run_cli(capsys, "sums", *argv)
+    assert code == EXIT_VALIDATION and f"needs {flag}" in err
+
+
+def test_sums_grid_below_one_exits_2(tmp_path, capsys):
+    # --grid 0 is refused, not taken for "no grid"
+    out_path = tmp_path / "grid.csv"
+    code, _, err = run_cli(capsys, "sums", "weyl", "--grid", "0", "--k", "2", "--X", "4",
+                           "--out", str(out_path))
+    assert code == EXIT_VALIDATION and "--grid" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["complete", "--q", "5", "--a", "1,1", "--alpha", "0.3"], "--alpha"),
+    (["complete", "--q", "5", "--a", "1,1", "--beta", "2"], "--beta"),
+    (["complete", "--q", "5", "--a", "1,1", "--tol", "1e-6"], "--tol"),
+    (["weyl", "--alpha", "0,0.25", "--q", "5"], "--q"),
+    (["weyl", "--alpha", "0,0.25", "--a", "1,1"], "--a"),
+    (["weyl", "--alpha", "0,0.25", "--beta", "2"], "--beta"),
+    (["weyl", "--alpha", "0,0.25", "--tol", "1e-6"], "--tol"),
+    (["integral", "--beta", "0,1", "--alpha", "0.3"], "--alpha"),
+    (["integral", "--beta", "0,1", "--q", "5"], "--q"),
+    (["integral", "--beta", "0,1", "--a", "1,1"], "--a"),
+    (["weyl", "--grid", "3", "--alpha", "0.1,0.2"], "--alpha"),
+])
+def test_sums_refuses_values_its_kind_does_not_read(tmp_path, capsys, argv, flag):
+    out_path = tmp_path / "grid.csv"
+    code, out, err = run_cli(capsys, "sums", *argv, "--out", str(out_path))
+    assert code == EXIT_VALIDATION and flag in err and out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, flag", [(["--alpha", "0.1,0.2"], "--alpha"),
+                                         (["--grid", "2"], "--grid")])
+def test_sums_csv_refuses_a_second_source_of_points(tmp_path, capsys, flags, flag):
+    in_path = tmp_path / "alphas.csv"
+    np.savetxt(in_path, np.array([[0.0, 0.25]]), delimiter=",")
+    out_path = tmp_path / "vals.csv"
+    code, _, err = run_cli(capsys, "sums", "weyl", "--csv", str(in_path), *flags,
+                           "--out", str(out_path))
+    assert code == EXIT_VALIDATION and flag in err
+    assert not out_path.exists()
+
+
+def test_sums_csv_narrower_than_k_exits_2(tmp_path, capsys):
+    in_path = tmp_path / "alphas.csv"
+    in_path.write_text("0.25\n0.5\n")
+    out_path = tmp_path / "vals.csv"
+    code, _, err = run_cli(capsys, "sums", "weyl", "--k", "2", "--X", "4",
+                           "--csv", str(in_path), "--out", str(out_path))
+    assert code == EXIT_VALIDATION and "1 columns but --k is 2" in err
+    assert not out_path.exists()
+
+
+def test_sums_csv_wider_than_k_reads_first_k_columns(tmp_path, capsys):
+    in_path = tmp_path / "alphas.csv"
+    in_path.write_text("0.0,0.25,0.7\n")
+    out_path = tmp_path / "vals.csv"
+    code, _, _ = run_cli(capsys, "sums", "weyl", "--k", "2", "--X", "4",
+                         "--csv", str(in_path), "--out", str(out_path))
+    assert code == EXIT_OK
+    lines = out_path.read_text().strip().splitlines()
+    assert lines[0] == "alpha_1,alpha_2,re,im" and lines[1].startswith("0.0,0.25,3.0")
+
+
 def test_sums_csv_non_finite_row_is_validation_error(tmp_path, capsys):
     in_path = tmp_path / "alphas.csv"
     in_path.write_text("0.5,0.25\nnan,0.1\n")
@@ -343,6 +416,16 @@ def test_arcs_classify_csv(tmp_path, capsys):
     assert lines[1].split(",")[3] == "W4"
     assert lines[2].split(",")[3] == "W1"
     assert lines[3] == '0.3,0.3,0.0,W2,1,"(0,)"'          # 1-d witness label
+
+
+def test_arcs_csv_narrower_than_k_exits_2(tmp_path, capsys):
+    in_path = tmp_path / "alphas.csv"
+    in_path.write_text("0.0\n0.5\n")
+    out_path = tmp_path / "classes.csv"
+    code, out, err = run_cli(capsys, "arcs", "--k", "2", "--X", "100",
+                             "--csv", str(in_path), "--out", str(out_path))
+    assert code == EXIT_VALIDATION and "1 columns but --k is 2" in err
+    assert "classes" not in out and not out_path.exists()
 
 
 def test_arcs_wide_profile_pinned(tmp_path, capsys):

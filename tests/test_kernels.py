@@ -72,7 +72,7 @@ def _exact_phase_sum(coeffs, u0, u1):
     return complex(math.fsum(re), math.fsum(im))
 
 
-# 1001 and 10 001 terms end in a partial block at every block length in use
+# 1001 and 10 001 terms end in a partial block, except 1001 at k = 4 (77 blocks of 13)
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("u0,u1", [(0, 25), (0, 1000), (0, 10_000),
                                    (-5000, 5000)])
@@ -85,6 +85,16 @@ def test_phase_poly_sums_matches_exact_reference(k, u0, u1):
         assert abs(complex(value) - _exact_phase_sum(row, u0, u1)) <= 1e-6
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_phase_poly_sums_random_points_within_1e9(k):
+    # the README's bound for k <= 4 and n <= 10^4 at random points
+    rng = np.random.default_rng(40 + k)
+    coeffs = rng.random((6, k)) - 0.5
+    got = phase_poly_sums(coeffs, 0, 9999)
+    for row, value in zip(coeffs, got):
+        assert abs(complex(value) - _exact_phase_sum(row, 0, 9999)) < 1e-9
+
+
 def test_phase_poly_sums_row_independent_of_batch():
     rng = np.random.default_rng(6)
     coeffs = rng.random((300, 3))
@@ -93,6 +103,17 @@ def test_phase_poly_sums_row_independent_of_batch():
         for r in (0, 137, 299):
             alone = phase_poly_sums(coeffs[r:r + 1], u0, u1)[0]
             assert abs(alone - batch[r]) <= 1e-12
+
+
+# short ranges, ranges one past a power of two, and batches cut into row tiles
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [3, 26, 97, 256, 257, 513, 1025, 4001])
+def test_phase_poly_sums_row_bit_identical_to_batch(k, n):
+    rng = np.random.default_rng(10 * k + n)
+    coeffs = rng.random((300, k)) - 0.5
+    batch = phase_poly_sums(coeffs, -3, n - 4)
+    for r in rng.choice(300, size=43, replace=False):
+        assert phase_poly_sums(coeffs[r:r + 1], -3, n - 4)[0] == batch[r]
 
 
 def test_phase_poly_sums_wide_multipliers():
