@@ -1,7 +1,8 @@
 """Command-line front end: batch experiments, persistence, reporting.
 
 Exit codes: 0 success, 2 validation failure, 3 budget exhaustion,
-4 internal error.  Every output blob embeds the config hash, the RNG seed,
+4 internal error; a usage error is a validation failure too, and flags are
+not abbreviated.  Every output blob embeds the config hash, the RNG seed,
 the code version, and the wall time; cached runs reproduce byte-identically
 (the cache key includes the code version, a hash of the package sources, so
 no code change ever serves stale blobs).  ``HK_CACHE_DIR`` overrides the
@@ -18,7 +19,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +44,13 @@ from .densities import (
     singular_series_euler,
     singular_series_qsum,
 )
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, NonConvergedError, ValidationError
 from .expsums import (
     complete_sum,
     oscillatory_integral,
     verify_binomial_transform,
     verify_resolution_identity,
     verify_shift_reindex,
-    weyl_sum,
     weyl_sum_batch,
 )
 from .local import solubility_report
@@ -201,8 +200,6 @@ def _jsonable(obj):
         return obj.tolist()
     if hasattr(obj, "__dataclass_fields__"):
         return asdict(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     return str(obj)
 
 
@@ -215,20 +212,45 @@ def _write_csv(path, header, rows):
     print(f"wrote {path}")
 
 
-def _parse_intlist(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _list_of(convert):
+    """An argparse type: a comma-separated list of ``convert`` values."""
+    def parse(text):
+        try:
+            return [convert(v) for v in text.split(",") if v != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__}s, not {text!r}") from None
+    return parse
 
 
-def _parse_floatlist(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+_INTS, _FLOATS = _list_of(int), _list_of(float)
 
 
-def _parse_target(args):
-    """The ``--n`` target vector, which needs one entry per degree ``--k``."""
-    n = _parse_intlist(args.n)
-    if len(n) != args.k:
-        raise ValidationError(f"--n has {len(n)} entries but --k is {args.k}")
-    return n
+def positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
+def _variant(text):
+    """``--variant``: ``None`` for the pure system, else the coefficient tuple."""
+    kind, _, values = text.partition(":")
+    c = _INTS(values)
+    if text == "pure":
+        return None
+    if kind == "coeffs":
+        return tuple(c)
+    if kind == "mixed" and len(c) == 2 and min(c) >= 0:
+        return (1,) * c[0] + (-1,) * c[1]
+    raise argparse.ArgumentTypeError("expected pure, mixed:l,m or coeffs:c1,c2,...")
+
+
+def _one_per_degree(args, name):
+    """The list flag ``--name``, which needs one entry per degree ``--k``."""
+    values = getattr(args, name)
+    if len(values) != args.k:
+        raise ValidationError(f"--{name} has {len(values)} entries but --k is {args.k}")
+    return values
 
 
 def _given(**options):
@@ -237,16 +259,10 @@ def _given(**options):
 
 
 def _params_from_args(args):
-    variant = getattr(args, "variant", "pure") or "pure"
-    if variant == "pure":
-        return SystemParams.pure(args.s, args.k)
-    if variant.startswith("mixed:"):
-        l, m = (int(v) for v in variant.split(":", 1)[1].split(","))
-        return SystemParams.mixed_sign(l, m, args.k)
-    if variant.startswith("coeffs:"):
-        return SystemParams.with_coefficients(
-            _parse_intlist(variant.split(":", 1)[1]), args.k)
-    raise ValidationError(f"unknown variant '{variant}'")
+    if args.variant is not None and len(args.variant) != args.s:
+        raise ValidationError(f"--variant has {len(args.variant)} variables "
+                              f"but --s is {args.s}")
+    return SystemParams(args.s, args.k, args.variant)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +272,7 @@ def _params_from_args(args):
 def cmd_count(args):
     t0 = time.perf_counter()
     params = _params_from_args(args)
-    n = _parse_target(args)
+    n = _one_per_degree(args, "n")
     results = {}
     if args.method in ("naive", "both"):
         results["naive"] = asdict(count_naive(params, n, box=args.box,
@@ -276,14 +292,13 @@ def cmd_count(args):
 
 def cmd_vinogradov(args):
     t0 = time.perf_counter()
-    X_list = _parse_intlist(args.X)
-    if len(X_list) == 1:
-        J = vinogradov_count(args.t, args.k, X_list[0], budget=args.budget)
+    if len(args.X) == 1:
+        J = vinogradov_count(args.t, args.k, args.X[0], budget=args.budget)
         print(J)
-        payload = _finalize({"t": args.t, "k": args.k, "X": X_list[0], "J": J},
+        payload = _finalize({"t": args.t, "k": args.k, "X": args.X[0], "J": J},
                             args, t0)
     else:
-        table = mvt_scaling_experiment(args.t, args.k, X_list, budget=args.budget)
+        table = mvt_scaling_experiment(args.t, args.k, args.X, budget=args.budget)
         for row in table["rows"]:
             print(f"X={row['X']:>8}  J={row['J']}")
         print(f"slope={table['slope']:.4f}  "
@@ -295,74 +310,49 @@ def cmd_vinogradov(args):
     return EXIT_OK
 
 
-# the values each kind of sum reads, and those of them it cannot do without
-_SUM_READS = {"weyl": ("alpha",), "complete": ("q", "a"), "integral": ("beta", "tol")}
-_SUM_NEEDS = {"weyl": ("alpha",), "complete": ("q", "a"), "integral": ("beta",)}
-
-
-def _check_sum_flags(args):
-    """Refuse a value the kind does not read, and a missing one it needs."""
-    for name in ("alpha", "beta", "q", "a", "tol"):
-        if getattr(args, name) is not None and name not in _SUM_READS[args.kind]:
-            raise ValidationError(f"--{name} is not read by 'sums {args.kind}'")
-    if args.grid is None and args.csv is None:
-        for name in _SUM_NEEDS[args.kind]:
-            if getattr(args, name) is None:
-                raise ValidationError(f"'sums {args.kind}' needs --{name}")
-        return
-    if args.kind != "weyl":
-        raise ValidationError(f"--grid and --csv evaluate Weyl sums, not '{args.kind}'")
+def _points(args):
+    """The one ``--alpha`` point, the first ``--k`` columns of ``--csv``, or None."""
     if args.alpha is not None:
-        raise ValidationError("--alpha is one point; --grid and --csv give the points")
-    if args.grid is not None and args.csv is not None:
-        raise ValidationError("--grid and --csv both give the points; give one")
-    if args.grid is not None and args.grid < 1:
-        raise ValidationError(f"--grid must be at least 1, not {args.grid}")
+        return np.array([_one_per_degree(args, "alpha")])
+    if args.csv is None:
+        return None
+    data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+    if data.shape[1] < args.k:
+        raise ValidationError(f"--csv has {data.shape[1]} columns but --k is {args.k}")
+    return data[:, :args.k]
 
 
-def _csv_points(path, k):
-    """The first ``k`` columns of the CSV's rows; fewer than ``k`` is refused."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.shape[1] < k:
-        raise ValidationError(f"--csv has {data.shape[1]} columns but --k is {k}")
-    return data[:, :k]
+def cmd_weyl(args):
+    k, mesh = args.k, _points(args)
+    if mesh is None:
+        axes = [np.arange(args.grid) / args.grid] * k
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    vals = weyl_sum_batch(mesh, args.X)
+    if args.alpha is not None:  # one point: printed, and written only to --out
+        print(f"{vals[0].real:.12g} {vals[0].imag:+.12g}i")
+    out = args.out or (None if args.alpha is not None else "weyl_grid.csv")
+    if out:
+        _write_csv(out, [f"alpha_{j + 1}" for j in range(k)] + ["re", "im"],
+                   np.column_stack([mesh, vals.real, vals.imag]).tolist())
+    return EXIT_OK
 
 
-def cmd_sums(args):
-    _check_sum_flags(args)
-    if args.grid is not None or args.csv is not None:
-        k = args.k
-        if args.csv is not None:
-            mesh = _csv_points(args.csv, k)
-        else:
-            N = args.grid
-            axes = [np.arange(N) / N for _ in range(k)]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"),
-                            axis=-1).reshape(-1, k)
-        vals = weyl_sum_batch(mesh, args.X)
-        out = args.out or "weyl_grid.csv"
-        header = [f"alpha_{j + 1}" for j in range(k)] + ["re", "im"]
-        rows = [list(map(float, mesh[i])) + [vals[i].real, vals[i].imag]
-                for i in range(len(mesh))]
-        _write_csv(out, header, rows)
-        return EXIT_OK
-    if args.kind == "weyl":
-        v = weyl_sum(_parse_floatlist(args.alpha), args.X)
-        print(f"{v.real:.12g} {v.imag:+.12g}i")
-    elif args.kind == "complete":
-        v = complete_sum(args.q, _parse_intlist(args.a))
-        print(f"{v.real:.12g} {v.imag:+.12g}i  |S|={abs(v):.12g}")
-    else:
-        r = oscillatory_integral(_parse_floatlist(args.beta), args.X,
-                                 tol=args.tol)
-        print(f"{r.value.real:.12g} {r.value.imag:+.12g}i  "
-              f"err~{r.error_estimate:.3g} panels={r.panels}")
+def cmd_complete(args):
+    v = complete_sum(args.q, args.a)
+    print(f"{v.real:.12g} {v.imag:+.12g}i  |S|={abs(v):.12g}")
+    return EXIT_OK
+
+
+def cmd_integral(args):
+    r = oscillatory_integral(args.beta, args.X, tol=args.tol)
+    print(f"{r.value.real:.12g} {r.value.imag:+.12g}i  "
+          f"err~{r.error_estimate:.3g} panels={r.panels}")
     return EXIT_OK
 
 
 def cmd_local(args):
     t0 = time.perf_counter()
-    n = _parse_target(args)
+    n = _one_per_degree(args, "n")
     rep = solubility_report(n, args.s, seed=args.seed, budget=args.budget)
     print(f"power-mean necessity : {'ok' if rep.holder_ok else 'FAIL'}")
     print(f"congruence necessity : {'ok' if rep.fermat_ok else 'FAIL'}")
@@ -387,15 +377,13 @@ def cmd_densities(args):
         raise ValidationError("--mc needs --integral")
     if args.samples is not None and not args.mc:
         raise ValidationError("--samples needs --mc")
-    if args.samples is not None and args.samples < 1:
-        raise ValidationError("--samples must be at least 1")
     if args.method == "euler" and (args.csv or args.qmax is not None):
         flag = "--csv" if args.csv else "--qmax"
         raise ValidationError(f"{flag} needs --method qsum or both")
     if args.method == "qsum" and args.pmax is not None:
         raise ValidationError("--pmax needs --method euler or both")
     params = _params_from_args(args)
-    n = _parse_target(args)
+    n = _one_per_degree(args, "n")
     if args.integral and not params.is_pure:
         raise ValidationError("--integral needs the pure system (--variant pure)")
     out = {"n": n, "s": args.s, "k": args.k}
@@ -420,7 +408,7 @@ def cmd_densities(args):
         if series is not None:
             try:
                 out["main_term"] = main_term(n, params, series, quad)
-            except Exception as exc:  # noqa: BLE001 - reported, not fatal
+            except NonConvergedError as exc:  # reported, not fatal
                 out["main_term_error"] = str(exc)
     payload = _finalize(out, args, t0, seed=args.seed)
     _emit(payload, args.out)
@@ -428,16 +416,10 @@ def cmd_densities(args):
 
 
 def cmd_arcs(args):
-    if args.Q is not None and args.l_exponent is not None:
-        raise ValidationError("--l-exponent sets the dissection, which --Q replaces")
     d = DissectionParams.from_scale(args.X, args.k, l_exponent=args.l_exponent)
-    if args.csv:
-        pts = _csv_points(args.csv, args.k)
-    elif args.alpha:
-        pts = np.array([_parse_floatlist(args.alpha)])
-    else:
-        rng = substream(args.seed, 0)
-        pts = rng.random((args.points, args.k))
+    pts = _points(args)
+    if pts is None:
+        pts = substream(args.seed, 0).random((args.points or 10, args.k))
     if not np.isfinite(pts).all():
         raise ValidationError("non-finite frequency")
     if args.Q is not None:
@@ -473,50 +455,53 @@ def cmd_arcs(args):
     return EXIT_OK
 
 
+def _write_experiment(out_path, blob, result):
+    """Write an experiment blob, and the CSV of its result's rows if it has any."""
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    Path(out_path).write_text(blob)
+    if "rows" in result:
+        header = sorted({k2 for row in result["rows"] for k2 in row
+                         if not isinstance(row[k2], (dict, list))})
+        _write_csv(Path(out_path).with_suffix(".csv"), header,
+                   [[row.get(h, "") for h in header] for row in result["rows"]])
+
+
 def cmd_experiment(args):
     t0 = time.perf_counter()
     cfg = ExperimentConfig.load(args.config)
     cache = ResultCache()
     key = cache.key("experiment:" + cfg.name, cfg.canonical())
     out_path = args.out or f"{cfg.name}_result.json"
-    if not args.no_cache:
-        hit = cache.get(key)
-        if hit is not None:
-            Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-            Path(out_path).write_bytes(hit)
-            print(f"cache hit -> {out_path}")
-            return EXIT_OK
     _, run, summary = _EXPERIMENTS[cfg.name]
-    try:
-        result = run(cfg.options)
-    except BudgetExceededError as exc:
-        partial = {"experiment": cfg.name, "partial": True,
-                   "work_done": exc.work_done, "error": str(exc)}
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_path).write_text(json.dumps(partial, indent=2) + "\n")
-        print(f"wrote partial artifact {out_path}")
-        raise
-    payload = _finalize({"experiment": cfg.name, "config": json.loads(cfg.canonical()),
-                         "result": result}, args, t0, seed=cfg.options.get("seed"))
-    payload["meta"]["config_hash"] = config_hash(cfg.canonical())
-    blob = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    Path(out_path).write_text(blob)
-    cache.put(key, blob.encode())
-    if "rows" in result:
-        csv_path = str(Path(out_path).with_suffix(".csv"))
-        header = sorted({k2 for row in result["rows"] for k2 in row
-                         if not isinstance(row[k2], (dict, list))})
-        _write_csv(csv_path, header,
-                   [[row.get(h, "") for h in header] for row in result["rows"]])
+    blob = None if args.no_cache else cache.get(key)
+    if blob is not None:
+        print(f"cache hit -> {out_path}")
+        blob = blob.decode()
+        # a complex value is read back from the {"re", "im"} object _jsonable wrote
+        result = json.loads(blob, object_hook=lambda o: complex(o["re"], o["im"])
+                            if o.keys() == {"re", "im"} else o)["result"]
+    else:
+        try:
+            result = run(cfg.options)
+        except BudgetExceededError as exc:
+            partial = {"experiment": cfg.name, "partial": True,
+                       "work_done": exc.work_done, "error": str(exc),
+                       "meta": {"code_version": code_version()}}
+            _write_experiment(out_path, json.dumps(partial, indent=2) + "\n", {})
+            print(f"wrote partial artifact {out_path}")
+            raise
+        payload = _finalize({"experiment": cfg.name, "config": json.loads(cfg.canonical()),
+                             "result": result}, args, t0, seed=cfg.options.get("seed"))
+        payload["meta"]["config_hash"] = config_hash(cfg.canonical())
+        blob = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n"
+        cache.put(key, blob.encode())
+    _write_experiment(out_path, blob, result)
     print(f"wrote {out_path}")
     print(f"summary: {summary(result)}")
     return EXIT_OK
 
 
 def cmd_verify(args):
-    if args.what != "identities":
-        raise ValidationError("only 'identities' verification is available")
     rng = substream(args.seed, 0)
     k, X = args.k, args.X
     failures = 0
@@ -597,17 +582,27 @@ def cmd_report(args):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags, and usage errors raise ``ValidationError`` (subcommands too)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="hk",
-                                description="power-sum system laboratory")
+    p = _Parser(prog="hk", description="power-sum system laboratory")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    target = _Parser(add_help=False)  # the --s, --k, --n of count, local and densities
+    target.add_argument("--s", type=positive_int, required=True)
+    target.add_argument("--k", type=positive_int, required=True)
+    target.add_argument("--n", type=_INTS, required=True, help="comma-separated target")
 
-    c = sub.add_parser("count", help="exact representation count")
-    c.add_argument("--s", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--n", required=True, help="comma-separated target vector")
-    c.add_argument("--variant", default="pure",
+    c = sub.add_parser("count", parents=[target], help="exact representation count")
+    c.add_argument("--variant", type=_variant, default="pure",
                    help="pure | mixed:l,m | coeffs:c1,c2,...")
     c.add_argument("--box", type=int, default=None)
     c.add_argument("--xmin", type=int, default=None)
@@ -619,41 +614,41 @@ def build_parser():
     v = sub.add_parser("vinogradov", help="translation-invariant mean values")
     v.add_argument("--t", type=int, required=True)
     v.add_argument("--k", type=int, required=True)
-    v.add_argument("--X", required=True, help="scale or comma list of scales")
+    v.add_argument("--X", type=_INTS, required=True, help="scale or comma list of scales")
     v.add_argument("--budget", type=int, default=50_000_000)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_vinogradov)
 
-    s = sub.add_parser("sums", help="exponential sums and integrals")
-    s.add_argument("kind", choices=["weyl", "complete", "integral"])
-    s.add_argument("--k", type=int, default=2)
-    s.add_argument("--alpha", default=None)
-    s.add_argument("--beta", default=None)
-    s.add_argument("--q", type=int, default=None)
-    s.add_argument("--a", default=None)
-    s.add_argument("--X", type=float, default=10.0)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--grid", type=int, default=None,
-                   help="emit CSV of f on the N^k lattice of [0,1)^k")
-    s.add_argument("--csv", default=None,
-                   help="CSV of alpha rows to evaluate in batch")
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_sums)
+    kinds = sub.add_parser("sums", help="exponential sums and integrals").add_subparsers(
+        dest="kind", required=True)
+    w = kinds.add_parser("weyl", help="Weyl sums at one point, a lattice or CSV rows")
+    w.add_argument("--k", type=positive_int, default=2)
+    w.add_argument("--X", type=float, default=10.0)
+    points = w.add_mutually_exclusive_group(required=True)
+    points.add_argument("--alpha", type=_FLOATS, help="one point: --k comma-separated floats")
+    points.add_argument("--grid", type=positive_int,
+                        help="emit CSV of f on the N^k lattice of [0,1)^k")
+    points.add_argument("--csv", help="CSV of alpha rows to evaluate in batch")
+    w.add_argument("--out", help="CSV of the sums (default weyl_grid.csv, none with --alpha)")
+    w.set_defaults(func=cmd_weyl)
+    cs = kinds.add_parser("complete", help="complete sum S(q, a)")
+    cs.add_argument("--q", type=int, required=True)
+    cs.add_argument("--a", type=_INTS, required=True)
+    cs.set_defaults(func=cmd_complete)
+    i = kinds.add_parser("integral", help="oscillatory integral")
+    i.add_argument("--beta", type=_FLOATS, required=True)
+    i.add_argument("--X", type=float, default=10.0)
+    i.add_argument("--tol", type=float, default=None)
+    i.set_defaults(func=cmd_integral)
 
-    lo = sub.add_parser("local", help="local solubility report")
-    lo.add_argument("--s", type=int, required=True)
-    lo.add_argument("--k", type=int, required=True)
-    lo.add_argument("--n", required=True)
+    lo = sub.add_parser("local", parents=[target], help="local solubility report")
     lo.add_argument("--seed", type=int, default=0)
     lo.add_argument("--budget", type=int, default=2_000_000)
     lo.add_argument("--out", default=None)
     lo.set_defaults(func=cmd_local)
 
-    d = sub.add_parser("densities", help="series / integral / main term")
-    d.add_argument("--s", type=int, required=True)
-    d.add_argument("--k", type=int, required=True)
-    d.add_argument("--n", required=True)
-    d.add_argument("--variant", default="pure")
+    d = sub.add_parser("densities", parents=[target], help="series / integral / main term")
+    d.add_argument("--variant", type=_variant, default="pure")
     d.add_argument("--method", choices=["qsum", "euler", "both"], default="both")
     d.add_argument("--qmax", type=int, help="q-sum modulus bound (default 100 at "
                    "k = 2, else 30; needs --method qsum or both)")
@@ -666,7 +661,7 @@ def build_parser():
     d.add_argument("--integral", action="store_true")
     d.add_argument("--mc", action="store_true",
                    help="add the Monte-Carlo volume oracle (needs --integral)")
-    d.add_argument("--samples", type=int, help="Monte-Carlo samples per slab "
+    d.add_argument("--samples", type=positive_int, help="Monte-Carlo samples per slab "
                    "width (default 2000000; needs --mc)")
     d.add_argument("--seed", type=int, default=7)
     d.add_argument("--csv", default=None,
@@ -675,14 +670,18 @@ def build_parser():
     d.set_defaults(func=cmd_densities)
 
     a = sub.add_parser("arcs", help="classify frequency points")
-    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--k", type=positive_int, required=True)
     a.add_argument("--X", type=float, required=True)
-    a.add_argument("--Q", type=float, default=None,
-                   help="1-d membership mode at this explicit cutoff")
-    a.add_argument("--l-exponent", dest="l_exponent", type=float, default=None)
-    a.add_argument("--csv", default=None, help="CSV of alpha rows to classify")
-    a.add_argument("--alpha", default=None)
-    a.add_argument("--points", type=int, default=10)
+    # --Q replaces the dissection that --l-exponent sets
+    cutoff = a.add_mutually_exclusive_group()
+    cutoff.add_argument("--Q", type=float, help="1-d membership mode at this explicit cutoff")
+    cutoff.add_argument("--l-exponent", dest="l_exponent", type=float)
+    points = a.add_mutually_exclusive_group()
+    points.add_argument("--csv", help="CSV of alpha rows to classify")
+    points.add_argument("--alpha", type=_FLOATS, help="one point: --k comma-separated floats")
+    # no default of 10: argparse's exclusion check skips a value that is the default
+    points.add_argument("--points", type=positive_int,
+                        help="random points to classify (default 10)")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_arcs)
@@ -695,7 +694,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="identity suite")
     ver.add_argument("what", choices=["identities"])
-    ver.add_argument("--k", type=int, default=2)
+    ver.add_argument("--k", type=positive_int, default=2)
     ver.add_argument("--s", type=int, default=6)
     ver.add_argument("--X", type=int, default=20)
     ver.add_argument("--trials", type=int, default=50)
@@ -710,9 +709,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from hklab.circle import (
     dilation_containment_check,
     moment_majorant_experiment,
 )
-from hklab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, ResultCache, main
+from hklab.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_OK, EXIT_VALIDATION, ResultCache, main
 from hklab.core import SystemParams
 from hklab.densities import singular_series_euler
 
@@ -84,6 +84,64 @@ def test_count_bad_variant(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", [["count"], ["densities", "--method", "euler"]])
+@pytest.mark.parametrize("s, variant", [("3", "coeffs:1,1"), ("8", "mixed:2,2")])
+def test_variant_size_must_match_s(capsys, command, s, variant):
+    # the variant's coefficients fix the number of variables; a different --s
+    # is refused, not overridden (the pure count at s = 3 is 1, at s = 2 it is 0)
+    code, out, err = run_cli(capsys, *command, "--s", s, "--k", "2", "--n", "3,3",
+                             "--variant", variant)
+    assert code == EXIT_VALIDATION and out == ""
+    assert "--variant" in err and f"--s is {s}" in err
+
+
+def test_count_mixed_variant_of_matching_size(capsys):
+    code, out, _ = run_cli(capsys, "count", "--s", "4", "--k", "2", "--n", "1,3",
+                           "--variant", "mixed:2,2", "--box", "6", "--xmin", "0")
+    assert code == EXIT_OK and out.strip() == "26"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--s", "3", "--k", "2", "--n", "3,x"], "--n"),
+    (["vinogradov", "--t", "1", "--k", "2", "--X", "8.5"], "--X"),
+    (["sums", "weyl", "--alpha", "0,abc"], "--alpha"),
+    (["arcs", "--k", "2", "--X", "100", "--alpha", "0,abc"], "--alpha"),
+    (["sums", "complete", "--q", "3", "--a", "0,x"], "--a"),
+    (["sums", "integral", "--beta", "0,x"], "--beta"),
+    (["count", "--s", "4", "--k", "2", "--n", "1,3", "--variant", "mixed:2,x"], "--variant"),
+    (["count", "--s", "abc", "--k", "2", "--n", "3,3"], "--s"),
+    # sizes below 1
+    (["local", "--s", "0", "--k", "2", "--n", "1,2"], "--s"),
+    (["arcs", "--k", "0", "--X", "100"], "--k"),
+    (["sums", "weyl", "--k", "0", "--alpha", ","], "--k"),
+    (["verify", "identities", "--k", "0"], "--k"),
+])
+def test_malformed_value_is_usage_error(capsys, argv, flag):
+    # argparse's refusals come back through main() as exit 2, not as SystemExit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and f"argument {flag}:" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "--s", "3", "--k", "2", "--n", "3,3", "--meth", "both"], "--meth"),
+    (["arcs", "--k", "2", "--X", "100", "--l-exp", "0.3"], "--l-exp"),
+])
+def test_flags_are_not_abbreviated(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION and f"unrecognized arguments: {flag}" in err and out == ""
+
+
+def test_usage_error_prints_one_line_from_the_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-m", "hklab.cli", "count", "--s", "abc",
+                          "--k", "2", "--n", "3,3"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == EXIT_VALIDATION and res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "validation error: argument --s: invalid positive_int value: 'abc'"]
+
+
 def test_vinogradov_table(capsys):
     code, out, _ = run_cli(capsys, "vinogradov", "--t", "1", "--k", "2",
                            "--X", "8,16,32")
@@ -102,6 +160,17 @@ def test_sums_weyl_and_integral(capsys):
     code, out, _ = run_cli(capsys, "sums", "integral", "--beta", "0,1",
                            "--X", "1")
     assert code == EXIT_OK and "0.24412" in out
+
+
+def test_sums_weyl_alpha_writes_its_row_to_out(tmp_path, capsys):
+    out_path = tmp_path / "one.csv"
+    code, out, _ = run_cli(capsys, "sums", "weyl", "--k", "2", "--alpha", "0,0.25",
+                           "--X", "4", "--out", str(out_path))
+    assert code == EXIT_OK and out.splitlines() == ["3 +2i", f"wrote {out_path}"]
+    header, row = out_path.read_text().strip().splitlines()
+    assert header == "alpha_1,alpha_2,re,im"
+    assert np.allclose([float(v) for v in row.split(",")], [0.0, 0.25, 3.0, 2.0],
+                       rtol=0, atol=1e-12)
 
 
 def test_sums_integral_unreachable_tol_exits_3(capsys):
@@ -152,8 +221,9 @@ def test_sums_csv_input_batch(tmp_path, capsys):
 def test_sums_batch_needs_kind_weyl(tmp_path, capsys, kind, flags):
     # --grid and --csv evaluate Weyl sums, so another kind is refused, not ignored
     out_path = tmp_path / "grid.csv"
-    code, _, err = run_cli(capsys, "sums", kind, *flags, "--grid", "2", "--out", str(out_path))
-    assert code == EXIT_VALIDATION and "weyl" in err.lower()
+    code, out, err = run_cli(capsys, "sums", kind, *flags, "--grid", "2",
+                             "--out", str(out_path))
+    assert code == EXIT_VALIDATION and "unrecognized arguments: --grid" in err and out == ""
     assert not out_path.exists()
 
 
@@ -162,10 +232,11 @@ def test_sums_batch_needs_kind_weyl(tmp_path, capsys, kind, flags):
     (["complete", "--a", "1,1"], "--q"),
     (["complete", "--q", "5"], "--a"),
     (["integral", "--X", "1"], "--beta"),
+    ([], "kind"),
 ])
 def test_sums_missing_value_exits_2(capsys, argv, flag):
-    code, _, err = run_cli(capsys, "sums", *argv)
-    assert code == EXIT_VALIDATION and f"needs {flag}" in err
+    code, out, err = run_cli(capsys, "sums", *argv)
+    assert code == EXIT_VALIDATION and "required" in err and flag in err and out == ""
 
 
 def test_sums_grid_below_one_exits_2(tmp_path, capsys):
@@ -189,6 +260,13 @@ def test_sums_grid_below_one_exits_2(tmp_path, capsys):
     (["integral", "--beta", "0,1", "--q", "5"], "--q"),
     (["integral", "--beta", "0,1", "--a", "1,1"], "--a"),
     (["weyl", "--grid", "3", "--alpha", "0.1,0.2"], "--alpha"),
+    # the --alpha point must have --k coordinates, and complete and integral
+    # read neither --k, --X nor --out
+    (["weyl", "--k", "3", "--alpha", "0.1,0.2"], "--alpha"),
+    (["complete", "--q", "5", "--a", "1,1", "--k", "3"], "--k"),
+    (["complete", "--q", "5", "--a", "1,1", "--X", "8"], "--X"),
+    (["complete", "--q", "5", "--a", "1,1"], "--out"),
+    (["integral", "--beta", "0,1"], "--out"),
 ])
 def test_sums_refuses_values_its_kind_does_not_read(tmp_path, capsys, argv, flag):
     out_path = tmp_path / "grid.csv"
@@ -257,6 +335,21 @@ def test_arcs_membership_mode_writes_out(tmp_path, capsys):
                          "--alpha", "0.5,0.6180339887", "--out", str(out_path))
     assert code == EXIT_OK
     assert out_path.read_text().splitlines() == ["alpha_2,q,a", "0.6180339887,,"]
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--k", "3", "--alpha", "0.5,0.5"], "--alpha"),       # 2 coordinates at k = 3
+    (["--k", "2", "--csv", "CSV", "--alpha", "0.5,0.5"], "--alpha"),
+    (["--k", "2", "--csv", "CSV", "--points", "5"], "--points"),
+])
+def test_arcs_refuses_a_point_it_would_not_classify(tmp_path, capsys, flags, flag):
+    in_path = tmp_path / "alphas.csv"
+    np.savetxt(in_path, np.array([[0.0, 0.5, 0.25]]), delimiter=",")
+    out_path = tmp_path / "classes.csv"
+    flags = [str(in_path) if f == "CSV" else f for f in flags]
+    code, out, err = run_cli(capsys, "arcs", "--X", "100", *flags, "--out", str(out_path))
+    assert code == EXIT_VALIDATION and flag in err and out == ""
+    assert not out_path.exists()
 
 
 def test_arcs_membership_mode_rejects_l_exponent(capsys):
@@ -389,6 +482,30 @@ def test_densities_qsum_default_gives_main_term(tmp_path, capsys):
     assert len(grid["coarse_beta_nodes"]) == len(grid["fine_beta_nodes"]) == 2
 
 
+def test_densities_non_converged_series_reports_main_term_error(tmp_path, capsys):
+    # a q-sum that reports no convergence has no main term; the run still exits 0
+    out_path = tmp_path / "dens.json"
+    code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                         "--method", "qsum", "--qmax", "12", "--tol", "0", "--integral",
+                         "--out", str(out_path))
+    assert code == EXIT_OK
+    data = json.loads(out_path.read_text())
+    assert data["series_qsum"]["converged"] is False and "main_term" not in data
+    assert data["main_term_error"] == "singular series estimate not converged"
+
+
+def test_densities_main_term_fault_is_internal_error(tmp_path, capsys, monkeypatch):
+    # only a non-converged estimate is reported in the output; any other fault exits 4
+    def fail(*args):
+        raise ZeroDivisionError("division by zero")
+    monkeypatch.setattr(cli, "main_term", fail)
+    out_path = tmp_path / "dens.json"
+    code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                           "--method", "qsum", "--integral", "--out", str(out_path))
+    assert code == EXIT_INTERNAL and "ZeroDivisionError" in err
+    assert not out_path.exists()
+
+
 def test_densities_tol_reaches_both_routes(tmp_path, capsys):
     out_path = tmp_path / "dens.json"
     code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2",
@@ -475,8 +592,10 @@ def test_experiment_cache_byte_identical(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
     code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg),
                            "--out", str(out2))
-    assert code == EXIT_OK and "cache hit" in out
+    assert code == EXIT_OK and "cache hit" in out and "summary: sup slope" in out
     assert out1.read_bytes() == out2.read_bytes()
+    # the hit writes the rows' CSV too, the same as the run's
+    assert (tmp_path / "r2.csv").read_bytes() == (tmp_path / "r1.csv").read_bytes()
     data = json.loads(out1.read_text())
     assert data["meta"]["code_version"]
     assert data["meta"]["seed"] == 11
@@ -608,6 +727,30 @@ def test_report_merges_and_warns(tmp_path, capsys, monkeypatch):
          "meta": {"code_version": "0.0.1"}}))
     code, out, _ = run_cli(capsys, "report", "--dir", str(results))
     assert "mixed code versions" in out
+
+
+def test_report_partial_artifact_is_not_another_version(tmp_path, capsys, monkeypatch):
+    # a partial artifact carries the code version, so one result and one partial
+    # blob of the same code read as one version
+    monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({"name": "minor-decay", "s": 12, "k": 3, "X": 200.0,
+                               "Q_list": [3, 6, 12], "samples": 10, "seed": 5}))
+    results = tmp_path / "results"
+    with monkeypatch.context() as m:
+        m.setattr(densities, "TENSOR_CELLS_MAX", 100)  # the q = 8 tables exceed it
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                             "--out", str(results / "partial.json"))
+    assert code == EXIT_BUDGET
+    partial = json.loads((results / "partial.json").read_text())
+    assert partial["partial"] is True
+    assert partial["meta"]["code_version"] == cli.code_version()
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                         "--out", str(results / "done.json"))
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "report", "--dir", str(results))
+    assert code == EXIT_OK and "minor-decay: 2 result(s)" in out
+    assert "mixed code versions" not in out
 
 
 def test_report_empty_dir(tmp_path, capsys):
