@@ -108,8 +108,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing file, bad JSON
+            raise ValidationError(f"--config {path}: {exc}") from exc
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValidationError("config must be a JSON object with a 'name' field")
         name = raw["name"]
@@ -316,7 +319,10 @@ def _points(args):
         return np.array([_one_per_degree(args, "alpha")])
     if args.csv is None:
         return None
-    data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:  # missing file, non-numeric cell
+        raise ValidationError(f"--csv {args.csv}: {exc}") from exc
     if data.shape[1] < args.k:
         raise ValidationError(f"--csv has {data.shape[1]} columns but --k is {args.k}")
     return data[:, :args.k]

@@ -4,8 +4,11 @@ Necessary conditions (power-mean inequalities in exact integer form, the
 small-prime congruence system) plus searches for certified witnesses: a
 residue solution that lifts p-adically in the multivariate Hensel sense
 (some k-by-k Jacobian minor of valuation ``tau`` found at depth
-``gamma > 2 tau``), and a positive non-singular real solution located by
-Newton iteration with seeded random restarts.
+``gamma > 2 tau``), each stage priced against the budget before it runs,
+and a positive non-singular real solution on the fibre map.  Fixing
+``s - k`` coordinates leaves ``k`` whose power sums are known; Newton's
+identities make those the roots of one degree-k polynomial, so each seeded
+restart finds them in closed form.
 
 ``NotFound`` from the p-adic search proves there is no primitive p-adic
 solution (an exhausted residue tree); the real search is heuristic and its
@@ -24,8 +27,7 @@ from .errors import ValidationError
 from .streams import substream
 
 FRONTIER_CAP = 4096    # p-adic candidates kept per depth, smallest minor valuation first
-REAL_RESTARTS = 32     # seeded Newton restarts of the real search
-NEWTON_STEPS = 60      # Newton iterations per restart
+REAL_RESTARTS = 32     # seeded restarts of the real search, two fibre points each
 DISTINCT_RTOL = 1e-6   # relative gap that separates two real coordinates
 
 
@@ -184,12 +186,17 @@ def padic_witness(n, s, p, budget=2_000_000):
     certificate can come from); ``not_found`` is only reported when the tree
     emptied without any such pruning, so it remains a proof of emptiness.
     The search stops at depth ``2 (1 + floor(log_p k)) + 3``, deep enough to
-    certify the small primes where singularity concentrates.
+    certify the small primes where singularity concentrates.  ``work`` counts
+    level-1 heads, tau evaluations and refined children (1 for a childless
+    node); each stage is priced before it runs, so ``work <= budget``.
     """
     n = _target_vector(n)
     k = len(n)
     depth_max = 2 * (1 + int(math.log(k, p))) + 3
-    work = 0
+    work = p ** (s - 1)  # one unit per level-1 head, priced before the enumeration
+    if work > budget:
+        return PadicResult("inconclusive", p,
+                           reason="budget exceeded during level-1 enumeration")
 
     # depth 1: enumerate solutions mod p
     powvec = {}
@@ -201,10 +208,6 @@ def padic_witness(n, s, p, budget=2_000_000):
     pruned = False
     target = tuple(v % p for v in n)
     for head in itertools.product(range(p), repeat=s - 1):
-        work += 1
-        if work > budget:
-            return PadicResult("inconclusive", p, work=work,
-                               reason="budget exceeded during level-1 enumeration")
         resid = list(target)
         for v in head:
             pv = vec_of[v]
@@ -221,12 +224,15 @@ def padic_witness(n, s, p, budget=2_000_000):
 
     mod = p
     for gamma in range(1, depth_max + 1):
+        if work + len(frontier) > budget:  # one unit per tau evaluation
+            return PadicResult("inconclusive", p, depth=gamma, work=work,
+                               reason="budget exceeded while deepening")
         taus = []
         for x in frontier:
             work += 1
             tau = minor_valuation(x, k, p, cap=gamma)
             if 2 * tau < gamma:
-                lifted = bool(_refine(x, n, s, k, p, mod))
+                lifted = _lift_step(x, n, k, p, mod) is not None
                 return PadicResult("found", p, witness=tuple(x), depth=gamma,
                                    tau=tau, lifted=lifted, work=work)
             taus.append(tau)
@@ -238,12 +244,14 @@ def padic_witness(n, s, p, budget=2_000_000):
             pruned = True
         new_frontier = []
         for x in frontier:
-            kids = _refine(x, n, s, k, p, mod)
-            work += max(1, len(kids))
-            if work > budget:
+            step = _lift_step(x, n, k, p, mod)
+            cost = p ** len(step[1]) if step else 1  # children, priced before they are built
+            if work + cost > budget:
                 return PadicResult("inconclusive", p, depth=gamma, work=work,
                                    reason="budget exceeded while deepening")
-            new_frontier.extend(kids)
+            work += cost
+            if step:
+                new_frontier.extend(_refine(x, *step, p, mod))
         if not new_frontier:
             if pruned:
                 return PadicResult("inconclusive", p, depth=gamma + 1, work=work,
@@ -257,26 +265,30 @@ def padic_witness(n, s, p, budget=2_000_000):
                        reason="no certified witness within depth_max")
 
 
-def _refine(x, n, s, k, p, mod):
-    """Children of a solution mod ``mod`` at level ``mod * p`` (linear step)."""
+def _lift_step(x, n, k, p, mod):
+    """The linear step from a solution mod ``mod`` to ``mod * p``: ``(part, basis)``.
+
+    None when ``x`` is no solution mod ``mod`` or the step is inconsistent.
+    """
     resid = []
     for j in range(1, k + 1):
         fj = sum(int(v) ** j for v in x)
         d = (n[j - 1] - fj) % (mod * p)
         if d % mod:
-            return []
+            return None
         resid.append((d // mod) % p)
     J = [[(j * pow(int(v), j - 1, p)) % p for v in x] for j in range(1, k + 1)]
-    sol = _solve_affine_mod_p(J, resid, p)
-    if sol is None:
-        return []
-    part, basis = sol
+    return _solve_affine_mod_p(J, resid, p)
+
+
+def _refine(x, part, basis, p, mod):
+    """The ``p^len(basis)`` children of ``x`` for the step ``(part, basis)``."""
     kids = []
     for combo in itertools.product(range(p), repeat=len(basis)):
         t = list(part)
         for c, vec in zip(combo, basis):
             if c:
-                for i in range(s):
+                for i in range(len(x)):
                     t[i] = (t[i] + c * vec[i]) % p
         kids.append(tuple(int(v) + mod * t[i] for i, v in enumerate(x)))
     return kids
@@ -298,12 +310,16 @@ class RealResult:
 
 
 def real_witness(n, s, seed=0):
-    """Newton search for a positive solution with full-rank Jacobian.
+    """Fibre-map search for a positive solution with full-rank Jacobian.
 
-    The square subsystem fixes ``s - k`` coordinates at perturbed equal-split
-    seeds and solves for the remaining ``k``.  Restarts run on a fixed seed
-    schedule; the first success (lowest restart index) is returned, so the
-    search is deterministic.  ``not_found`` is inconclusive by design.
+    Each restart fixes ``s - k`` coordinates at the equal-split point
+    ``mu_1 / s`` (shaken by up to 30% after restart 0), then at one uniform
+    draw with the target's per-coordinate mean and variance, and takes the
+    other ``k`` from ``_fibre_roots``.  A point counts when it is positive
+    and its power sums meet ``mu`` within ``1e-9 max(1, max |mu|)``, so the
+    real parts of a complex root pair pass only for a double root within it.
+    The first non-singular point (lowest restart index) is returned, so the
+    search is deterministic; ``not_found`` is inconclusive by design.
     """
     n = _target_vector(n)
     k = len(n)
@@ -316,54 +332,49 @@ def real_witness(n, s, seed=0):
     if scale == 0:
         return RealResult("not_found", reason="zero target has no positive solution")
     tol = 1e-9 * max(1.0, float(np.max(np.abs(mu))))
-    base = max(mu[0] / s, 1e-3)
+    mean = mu[0] / s
+    half = math.sqrt(3.0 * max(mu[1] / s - mean ** 2, 0.0)) if k > 1 else 0.0
     best_singular = None
     for restart in range(REAL_RESTARTS):
         rng = substream(seed, restart)
-        z = np.full(s, base)
-        if restart > 0:  # restart 0 probes the exact equal-split point
-            z *= 1.0 + 0.6 * (rng.random(s) - 0.5)
-        fixed = z[: s - k].copy()
-        free = z[s - k:].copy()
-        converged = False
-        for _ in range(NEWTON_STEPS):
-            full = np.concatenate([fixed, free])
-            F = np.array([np.sum(full ** j) - mu[j - 1] for j in range(1, k + 1)])
-            if np.max(np.abs(F)) <= tol:
-                converged = True
-                break
-            J = np.array([[j * v ** (j - 1) for v in free] for j in range(1, k + 1)])
-            try:
-                step = np.linalg.solve(J, F)
-            except np.linalg.LinAlgError:
-                break
-            limit = np.max(np.abs(step)) / (0.5 * max(base, 1e-9))
-            if limit > 1.0:
-                step = step / limit
-            free = free - step
-            if not np.all(np.isfinite(free)):
-                break
-        if not converged:
-            continue
-        full = np.concatenate([fixed, free])
-        if np.any(full <= 0):
-            continue
-        distinct = _distinct_count(full)
-        Jfull = np.array([[j * v ** (j - 1) for v in full] for j in range(1, k + 1)])
-        sv = np.linalg.svd(Jfull, compute_uv=False)
-        nonsingular = distinct >= k and sv[-1] > 1e-8 * sv[0]
-        res = RealResult("found", witness=(full * scale).tolist(),
-                         residual=float(np.max(np.abs(
-                             [np.sum(full ** j) - mu[j - 1] for j in range(1, k + 1)]))),
-                         distinct=distinct, nonsingular=nonsingular, restart=restart)
-        if nonsingular:
-            return res
-        if best_singular is None:
-            best_singular = res
+        shaken = np.full(s - k, max(mean, 1e-3))
+        if restart > 0:
+            shaken *= 1.0 + 0.6 * (rng.random(s - k) - 0.5)
+        for fixed in (shaken, rng.uniform(mean - half, mean + half, s - k)):
+            full = np.concatenate([fixed, _fibre_roots(fixed, mu)])
+            residual = float(np.max(np.abs(
+                [np.sum(full ** j) - mu[j - 1] for j in range(1, k + 1)])))
+            if np.any(full <= 0) or not residual <= tol:
+                continue
+            distinct = _distinct_count(full)
+            J = np.array([[j * v ** (j - 1) for v in full] for j in range(1, k + 1)])
+            sv = np.linalg.svd(J, compute_uv=False)
+            res = RealResult("found", witness=(full * scale).tolist(), residual=residual,
+                             distinct=distinct, restart=restart,
+                             nonsingular=bool(distinct >= k and sv[-1] > 1e-8 * sv[0]))
+            if res.nonsingular:
+                return res
+            best_singular = best_singular or res
     if best_singular is not None:
         best_singular.reason = "only singular witnesses located"
         return best_singular
-    return RealResult("not_found", reason="all restarts failed to converge")
+    return RealResult("not_found", reason="no restart reached a positive real point")
+
+
+def _fibre_roots(fixed, mu):
+    """The ``k = len(mu)`` coordinates completing ``fixed`` to power sums ``mu``.
+
+    Newton's identities ``m e_m = sum_{i<=m} (-1)^(i-1) e_(m-i) p_i`` turn the
+    power sums left over, ``p_j = mu_j - sum(fixed^j)``, into elementary
+    symmetric values, and the coordinates are the roots of
+    ``x^k - e_1 x^(k-1) + ... + (-1)^k e_k``, returned as sorted real parts.
+    """
+    k = len(mu)
+    p = [mu[j - 1] - np.sum(fixed ** j) for j in range(1, k + 1)]
+    e = [1.0]
+    for m in range(1, k + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * p[i - 1] for i in range(1, m + 1)) / m)
+    return np.sort(np.roots([(-1) ** m * e[m] for m in range(k + 1)]).real)
 
 
 def _distinct_count(v):

@@ -142,6 +142,14 @@ def test_usage_error_prints_one_line_from_the_process(tmp_path):
         "validation error: argument --s: invalid positive_int value: 'abc'"]
 
 
+def test_vinogradov_single_X_prints_the_count(tmp_path, capsys):
+    out_path = tmp_path / "j.json"
+    code, out, _ = run_cli(capsys, "vinogradov", "--t", "1", "--k", "2", "--X", "8",
+                           "--out", str(out_path))
+    assert code == EXIT_OK and out.splitlines()[0] == "8"  # x = y, one solution per x <= 8
+    assert json.loads(out_path.read_text())["J"] == 8
+
+
 def test_vinogradov_table(capsys):
     code, out, _ = run_cli(capsys, "vinogradov", "--t", "1", "--k", "2",
                            "--X", "8,16,32")
@@ -375,6 +383,13 @@ def test_local_json(tmp_path, capsys):
     assert data["verdict"] == "insoluble"
 
 
+def test_local_warns_below_two_to_the_k(capsys):
+    code, out, _ = run_cli(capsys, "local", "--s", "2", "--k", "2", "--n", "2,2")
+    assert code == EXIT_OK
+    assert ("warning: s = 2 < 2^k - 1 = 3: p-adic solubility is not assured in general "
+            "with this few variables") in out.splitlines()
+
+
 def test_densities_json_meta(tmp_path, capsys):
     out_path = tmp_path / "dens.json"
     code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2",
@@ -438,6 +453,18 @@ def test_densities_ignored_flag_is_validation_error(capsys, no_density_work, fla
     code, _, err = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
                            *flags)
     assert code == EXIT_VALIDATION and needed in err
+
+
+def test_densities_integral_mc_reports_the_oracle(tmp_path, capsys):
+    out_path = tmp_path / "d.json"
+    code, _, _ = run_cli(capsys, "densities", "--s", "6", "--k", "2", "--n", "96,1934",
+                         "--method", "euler", "--integral", "--mc", "--samples", "20000",
+                         "--out", str(out_path))
+    assert code == EXIT_OK
+    data = json.loads(out_path.read_text())
+    assert data["integral"]["method"].startswith("BoxQuadrature")
+    assert data["integral_mc"]["method"].startswith("MonteCarloVolume")
+    assert "samples=20000" in data["integral_mc"]["method"]
 
 
 def test_densities_non_pure_integral_is_validation_error(capsys, no_density_work):
@@ -581,26 +608,50 @@ def test_moment_majorant_runner_is_the_direct_call(tmp_path, capsys, monkeypatch
 
 def test_experiment_cache_byte_identical(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HK_CACHE_DIR", str(tmp_path / "cache"))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "name": "minor-decay", "s": 12, "k": 3, "X": 2000.0,
-        "Q_list": [5, 10, 20], "samples": 60, "seed": 11}))
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
-                         "--out", str(out1))
-    assert code == EXIT_OK
-    code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg),
-                           "--out", str(out2))
-    assert code == EXIT_OK and "cache hit" in out and "summary: sup slope" in out
-    assert out1.read_bytes() == out2.read_bytes()
-    # the hit writes the rows' CSV too, the same as the run's
-    assert (tmp_path / "r2.csv").read_bytes() == (tmp_path / "r1.csv").read_bytes()
-    data = json.loads(out1.read_text())
-    assert data["meta"]["code_version"]
-    assert data["meta"]["seed"] == 11
-    assert data["meta"]["config_hash"]
-    assert "wall_time_s" in data["meta"]
+    for config, summary in [
+        ({"name": "minor-decay", "s": 12, "k": 3, "X": 2000.0,
+          "Q_list": [5, 10, 20], "samples": 60, "seed": 11}, "summary: sup slope"),
+        # a complex narrow_box_integral, written by _jsonable and read back by the hit
+        ({"name": "w4-main", "s": 6, "k": 2, "base_tuple": [0.35, 0.52, 0.21],
+          "scale_list": [4]}, "summary: count/main-term ratios"),
+    ]:
+        root = tmp_path / config["name"]
+        root.mkdir()
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out1 = root / "r1.json"
+        out2 = root / "r2.json"
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                             "--out", str(out1))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                               "--out", str(out2))
+        assert code == EXIT_OK and "cache hit" in out and summary in out
+        assert out1.read_bytes() == out2.read_bytes()
+        # the hit writes the rows' CSV too, the same as the run's
+        assert (root / "r2.csv").read_bytes() == (root / "r1.csv").read_bytes()
+        data = json.loads(out1.read_text())
+        assert data["meta"]["code_version"]
+        assert data["meta"]["seed"] == config.get("seed")
+        assert data["meta"]["config_hash"]
+        assert "wall_time_s" in data["meta"]
+    assert set(data["result"]["rows"][0]["narrow_box_integral"]) == {"re", "im"}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["arcs", "--k", "2", "--X", "100", "--csv", "missing.csv"], "--csv"),
+    (["sums", "weyl", "--k", "2", "--X", "4", "--csv", "bad.csv"], "--csv"),
+    (["experiment", "--config", "missing.json"], "--config"),
+    (["experiment", "--config", "truncated.json"], "--config"),
+])
+def test_bad_input_file_is_validation_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("0.1,abc\n")
+    (tmp_path / "truncated.json").write_text('{"name": "minor-decay", "s": 1')
+    code, out, err = run_cli(capsys, *argv, "--out", "r.out")
+    assert code == EXIT_VALIDATION and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"validation error: {flag} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "truncated.json"]
 
 
 def test_experiment_rejects_unknown_keys(tmp_path, capsys):

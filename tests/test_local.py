@@ -3,8 +3,13 @@ import json
 import random
 from fractions import Fraction
 
-from hklab.core import SystemParams
+import numpy as np
+import pytest
+
+from hklab.core import SystemParams, target_scale
 from hklab.local import (
+    _fibre_roots,
+    _lift_step,
     _refine,
     fermat_congruences,
     holder_necessary,
@@ -98,7 +103,8 @@ def test_padic_witness_lifts_congruently():
         n = [sum(v ** j for v in x) for j in (1, 2)]
         r = padic_witness(n, 6, p)
         assert r.status == "found", (p, n, r)
-        refinements = _refine(r.witness, n, 6, len(n), p, p ** r.depth)
+        step = _lift_step(r.witness, n, len(n), p, p ** r.depth)
+        refinements = _refine(r.witness, *step, p, p ** r.depth)
         assert refinements, (p, r)
         mod = p ** max(1, r.depth - r.tau)
         for ref in refinements[:4]:
@@ -176,6 +182,70 @@ def test_real_witness_deterministic():
     a = real_witness(n, 6, seed=3)
     b = real_witness(n, 6, seed=3)
     assert a.witness == b.witness and a.restart == b.restart
+
+
+def _planted(s, k, count=8):
+    rng = random.Random(100 * s + k)
+    xs = [[rng.randint(1, 30) for _ in range(s)] for _ in range(count)]
+    return [[sum(v ** j for v in x) for j in range(1, k + 1)] for x in xs]
+
+
+# indices of _planted(s, k) that the damped Newton search (32 restarts of 60
+# steps) certified with a non-singular witness; the fibre map keeps every one
+NEWTON_CERTIFIED = {
+    (6, 2): [0, 1, 2, 3, 4, 5, 6, 7], (6, 3): [0, 1, 3, 4, 5, 7],
+    (6, 4): [0, 1, 2, 4, 5, 6, 7], (12, 2): [0, 1, 2, 4, 6, 7],
+    (12, 3): [0, 1, 4, 5], (12, 4): [6], (20, 2): [0, 1, 2, 3, 4, 5, 6, 7],
+    (20, 3): [], (20, 4): [],
+}
+
+
+@pytest.mark.parametrize("s, k", sorted(NEWTON_CERTIFIED))
+def test_real_witness_keeps_every_newton_certificate(s, k):
+    for i, n in enumerate(_planted(s, k)):
+        r = real_witness(n, s)
+        if i in NEWTON_CERTIFIED[(s, k)]:
+            assert r.status == "found" and r.nonsingular, (s, k, i, r)
+        if r.status == "found":
+            _, mu = target_scale(n)
+            assert r.residual <= 1e-9 * max(1.0, float(np.max(np.abs(mu))))
+            assert len(r.witness) == s and min(r.witness) > 0
+
+
+def test_real_witness_paper_target_is_nonsingular():
+    # the k = 3, s = 12 target that the Newton search left at not_found
+    r = real_witness([59, 369, 2609], 12)
+    assert r.status == "found" and r.nonsingular and r.distinct == 12
+    x = np.array(r.witness)
+    assert np.allclose([np.sum(x ** j) for j in (1, 2, 3)], [59, 369, 2609],
+                       rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fibre_roots_recover_planted_coordinates(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(20):
+        fixed = rng.random(rng.integers(0, 6))
+        free = rng.random(k)
+        mu = np.array([np.sum(fixed ** j) + np.sum(free ** j) for j in range(1, k + 1)])
+        assert np.allclose(_fibre_roots(fixed, mu), np.sort(free), rtol=0, atol=1e-9)
+
+
+def test_padic_work_stays_within_budget_at_s12():
+    # level 1 alone needs 3^11 heads at p = 3; p = 2 would build 2^10 children per node
+    budget = 100_000
+    rep = solubility_report([59, 369, 2609], 12, budget=budget)
+    for p, r in rep.padic.items():
+        assert r.status == "inconclusive" and r.work <= budget, (p, r)
+    assert rep.padic[3].work == 0 and "level-1" in rep.padic[3].reason
+
+
+def test_padic_tau_pass_is_priced_before_it_runs():
+    # 3^9 heads fit the budget, the tau pass over their solutions does not
+    x = [20, 3, 1, 29, 17, 9, 14, 25, 8, 30]
+    n = [sum(v ** j for v in x) for j in (1, 2, 3)]
+    r = padic_witness(n, 10, 3, budget=3 ** 9 + 100)
+    assert r.status == "inconclusive" and r.work == 3 ** 9 and r.depth == 1
 
 
 def test_small_primes():
